@@ -13,6 +13,7 @@ directory is taken from the URWIDTH_OUT environment variable when set.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -26,13 +27,11 @@ from . import __version__
 from .coverings import parameter_window, width_bracket
 from .machine import machine_new, run_stream
 from .problems import (
+    FAMILIES,
     bouquet_problem,
-    interval_union_problem,
-    permuted_problem,
     scaled_problem,
     union_problem,
     validate_margin,
-    wedge_problem,
 )
 from .sampling import (
     coupon_stats,
@@ -64,7 +63,6 @@ from .topology import (
     betti,
     betti_bound_check,
     cyclic_arc_cover,
-    graph_beta1,
     max_adjacency,
     nerve,
     systole,
@@ -89,24 +87,13 @@ def _dump_json(path: Path, doc) -> None:
 
 
 def _problem_from_args(args) -> object:
-    fam = args.family
-    if fam == "bouquet":
-        p = bouquet_problem(args.w, args.length, args.gamma, args.h)
-    elif fam == "scaled":
-        p = scaled_problem(args.w, args.m, args.length, args.gamma, args.h)
-    elif fam == "wedge":
-        p = wedge_problem(
-            args.w, args.k, args.radius, args.gamma, n=args.n, seed=args.seed
-        )
-    elif fam == "interval":
-        ivs = json.loads(args.intervals)
-        p = interval_union_problem([tuple(ab) for ab in ivs], args.gamma, args.n_pts)
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    if args.sigma:
-        sigma = [int(x) for x in args.sigma.split(",")]
-        p = permuted_problem(p, sigma)
-    return p
+    family = "interval_union" if args.family == "interval" else args.family
+    flags = dict(vars(args), L=args.length, R=args.radius)
+    params = {key: flags[key] for key in FAMILIES[family][1]}
+    if "intervals" in params:
+        params["intervals"] = json.loads(params["intervals"])
+    sigma = [int(x) for x in args.sigma.split(",")] if args.sigma else None
+    return build_problem({"family": family, "params": params, "sigma": sigma})
 
 
 def _add_problem_flags(sub) -> None:
@@ -185,10 +172,8 @@ def cmd_width(args) -> int:
 
 
 def _read_stream(path: Path, space):
-    import csv as _csv
-
     with open(path, newline="") as fh:
-        rows = list(_csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     rows.sort(key=lambda r: int(r["step"]))
     out = []
     for r in rows:
@@ -198,41 +183,48 @@ def _read_stream(path: Path, space):
     return out
 
 
+def _seeded_stream(p, seed: int, steps: int) -> list:
+    rng = np.random.default_rng(seed)
+    dist = sampling_distribution(p)
+    return [sample_safe(dist, rng) for _ in range(steps)]
+
+
+def _machine_run(out: Path, p, stream, seed, tau, d0, r_construct):
+    state = machine_new(p.space, tau, d0, r_construct, labels=tuple(p.labels))
+    trace = run_stream(state, stream)
+    line_plot(out / "size_curve.svg",
+              [("library size", list(range(1, len(trace.size_curve) + 1)),
+                [float(s) for s in trace.size_curve])],
+              title="metric library growth", xlabel="step", ylabel="entries")
+    return trace, {
+        "problem": family_doc(p),
+        "final_library_size": state.library_size,
+        "errors": trace.errors,
+        "size_curve": trace.size_curve,
+        "seed": seed,
+    }
+
+
 def cmd_machine(args) -> int:
     out = _out_dir(args.out)
     p = _problem_from_args(args)
-    state = machine_new(p.space, args.tau, args.d0, args.r_construct,
-                        labels=tuple(p.labels))
-    if args.stream:
-        stream = _read_stream(Path(args.stream), p.space)
-    else:
-        rng = np.random.default_rng(args.seed)
-        dist = sampling_distribution(p)
-        stream = [sample_safe(dist, rng) for _ in range(args.steps)]
-    trace = run_stream(state, stream)
-    doc = {
-        "problem": family_doc(p),
-        "tau": args.tau,
-        "d0": args.d0,
-        "r_construct": args.r_construct,
-        "seed": args.seed,
-        "size_curve": trace.size_curve,
-        "errors": trace.errors,
-        "final_library_size": state.library_size,
-        "events": [
-            {
-                "index": r.index,
-                "kind": r.kind,
-                "point": encode_point(r.point),
-                "label": r.label,
-                "residue": None if math.isinf(r.residue) else r.residue,
-                "entry": r.entry,
-                "predicted": r.predicted,
-                "correct": r.correct,
-            }
-            for r in trace.records
-        ],
-    }
+    stream = (_read_stream(Path(args.stream), p.space) if args.stream
+              else _seeded_stream(p, args.seed, args.steps))
+    trace, doc = _machine_run(out, p, stream, args.seed, args.tau, args.d0, args.r_construct)
+    doc.update(tau=args.tau, d0=args.d0, r_construct=args.r_construct)
+    doc["events"] = [
+        {
+            "index": r.index,
+            "kind": r.kind,
+            "point": encode_point(r.point),
+            "label": r.label,
+            "residue": None if math.isinf(r.residue) else r.residue,
+            "entry": r.entry,
+            "predicted": r.predicted,
+            "correct": r.correct,
+        }
+        for r in trace.records
+    ]
     _dump_json(out / "trace.json", doc)
     write_csv(
         out / "trace.csv",
@@ -243,32 +235,51 @@ def cmd_machine(args) -> int:
             for r, size in zip(trace.records, trace.size_curve)
         ),
     )
-    line_plot(
-        out / "size_curve.svg",
-        [("library size", list(range(1, len(trace.size_curve) + 1)),
-          [float(s) for s in trace.size_curve])],
-        title="metric library growth",
-        xlabel="step",
-        ylabel="entries",
-    )
-    print(f"final library size {state.library_size}, "
+    print(f"final library size {doc['final_library_size']}, "
           f"{trace.errors} prediction errors over {len(stream)} steps")
     return EXIT_OK
+
+
+def _write_sweep(out: Path, ws, ratios, trials: int, seed: int) -> dict:
+    stats = threshold_sweep(ws, ratios, trials, seed)
+    write_csv(
+        out / "sweep.csv",
+        ["w", "n", "ratio", "trials", "successes", "rate", "wilson_lo",
+         "wilson_hi", "p_all_seen", "p_one_missed", "p_multi_missed", "seed"],
+        ([r.w, r.n, r.ratio, r.trials, r.successes, r.rate, r.wilson_lo,
+          r.wilson_hi, r.p_all_seen, r.p_one_missed, r.p_multi_missed, r.seed]
+         for r in stats.rows),
+    )
+    series = []
+    for w in ws:
+        pts = [(r.ratio, r.rate) for r in stats.rows if r.w == w]
+        series.append((f"w={w}", [x for x, _ in pts], [y for _, y in pts]))
+    line_plot(out / "success_vs_ratio.svg", series,
+              title="learner success vs n/(w ln w)",
+              xlabel="n / (w ln w)", ylabel="success rate")
+    _dump_json(out / "crossings.json",
+               {str(w): r for w, r in stats.crossings.items()})
+    return stats.crossings
+
+
+def _write_coupon(out: Path, ws, L: float, gamma: float, h: float,
+                  trials: int, seed: int) -> list:
+    problems = {w: bouquet_problem(w, L, gamma, h) for w in ws}
+    rows = coupon_stats(problems, trials, seed)
+    write_csv(
+        out / "coupon.csv",
+        ["w", "trials", "mean", "median", "analytic_mean", "seed"],
+        ([r.w, r.trials, r.mean, r.median, r.analytic_mean, r.seed] for r in rows),
+    )
+    return rows
 
 
 def cmd_sample(args) -> int:
     out = _out_dir(args.out)
     ws = [int(x) for x in args.ws.split(",")]
     if args.experiment == "coupon":
-        problems = {
-            w: bouquet_problem(w, args.length, args.gamma, args.h) for w in ws
-        }
-        rows = coupon_stats(problems, args.trials, args.seed)
-        write_csv(
-            out / "coupon.csv",
-            ["w", "trials", "mean", "median", "analytic_mean", "seed"],
-            ([r.w, r.trials, r.mean, r.median, r.analytic_mean, r.seed] for r in rows),
-        )
+        rows = _write_coupon(out, ws, args.length, args.gamma, args.h,
+                             args.trials, args.seed)
         slope, intercept, r2 = regress(
             [r.analytic_mean for r in rows], [r.mean for r in rows]
         )
@@ -283,66 +294,45 @@ def cmd_sample(args) -> int:
         return EXIT_OK
     if args.experiment == "sweep":
         ratios = [float(x) for x in args.ratios.split(",")]
-        stats = threshold_sweep(ws, ratios, args.trials, args.seed)
-        write_csv(
-            out / "sweep.csv",
-            ["w", "n", "ratio", "trials", "successes", "rate", "wilson_lo",
-             "wilson_hi", "p_all_seen", "p_one_missed", "p_multi_missed", "seed"],
-            ([r.w, r.n, r.ratio, r.trials, r.successes, r.rate, r.wilson_lo,
-              r.wilson_hi, r.p_all_seen, r.p_one_missed, r.p_multi_missed, r.seed]
-             for r in stats.rows),
-        )
-        series = []
-        for w in ws:
-            pts = [(r.ratio, r.rate) for r in stats.rows if r.w == w]
-            series.append((f"w={w}", [x for x, _ in pts], [y for _, y in pts]))
-        line_plot(out / "success_vs_ratio.svg", series,
-                  title="learner success vs n/(w ln w)",
-                  xlabel="n / (w ln w)", ylabel="success rate")
-        _dump_json(out / "crossings.json",
-                   {str(w): r for w, r in stats.crossings.items()})
-        print(f"2/3-success crossings: {stats.crossings}")
+        crossings = _write_sweep(out, ws, ratios, args.trials, args.seed)
+        print(f"2/3-success crossings: {crossings}")
         return EXIT_OK
     raise ValueError(f"unknown experiment {args.experiment!r}")
 
 
-def cmd_nerve(args) -> int:
-    out = _out_dir(args.out)
-    space = bouquet_space(args.w, args.length, args.h)
-    cov = cyclic_arc_cover(space, args.arcs)
+def _nerve_betti(w: int, L: float, h: float, arcs: int):
+    space = bouquet_space(w, L, h)
+    cov = cyclic_arc_cover(space, arcs)
     cx = nerve(cov)
     b0, b1 = betti(cx)
     delta0 = max_adjacency(cx)
     check = betti_bound_check(len(cov.triples), b1, delta0)
+    return space, cx, {
+        "n_patches": len(cov.triples), "beta0": b0, "beta1": b1,
+        "delta0": delta0, "bound": check.bound, "bound_pass": check.passed,
+        "slack": check.slack,
+    }
+
+
+def cmd_nerve(args) -> int:
+    out = _out_dir(args.out)
+    space, cx, doc = _nerve_betti(args.w, args.length, args.h, args.arcs)
     lines = ["# nerve face list"]
     lines += [f"v {v}" for v in cx.vertices]
     lines += [f"e {a} {b}" for a, b in cx.edges]
     lines += [f"t {a} {b} {c}" for a, b, c in cx.triangles]
     (out / "nerve_faces.txt").write_text("\n".join(lines) + "\n")
-    doc = {
-        "arcs_per_loop": args.arcs,
-        "w": args.w,
-        "n_patches": len(cov.triples),
-        "beta0": b0,
-        "beta1": b1,
-        "delta0": delta0,
-        "bound": check.bound,
-        "bound_pass": check.passed,
-        "slack": check.slack,
-        "systole": systole(space),
-    }
+    doc.update(arcs_per_loop=args.arcs, w=args.w, systole=systole(space))
     _dump_json(out / "betti.json", doc)
-    print(f"nerve: beta0={b0} beta1={b1} Delta0={delta0}; "
-          f"bound N >= {check.bound:.3g}: {'pass' if check.passed else 'FAIL'}")
-    return EXIT_OK if check.passed else EXIT_CHECK_FAILED
+    print(f"nerve: beta0={doc['beta0']} beta1={doc['beta1']} Delta0={doc['delta0']}; "
+          f"bound N >= {doc['bound']:.3g}: {'pass' if doc['bound_pass'] else 'FAIL'}")
+    return EXIT_OK if doc["bound_pass"] else EXIT_CHECK_FAILED
 
 
 def cmd_vc(args) -> int:
     out = _out_dir(args.out)
-    rep = separation_report(args.w, args.n_intervals)
-    _dump_json(out / "vc_separation.json", {"rows": rep.rows})
-    (out / "vc_separation.txt").write_text(rep.as_text() + "\n")
-    print(rep.as_text())
+    _run_vc_separation({"w": args.w, "n_max": args.n_intervals}, out)
+    print((out / "vc_separation.txt").read_text(), end="")
     return EXIT_OK
 
 
@@ -364,22 +354,18 @@ def cmd_verify(args) -> int:
 # -- experiment driver --------------------------------------------------------
 
 
-def _require(cfg: dict, *keys):
-    for key in keys:
-        if key not in cfg:
-            raise ValueError(f"config missing required field {key!r}")
+def _check_window(family: str, params: dict, d0: float) -> None:
+    window = parameter_window(family, **params)
+    if window.empty:
+        raise ValueError(f"empty locality window: {window.note}")
+    if not window.contains(d0):
+        raise ValueError(
+            f"D0 = {d0} outside the admissible window [{window.lo}, {window.hi})"
+        )
 
 
 def _run_hierarchy(cfg, out: Path) -> tuple[int, list[str]]:
-    _require(cfg, "ws", "L", "gamma", "d0", "h")
-    window = parameter_window("bouquet", L=cfg["L"], gamma=cfg["gamma"])
-    if window.empty:
-        raise ValueError(f"empty locality window: {window.note}")
-    if not window.contains(cfg["d0"]):
-        raise ValueError(
-            f"D0 = {cfg['d0']} outside the admissible window "
-            f"[{window.lo}, {window.hi})"
-        )
+    _check_window("bouquet", {"L": cfg["L"], "gamma": cfg["gamma"]}, cfg["d0"])
     rows = []
     artifacts = []
     for w in cfg["ws"]:
@@ -404,15 +390,8 @@ def _run_hierarchy(cfg, out: Path) -> tuple[int, list[str]]:
 
 
 def _run_scaling(cfg, out: Path) -> tuple[int, list[str]]:
-    _require(cfg, "w", "m", "L", "gamma", "d0", "h")
-    window = parameter_window("scaled", L=cfg["L"], gamma=cfg["gamma"], m=cfg["m"])
-    if window.empty:
-        raise ValueError(f"empty locality window: {window.note}")
-    if not window.contains(cfg["d0"]):
-        raise ValueError(
-            f"D0 = {cfg['d0']} outside the admissible window "
-            f"[{window.lo}, {window.hi})"
-        )
+    _check_window("scaled", {"L": cfg["L"], "gamma": cfg["gamma"], "m": cfg["m"]},
+                  cfg["d0"])
     p = scaled_problem(cfg["w"], cfg["m"], cfg["L"], cfg["gamma"], cfg["h"])
     br = width_bracket(p, cfg["d0"])
     _dump_json(out / "width_scaled.json", bracket_doc(p, br))
@@ -424,7 +403,6 @@ def _run_scaling(cfg, out: Path) -> tuple[int, list[str]]:
 
 
 def _run_vc_separation(cfg, out: Path) -> tuple[int, list[str]]:
-    _require(cfg, "w", "n_max")
     rep = separation_report(cfg["w"], cfg["n_max"])
     _dump_json(out / "vc_separation.json", {"rows": rep.rows})
     (out / "vc_separation.txt").write_text(rep.as_text() + "\n")
@@ -439,81 +417,28 @@ def _run_vc_separation(cfg, out: Path) -> tuple[int, list[str]]:
 
 
 def _run_sample_complexity(cfg, out: Path) -> tuple[int, list[str]]:
-    _require(cfg, "ws", "ratios", "trials", "seed")
-    stats = threshold_sweep(cfg["ws"], cfg["ratios"], cfg["trials"], cfg["seed"])
-    write_csv(
-        out / "sweep.csv",
-        ["w", "n", "ratio", "trials", "successes", "rate", "wilson_lo", "wilson_hi",
-         "p_all_seen", "p_one_missed", "p_multi_missed", "seed"],
-        ([r.w, r.n, r.ratio, r.trials, r.successes, r.rate, r.wilson_lo, r.wilson_hi,
-          r.p_all_seen, r.p_one_missed, r.p_multi_missed, r.seed]
-         for r in stats.rows),
-    )
-    series = []
-    for w in cfg["ws"]:
-        pts = [(r.ratio, r.rate) for r in stats.rows if r.w == w]
-        series.append((f"w={w}", [x for x, _ in pts], [y for _, y in pts]))
-    line_plot(out / "success_vs_ratio.svg", series,
-              title="learner success vs n/(w ln w)",
-              xlabel="n / (w ln w)", ylabel="success rate")
-    _dump_json(out / "crossings.json", {str(w): r for w, r in stats.crossings.items()})
-    coupon_trials = cfg.get("coupon_trials", cfg["trials"])
-    problems = {
-        w: bouquet_problem(w, cfg.get("L", 10.0), cfg.get("gamma", 1.0),
-                           cfg.get("h", 0.5))
-        for w in cfg["ws"]
-    }
-    rows = coupon_stats(problems, coupon_trials, cfg["seed"])
-    write_csv(out / "coupon.csv",
-              ["w", "trials", "mean", "median", "analytic_mean", "seed"],
-              ([r.w, r.trials, r.mean, r.median, r.analytic_mean, r.seed]
-               for r in rows))
+    _write_sweep(out, cfg["ws"], cfg["ratios"], cfg["trials"], cfg["seed"])
+    _write_coupon(out, cfg["ws"], cfg.get("L", 10.0), cfg.get("gamma", 1.0),
+                  cfg.get("h", 0.5), cfg.get("coupon_trials", cfg["trials"]), cfg["seed"])
     return EXIT_OK, ["sweep.csv", "success_vs_ratio.svg", "crossings.json", "coupon.csv"]
 
 
 def _run_nerve_betti(cfg, out: Path) -> tuple[int, list[str]]:
-    _require(cfg, "w", "L", "h", "arcs")
-    space = bouquet_space(cfg["w"], cfg["L"], cfg["h"])
-    cov = cyclic_arc_cover(space, cfg["arcs"])
-    cx = nerve(cov)
-    b0, b1 = betti(cx)
-    delta0 = max_adjacency(cx)
-    check = betti_bound_check(len(cov.triples), b1, delta0)
-    _dump_json(out / "betti.json", {
-        "n_patches": len(cov.triples), "beta0": b0, "beta1": b1,
-        "delta0": delta0, "bound": check.bound, "bound_pass": check.passed,
-        "slack": check.slack,
-    })
-    return (EXIT_OK if check.passed and b1 == cfg["w"] else EXIT_CHECK_FAILED), [
-        "betti.json"
-    ]
+    _, _, doc = _nerve_betti(cfg["w"], cfg["L"], cfg["h"], cfg["arcs"])
+    _dump_json(out / "betti.json", doc)
+    return (EXIT_OK if doc["bound_pass"] and doc["beta1"] == cfg["w"]
+            else EXIT_CHECK_FAILED), ["betti.json"]
 
 
 def _run_machine(cfg, out: Path) -> tuple[int, list[str]]:
-    _require(cfg, "w", "L", "gamma", "h", "tau", "d0", "r_construct", "seed", "steps")
     p = bouquet_problem(cfg["w"], cfg["L"], cfg["gamma"], cfg["h"])
-    rng = np.random.default_rng(cfg["seed"])
-    dist = sampling_distribution(p)
-    stream = [sample_safe(dist, rng) for _ in range(cfg["steps"])]
-    state = machine_new(p.space, cfg["tau"], cfg["d0"], cfg["r_construct"],
-                        labels=tuple(p.labels))
-    trace = run_stream(state, stream)
-    _dump_json(out / "machine.json", {
-        "problem": family_doc(p),
-        "final_library_size": state.library_size,
-        "errors": trace.errors,
-        "size_curve": trace.size_curve,
-        "seed": cfg["seed"],
-    })
-    line_plot(out / "size_curve.svg",
-              [("library size", list(range(1, len(trace.size_curve) + 1)),
-                [float(s) for s in trace.size_curve])],
-              title="metric library growth", xlabel="step", ylabel="entries")
+    stream = _seeded_stream(p, cfg["seed"], cfg["steps"])
+    _, doc = _machine_run(out, p, stream, cfg["seed"], cfg["tau"], cfg["d0"], cfg["r_construct"])
+    _dump_json(out / "machine.json", doc)
     return EXIT_OK, ["machine.json", "size_curve.svg"]
 
 
 def _run_additivity(cfg, out: Path) -> tuple[int, list[str]]:
-    _require(cfg, "w_left", "w_right", "L", "gamma", "d0", "h", "separation")
     if cfg["separation"] <= cfg["d0"]:
         raise ValueError("separation must exceed D0 for the additivity law")
     a = bouquet_problem(cfg["w_left"], cfg["L"], cfg["gamma"], cfg["h"])
@@ -534,15 +459,44 @@ def _run_additivity(cfg, out: Path) -> tuple[int, list[str]]:
     ]
 
 
+# kind -> (runner, required fields, optional fields); each field maps to its
+# type, where [t] is a list of t.  Every kind also takes an optional "out".
 _EXPERIMENTS = {
-    "hierarchy": _run_hierarchy,
-    "scaling": _run_scaling,
-    "vc_separation": _run_vc_separation,
-    "sample_complexity": _run_sample_complexity,
-    "nerve_betti": _run_nerve_betti,
-    "machine_run": _run_machine,
-    "additivity": _run_additivity,
+    "hierarchy": (_run_hierarchy, {"ws": [int], "L": float, "gamma": float,
+                                   "d0": float, "h": float}, {}),
+    "scaling": (_run_scaling, {"w": int, "m": int, "L": float, "gamma": float,
+                               "d0": float, "h": float}, {}),
+    "vc_separation": (_run_vc_separation, {"w": int, "n_max": int}, {}),
+    "sample_complexity": (_run_sample_complexity,
+                          {"ws": [int], "ratios": [float], "trials": int, "seed": int},
+                          {"coupon_trials": int, "L": float, "gamma": float, "h": float}),
+    "nerve_betti": (_run_nerve_betti, {"w": int, "L": float, "h": float, "arcs": int}, {}),
+    "machine_run": (_run_machine, {"w": int, "L": float, "gamma": float, "h": float,
+                                   "tau": float, "d0": float, "r_construct": float,
+                                   "seed": int, "steps": int}, {}),
+    "additivity": (_run_additivity, {"w_left": int, "w_right": int, "L": float,
+                                     "gamma": float, "d0": float, "h": float,
+                                     "separation": float}, {}),
 }
+
+
+def _has_type(value, typ) -> bool:
+    # an int passes as a float; a bool never passes as a number
+    if isinstance(typ, list):
+        return isinstance(value, list) and all(_has_type(v, typ[0]) for v in value)
+    accepted = (int, float) if typ is float else typ
+    return isinstance(value, accepted) and not isinstance(value, bool)
+
+
+def _check_config(kind: str, cfg: dict) -> None:
+    _, required, optional = _EXPERIMENTS[kind]
+    for key in required:
+        if key not in cfg:
+            raise ValueError(f"config missing required field {key!r}")
+    for key, typ in {**required, **optional, "out": str}.items():
+        if key in cfg and not _has_type(cfg[key], typ):
+            name = f"list of {typ[0].__name__}" if isinstance(typ, list) else typ.__name__
+            raise ValueError(f"config field {key!r} must be {name}, got {cfg[key]!r}")
 
 
 def cmd_run(args) -> int:
@@ -556,16 +510,14 @@ def cmd_run(args) -> int:
         print("config missing required field 'experiment'", file=sys.stderr)
         return EXIT_CONFIG
     kind = cfg["experiment"]
-    if kind not in _EXPERIMENTS:
+    if not isinstance(kind, str) or kind not in _EXPERIMENTS:
         print(f"unknown experiment kind {kind!r}; expected one of "
               f"{sorted(_EXPERIMENTS)}", file=sys.stderr)
         return EXIT_CONFIG
-    if "seed" not in cfg and kind in ("sample_complexity", "machine_run"):
-        print("config missing required field 'seed'", file=sys.stderr)
-        return EXIT_CONFIG
+    _check_config(kind, cfg)
     out = _out_dir(args.out or cfg.get("out"))
     started = time.time()
-    code, artifacts = _EXPERIMENTS[kind](cfg, out)
+    code, artifacts = _EXPERIMENTS[kind][0](cfg, out)
     manifest = {
         "experiment": kind,
         "config": cfg,

@@ -23,6 +23,9 @@ Families:
   permutation.
 * ``union_problem``      -- two problems living on a separated disjoint
   union, classes relabelled consecutively.
+
+``FAMILIES`` registers the constructors by family name, and
+``make_problem`` rebuilds any problem from its ``FamilyTag``.
 """
 
 from __future__ import annotations
@@ -32,11 +35,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .spaces import (
-    BouquetSpace,
-    DisjointUnionSpace,
-    IntervalSpace,
     MetricSpace,
-    WedgeSphereSpace,
     bouquet_space,
     disjoint_union,
     interval_space,
@@ -61,6 +60,8 @@ __all__ = [
     "safe_region",
     "permuted_problem",
     "union_problem",
+    "FAMILIES",
+    "make_problem",
 ]
 
 # absolute slack for closed-set membership tests under float arithmetic
@@ -503,3 +504,44 @@ def union_problem(
         {"s": s, "left": left.family.__dict__, "right": right.family.__dict__},
     )
     return MarginProblem(space, left.gamma, regions, tag)
+
+
+# family name -> (constructor, parameter names); a FamilyTag's params are
+# exactly the constructor's keyword arguments
+FAMILIES = {
+    "bouquet": (bouquet_problem, ("w", "L", "gamma", "h")),
+    "scaled": (scaled_problem, ("w", "m", "L", "gamma", "h")),
+    "wedge": (wedge_problem, ("w", "k", "R", "gamma", "n", "seed")),
+    "interval_union": (interval_union_problem, ("intervals", "gamma", "n_pts")),
+}
+
+
+def make_problem(name: str, params: dict, sigma: Sequence[int] | None = None) -> MarginProblem:
+    """Build the problem a ``FamilyTag`` describes.
+
+    ``params`` must hold exactly the registered parameters of ``name``;
+    ``union`` takes ``s`` plus ``left`` and ``right`` tags (name, params,
+    sigma) and rebuilds both sides first.  A nonempty ``sigma`` relabels
+    the result.  Raises ValueError on anything it cannot rebuild exactly.
+    """
+    if name == "union":
+        names = ("s", "left", "right")
+    elif name in FAMILIES:
+        names = FAMILIES[name][1]
+    else:
+        raise ValueError(f"unknown problem family {name!r}")
+    if not isinstance(params, dict) or set(params) != set(names):
+        got = sorted(params) if isinstance(params, dict) else type(params).__name__
+        raise ValueError(f"family {name!r} takes parameters {sorted(names)}, got {got}")
+    if name == "union":
+        left, right = (_make_side(params[side]) for side in ("left", "right"))
+        p = union_problem(left, right, params["s"])
+    else:
+        p = FAMILIES[name][0](**params)
+    return permuted_problem(p, sigma) if sigma else p
+
+
+def _make_side(tag) -> MarginProblem:
+    if not isinstance(tag, dict) or set(tag) != {"name", "params", "sigma"}:
+        raise ValueError("a union side must be a family tag with keys name, params, sigma")
+    return make_problem(tag["name"], tag["params"], tag["sigma"])

@@ -22,15 +22,7 @@ from .coverings import (
     separation_certificate,
     verify_covering,
 )
-from .problems import (
-    MarginProblem,
-    bouquet_problem,
-    interval_union_problem,
-    permuted_problem,
-    scaled_problem,
-    union_problem,
-    wedge_problem,
-)
+from .problems import MarginProblem, make_problem
 from .spaces import BouquetPoint, MetricSpace, SpherePoint
 
 __all__ = [
@@ -92,44 +84,7 @@ def family_doc(problem: MarginProblem) -> dict:
 
 def build_problem(doc: dict) -> MarginProblem:
     """Reconstruct a problem from its family document."""
-    name = doc["family"]
-    params = doc["params"]
-    if name == "bouquet":
-        p = bouquet_problem(params["w"], params["L"], params["gamma"], params["h"])
-    elif name == "scaled":
-        p = scaled_problem(
-            params["w"], params["m"], params["L"], params["gamma"], params["h"]
-        )
-    elif name == "wedge":
-        p = wedge_problem(
-            params["w"],
-            params["k"],
-            params["R"],
-            params["gamma"],
-            n=params["n"],
-            seed=params["seed"],
-        )
-    elif name == "interval_union":
-        p = interval_union_problem(
-            [tuple(ab) for ab in params["intervals"]],
-            params["gamma"],
-            params["n_pts"],
-        )
-    elif name == "union":
-        left = build_problem(
-            {"family": params["left"]["name"], "params": params["left"]["params"],
-             "sigma": params["left"].get("sigma")}
-        )
-        right = build_problem(
-            {"family": params["right"]["name"], "params": params["right"]["params"],
-             "sigma": params["right"].get("sigma")}
-        )
-        p = union_problem(left, right, params["s"])
-    else:
-        raise ValueError(f"unknown problem family {name!r}")
-    if doc.get("sigma"):
-        p = permuted_problem(p, doc["sigma"])
-    return p
+    return make_problem(doc["family"], doc["params"], doc.get("sigma"))
 
 
 def covering_doc(cov: UrysohnCovering) -> dict:
@@ -192,7 +147,7 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
         return False, ["not a width_bracket certificate"]
     try:
         problem = build_problem(doc["problem"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return False, [f"cannot rebuild problem: {exc}"]
     sep = separation_certificate(problem, doc["d0"])
     if sep.lb != doc["lb"]["value"]:

@@ -325,9 +325,6 @@ class DisjointUnionSpace(MetricSpace):
             raise ValueError(f"side must be 0 or 1, got {side}")
         return (side, inner)
 
-    def lift(self, side: int, inner) -> tuple:
-        return self.point(side, inner)
-
     def dist(self, p: tuple, q: tuple) -> float:
         (ps, pi), (qs, qi) = p, q
         if ps == qs:

@@ -142,6 +142,18 @@ def _f2_rank(rows: list[int]) -> int:
     return rank
 
 
+def _d2_columns(cx: SimplicialComplex) -> list[int]:
+    """Columns of the boundary map d2 (triangles -> edges), bit-packed."""
+    eindex = {tuple(sorted(e)): i for i, e in enumerate(cx.edges)}
+    d2 = []
+    for a, b, c in cx.triangles:
+        col = 0
+        for face in ((a, b), (a, c), (b, c)):
+            col |= 1 << eindex[tuple(sorted(face))]
+        d2.append(col)
+    return d2
+
+
 def betti(cx: SimplicialComplex) -> tuple[int, int]:
     """(beta0, beta1) of a 2-complex over F2.
 
@@ -150,15 +162,8 @@ def betti(cx: SimplicialComplex) -> tuple[int, int]:
     """
     vindex = {v: i for i, v in enumerate(cx.vertices)}
     d1 = [(1 << vindex[a]) | (1 << vindex[b]) for a, b in cx.edges]
-    eindex = {tuple(sorted(e)): i for i, e in enumerate(cx.edges)}
-    d2 = []
-    for a, b, c in cx.triangles:
-        col = 0
-        for face in ((a, b), (a, c), (b, c)):
-            col |= 1 << eindex[tuple(sorted(face))]
-        d2.append(col)
     r1 = _f2_rank(d1)
-    r2 = _f2_rank(d2)
+    r2 = _f2_rank(_d2_columns(cx))
     beta0 = len(cx.vertices) - r1
     beta1 = (len(cx.edges) - r1) - r2
     return beta0, beta1
@@ -167,14 +172,7 @@ def betti(cx: SimplicialComplex) -> tuple[int, int]:
 def betti2(cx: SimplicialComplex) -> int:
     """dim ker d2 (top homology of the truncated complex); used for the
     Euler-characteristic consistency check."""
-    eindex = {tuple(sorted(e)): i for i, e in enumerate(cx.edges)}
-    d2 = []
-    for a, b, c in cx.triangles:
-        col = 0
-        for face in ((a, b), (a, c), (b, c)):
-            col |= 1 << eindex[tuple(sorted(face))]
-        d2.append(col)
-    return len(cx.triangles) - _f2_rank(d2)
+    return len(cx.triangles) - _f2_rank(_d2_columns(cx))
 
 
 def max_adjacency(cx: SimplicialComplex) -> int:

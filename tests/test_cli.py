@@ -32,12 +32,35 @@ def test_point_codec_roundtrip():
 
 
 def test_build_problem_roundtrip():
-    from urwidth.problems import bouquet_problem, permuted_problem
+    import inspect
 
-    p = permuted_problem(bouquet_problem(3, 10.0, 1.0, 0.5), (2, 3, 1))
-    q = build_problem(json.loads(json.dumps(family_doc(p))))
-    assert q.labels == p.labels
-    assert q.space.sample_set == p.space.sample_set
+    from urwidth.problems import (
+        FAMILIES,
+        bouquet_problem,
+        interval_union_problem,
+        permuted_problem,
+        scaled_problem,
+        union_problem,
+        wedge_problem,
+    )
+
+    for ctor, names in FAMILIES.values():
+        assert tuple(inspect.signature(ctor).parameters) == names
+    a = permuted_problem(bouquet_problem(3, 10.0, 1.0, 0.5), (2, 3, 1))
+    b = scaled_problem(2, 2, 40.0, 1.0, 0.5)
+    problems = [
+        a,
+        b,
+        wedge_problem(2, 2, 2.0, 0.5, n=16, seed=1),
+        interval_union_problem([(0.1, 0.3), (0.6, 0.7)], 0.1, 51),
+        permuted_problem(union_problem(a, b, 50.0), (7, 6, 5, 4, 3, 2, 1)),
+    ]
+    for p in problems:
+        doc = json.loads(json.dumps(family_doc(p)))
+        q = build_problem(doc)
+        assert json.loads(json.dumps(family_doc(q))) == doc
+        assert q.labels == p.labels
+        assert q.space.sample_set == p.space.sample_set
 
 
 def test_config_text_roundtrip():
@@ -86,6 +109,18 @@ def test_width_certificate_and_verify(tmp_path, capsys):
     broken = Path(out) / "missing_triple.json"
     broken.write_text(json.dumps(doc2))
     assert main(["verify", str(broken)]) == 1
+
+    # a family document that does not rebuild exactly is rejected by name
+    for name, params in (("extra_key", lambda d: {**d, "bogus": 1}),
+                         ("params_list", lambda d: list(d.values())),
+                         ("missing_key", lambda d: {k: v for k, v in d.items() if k != "h"})):
+        doc3 = json.loads(cert.read_text())
+        doc3["problem"]["params"] = params(doc3["problem"]["params"])
+        bad = Path(out) / f"{name}.json"
+        bad.write_text(json.dumps(doc3))
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 1, name
+        assert "cannot rebuild problem: " in capsys.readouterr().err, name
 
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
@@ -250,6 +285,64 @@ def test_run_sample_complexity(tmp_path):
     assert main(["run", str(cfg), "--out", out]) == 0
     for name in ("sweep.csv", "coupon.csv", "success_vs_ratio.svg", "crossings.json"):
         assert (Path(out) / name).exists()
+
+
+def test_subcommands_share_run_writers(tmp_path):
+    out = tmp_path / "sample"
+    assert main(["sample", "--experiment", "sweep", "--ws", "4,8", "--ratios", "0.5,1.5",
+                 "--trials", "100", "--seed", "9", "--out", str(out)]) == 0
+    cfg = tmp_path / "smp.cfg"
+    cfg.write_text(format_config({"experiment": "sample_complexity", "ws": [4, 8],
+                                  "ratios": [0.5, 1.5], "trials": 100, "seed": 9}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    for name in ("sweep.csv", "success_vs_ratio.svg", "crossings.json"):
+        assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+    assert main(["vc", "--w", "3", "--n-intervals", "1", "--out", str(tmp_path / "vc")]) == 0
+    cfg.write_text(format_config({"experiment": "vc_separation", "w": 3, "n_max": 1}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "vc_run")]) == 0
+    name = "vc_separation.json"
+    assert (tmp_path / "vc" / name).read_bytes() == (tmp_path / "vc_run" / name).read_bytes()
+
+
+# one valid config per experiment kind; integers stand in for floats
+_VALID_CONFIGS = {
+    "hierarchy": {"ws": [1], "L": 10, "gamma": 1, "d0": 4, "h": 0.5},
+    "scaling": {"w": 1, "m": 2, "L": 40, "gamma": 1, "d0": 4, "h": 1},
+    "vc_separation": {"w": 2, "n_max": 1},
+    "sample_complexity": {"ws": [4], "ratios": [1], "trials": 20, "seed": 1,
+                          "coupon_trials": 20, "L": 10, "gamma": 1, "h": 1},
+    "nerve_betti": {"w": 1, "L": 12, "h": 0.5, "arcs": 6},
+    "machine_run": {"w": 2, "L": 10, "gamma": 1, "h": 0.5, "tau": 0, "d0": 4,
+                    "r_construct": 2, "seed": 4, "steps": 10},
+    "additivity": {"w_left": 1, "w_right": 1, "L": 10, "gamma": 1, "d0": 4, "h": 1,
+                   "separation": 100},
+}
+
+
+@pytest.mark.parametrize("kind, missing, wrong", [
+    ("hierarchy", "d0", [("ws", 3), ("ws", [1, "2"])]),
+    ("scaling", "m", [("w", 2.5)]),
+    ("vc_separation", "n_max", [("n_max", True)]),
+    ("sample_complexity", "seed", [("coupon_trials", "many"), ("ratios", [1.0, True])]),
+    ("nerve_betti", "arcs", [("arcs", "six")]),
+    ("machine_run", "r_construct", [("seed", 4.0)]),
+    ("additivity", "separation", [("L", None)]),
+])
+def test_run_rejects_missing_or_mistyped_field(tmp_path, capsys, kind, missing, wrong):
+    base = {"experiment": kind, **_VALID_CONFIGS[kind]}
+    cases = [(missing, {k: v for k, v in base.items() if k != missing})]
+    cases += [(key, {**base, key: value}) for key, value in wrong]
+    for i, (key, cfg) in enumerate(cases):
+        path = tmp_path / f"bad{i}.cfg"
+        path.write_text(format_config(cfg))
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(tmp_path / f"o{i}")]) == 2, key
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / f"o{i}").exists()
+    path = tmp_path / "good.cfg"
+    path.write_text(format_config(base))
+    assert main(["run", str(path), "--out", str(tmp_path / "good")]) == 0
 
 
 def test_run_sample_complexity_requires_seed(tmp_path):
