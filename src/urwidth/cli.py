@@ -162,7 +162,7 @@ def cmd_width(args) -> int:
     p = _problem_from_args(args)
     br = width_bracket(p, args.d0)
     _dump_json(out / "width_certificate.json", bracket_doc(p, br))
-    (out / "covering.txt").write_text(covering_text(br.covering))
+    (out / "covering.txt").write_text(covering_text(p.space, br.covering))
     sep = br.separation
     print(f"width bracket: [{br.lb}, {br.ub}]" + (" exact" if br.exact else ""))
     print(f"  lb {br.lb} via {sep.method}: delta* = {sep.delta_star:.6g} vs D0 = {br.d0}")
@@ -172,15 +172,20 @@ def cmd_width(args) -> int:
 
 
 def _read_stream(path: Path, space):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    rows.sort(key=lambda r: int(r["step"]))
+    """(point, label) samples in step order; a ValueError names the file and row."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ValueError(f"cannot read stream file {path}: {exc}") from exc
     out = []
-    for r in rows:
-        point = decode_point(space, json.loads(r["point"]))
-        label = json.loads(r["label"])
-        out.append((point, label))
-    return out
+    for n, r in enumerate(rows, 1):
+        try:
+            point = decode_point(space, json.loads(r["point"]))
+            out.append((int(r["step"]), point, json.loads(r["label"])))
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"stream file {path}, row {n}: {exc!r}") from exc
+    return [(point, label) for _, point, label in sorted(out, key=lambda row: row[0])]
 
 
 def _seeded_stream(p, seed: int, steps: int) -> list:
@@ -216,7 +221,7 @@ def cmd_machine(args) -> int:
         {
             "index": r.index,
             "kind": r.kind,
-            "point": encode_point(r.point),
+            "point": encode_point(p.space, r.point),
             "label": r.label,
             "residue": None if math.isinf(r.residue) else r.residue,
             "entry": r.entry,
@@ -230,7 +235,7 @@ def cmd_machine(args) -> int:
         out / "trace.csv",
         ["step", "kind", "point", "label", "predicted", "correct", "library_size"],
         (
-            [r.index, r.kind, json.dumps(encode_point(r.point)), r.label,
+            [r.index, r.kind, json.dumps(encode_point(p.space, r.point)), r.label,
              r.predicted, r.correct, size]
             for r, size in zip(trace.records, trace.size_curve)
         ),
@@ -331,9 +336,9 @@ def cmd_nerve(args) -> int:
 
 def cmd_vc(args) -> int:
     out = _out_dir(args.out)
-    _run_vc_separation({"w": args.w, "n_max": args.n_intervals}, out)
+    code, _ = _run_vc_separation({"w": args.w, "n_max": args.n_intervals}, out)
     print((out / "vc_separation.txt").read_text(), end="")
-    return EXIT_OK
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -619,7 +624,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -51,6 +51,8 @@ __all__ = [
     "parameter_window",
 ]
 
+EXACT_LIMIT = 24  # most safe samples searched by exact dynamic programming
+
 
 @dataclass
 class UrysohnTriple:
@@ -138,6 +140,7 @@ def verify_covering(problem: MarginProblem, cov: UrysohnCovering) -> CoveringRep
             witness = max(
                 ((p, q) for i, p in enumerate(tri.support) for q in tri.support[i + 1 :]),
                 key=lambda pq: space.dist(*pq),
+                default=None,  # a single point exceeds only a negative D0
             )
         checks.append(TripleCheck(connected, diam, diam <= cov.d0 + TOL, witness))
 
@@ -160,24 +163,20 @@ def verify_covering(problem: MarginProblem, cov: UrysohnCovering) -> CoveringRep
     return CoveringReport(cov.d0, cov.h, checks, uncovered, violations)
 
 
-def canonical_covering(
-    problem: MarginProblem, d0: float, h: float | None = None
-) -> UrysohnCovering:
+def canonical_covering(problem: MarginProblem, d0: float) -> UrysohnCovering:
     """One constant-label triple per class, supported on its safe samples."""
     if d0 < 1.5 * problem.gamma - TOL:
         raise ValueError(
             f"D0 = {d0} below 3*gamma/2 = {1.5 * problem.gamma}: "
             "a safe set's connected arc would exceed the locality scale"
         )
-    if h is None:
-        h = default_step(problem.space)
     triples = []
     labels = tuple(problem.labels)
     for j in range(problem.k):
         pts = list(problem.safe_points(j))
         lab = problem.regions[j].label
         triples.append(UrysohnTriple(pts, labels, {p: lab for p in pts}))
-    return UrysohnCovering(triples, d0, h)
+    return UrysohnCovering(triples, d0, default_step(problem.space))
 
 
 @dataclass
@@ -286,12 +285,11 @@ def min_ball_cover(
     h: float | None = None,
     radii=None,
     centers=None,
-    exact_limit: int = 24,
 ) -> tuple[UrysohnCovering, CoverSearch]:
     """Minimum covering of the sampled safe points by geodesic balls.
 
     Exact bitmask dynamic programming when the safe sample count is at
-    most ``exact_limit`` (default 24); deterministic greedy beyond, with
+    most ``EXACT_LIMIT``; deterministic greedy beyond, with
     the method recorded on the certificate.  Labels are assigned per
     point from safe membership, which is always consistent because safe
     sets are pairwise disjoint.
@@ -311,7 +309,7 @@ def min_ball_cover(
             f"candidate family cannot cover the safe region; uncovered: {missing}"
         )
 
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         chosen = _exact_cover(full, masks)
         method = "exact-dp"
     else:
@@ -399,9 +397,7 @@ class WidthBracket:
         return self.lb == self.ub
 
 
-def width_bracket(
-    problem: MarginProblem, d0: float, h: float | None = None, exact_limit: int = 24
-) -> WidthBracket:
+def width_bracket(problem: MarginProblem, d0: float) -> WidthBracket:
     """Certified two-sided width bracket [lb, ub].
 
     lb comes from the separation certificate; ub from the best verified
@@ -415,26 +411,24 @@ def width_bracket(
             f"margin invalid: min class distance {report.min_pair} "
             f"<= gamma = {problem.gamma}"
         )
-    if h is None:
-        h = default_step(problem.space)
     sep = separation_certificate(problem, d0)
     best: tuple[int, str, UrysohnCovering, CoveringReport] | None = None
     try:
-        canon = canonical_covering(problem, d0, h)
+        canon = canonical_covering(problem, d0)
         canon_rep = verify_covering(problem, canon)
         if canon_rep.passed:
             best = (canon.size, "canonical", canon, canon_rep)
     except ValueError:
         pass
     if best is None or best[0] > sep.lb:
-        cov, info = min_ball_cover(problem, d0, h, exact_limit=exact_limit)
+        cov, info = min_ball_cover(problem, d0)
         cov_rep = verify_covering(problem, cov)
         if not cov_rep.passed:
             raise AssertionError("searched covering failed verification")
         if best is None or cov.size < best[0]:
             best = (cov.size, info.method, cov, cov_rep)
     ub, method, covering, cov_report = best
-    return WidthBracket(sep.lb, ub, d0, h, sep, covering, cov_report, method)
+    return WidthBracket(sep.lb, ub, d0, covering.h, sep, covering, cov_report, method)
 
 
 @dataclass

@@ -91,14 +91,21 @@ def machine_new(
     return MachineState(space, tau, d0, r_construct, tuple(labels) if labels else None)
 
 
+def _nearest(state: MachineState, x) -> tuple[float, int]:
+    """(residue, index) of the minimal-residue entry, lowest index on ties;
+    (+inf, -1) on an empty library."""
+    best = (math.inf, -1)
+    for i, e in enumerate(state.entries):
+        r = max(0.0, state.space.dist(x, e.center) - e.radius)
+        if r < best[0]:
+            best = (r, i)
+    return best
+
+
 def alarm(state: MachineState, x) -> float:
     """Prediction residue of ``x``: distance beyond the nearest entry's
     ball, +inf on an empty library."""
-    if not state.entries:
-        return math.inf
-    return min(
-        max(0.0, state.space.dist(x, e.center) - e.radius) for e in state.entries
-    )
+    return _nearest(state, x)[0]
 
 
 def _sampled_ball(space: MetricSpace, center, radius: float) -> tuple:
@@ -119,14 +126,9 @@ def step(state: MachineState, sample: tuple) -> StepRecord:
     x, y = sample
     if state.labels is not None and y not in state.labels:
         raise ValueError(f"label {y!r} outside the concept space {state.labels}")
-    best = None
-    for i, e in enumerate(state.entries):
-        r = max(0.0, state.space.dist(x, e.center) - e.radius)
-        if best is None or r < best[0]:
-            best = (r, i)
+    residue, i = _nearest(state, x)
     index = len(state.log)
-    if best is not None and best[0] <= state.tau + _EVAL_TOL:
-        residue, i = best
+    if state.entries and residue <= state.tau + _EVAL_TOL:
         predicted = state.entries[i].label
         rec = StepRecord(
             index, "evaluate", x, y, residue, i, predicted, predicted == y
@@ -140,14 +142,7 @@ def step(state: MachineState, sample: tuple) -> StepRecord:
             index,
         )
         state.entries.append(entry)
-        rec = StepRecord(
-            index,
-            "construct",
-            x,
-            y,
-            best[0] if best is not None else math.inf,
-            len(state.entries) - 1,
-        )
+        rec = StepRecord(index, "construct", x, y, residue, len(state.entries) - 1)
     state.log.append(rec)
     return rec
 

@@ -192,18 +192,18 @@ def permutation_learner_experiment(
     n: int,
     trials: int,
     rng: np.random.Generator,
-    weights=None,
 ) -> PermutationResult:
     """Success rate of the label-assignment learner at sample budget n.
 
     Per trial: a uniform permutation labels the w regions; the learner
-    sees n weighted draws, assigns observed labels to observed regions,
+    sees n uniform draws, assigns observed labels to observed regions,
     and fills the missed regions with a uniformly random bijection onto
     the unused labels.  Success means the full labelling is recovered.
     """
     if w < 1:
         raise ValueError("need at least one region")
-    q = np.full(w, 1.0 / w) if weights is None else np.asarray(weights, dtype=float)
+    # choice without p draws a different random stream; keep the explicit p
+    q = np.full(w, 1.0 / w)
     successes = 0
     n_all = n_one = n_multi = succ_multi = 0
     for _ in range(trials):

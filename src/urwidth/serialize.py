@@ -2,9 +2,9 @@
 
 Certificates are JSON documents that embed the problem's construction
 parameters rather than trusting stored intermediates; ``verify_bracket``
-rebuilds the problem from those parameters, recomputes the separation
-bound from scratch, and re-runs covering verification on the stored
-triples.  Point encodings are tagged lists; floats survive the JSON
+rebuilds the problem, re-checks the stored triples and re-emits the whole
+certificate with the same writer, ``bracket_doc``.  Point encodings are
+tagged lists whose tag follows the space kind; floats survive the JSON
 round trip exactly (shortest-repr encoding).
 """
 
@@ -19,11 +19,12 @@ from .coverings import (
     UrysohnCovering,
     UrysohnTriple,
     WidthBracket,
+    default_step,
     separation_certificate,
     verify_covering,
 )
-from .problems import MarginProblem, make_problem
-from .spaces import BouquetPoint, MetricSpace, SpherePoint
+from .problems import MarginProblem, make_problem, validate_margin
+from .spaces import MetricSpace
 
 __all__ = [
     "encode_point",
@@ -45,33 +46,41 @@ __all__ = [
     "table_from_csv",
 ]
 
-
-def encode_point(p) -> list:
-    if isinstance(p, BouquetPoint):
+def encode_point(space: MetricSpace, p) -> list:
+    """Tagged list for a point of ``space``; the tag follows the space kind."""
+    if space.kind == "bouquet":
         return ["loop", p.loop, p.s]
-    if isinstance(p, SpherePoint):
+    if space.kind == "wedge_spheres":
         return ["sphere", p.sphere, list(p.u)]
-    if isinstance(p, float):
+    if space.kind == "interval":
         return ["x", p]
-    if isinstance(p, tuple) and len(p) == 2 and p[0] in (0, 1):
-        return ["side", p[0], encode_point(p[1])]
+    if space.kind == "disjoint_union":
+        return ["side", p[0], encode_point((space.left, space.right)[p[0]], p[1])]
     return ["vertex", p]
 
 
 def decode_point(space: MetricSpace, data):
-    tag = data[0]
-    if tag == "loop":
-        return BouquetPoint(int(data[1]), float(data[2]))
-    if tag == "sphere":
-        return SpherePoint(int(data[1]), tuple(float(x) for x in data[2]))
-    if tag == "x":
-        return float(data[1])
-    if tag == "side":
-        comp = (space.left, space.right)[data[1]]
-        return (data[1], decode_point(comp, data[2]))
-    if tag == "vertex":
-        return data[1]
-    raise ValueError(f"unknown point tag {tag!r}")
+    """Inverse of ``encode_point`` through the space's ``point`` factory, so
+    an off-space point raises ValueError and glue points come back canonical."""
+    tag, *fields = data if isinstance(data, list) and data else [None]
+    if (space.kind, tag) == ("bouquet", "loop"):
+        loop, s = fields
+        return space.point(int(loop), float(s))
+    if (space.kind, tag) == ("wedge_spheres", "sphere"):
+        sphere, u = fields
+        return space.point(int(sphere), [float(x) for x in u])
+    if (space.kind, tag) == ("interval", "x"):
+        (x,) = fields
+        return space.point(float(x))
+    if (space.kind, tag) == ("graph", "vertex"):
+        (v,) = fields  # JSON turns a tuple vertex into a list
+        return space.point(tuple(v) if isinstance(v, list) else v)
+    if (space.kind, tag) == ("disjoint_union", "side"):
+        side, inner = fields
+        if side not in (0, 1):
+            raise ValueError(f"side must be 0 or 1, got {side!r}")
+        return space.point(side, decode_point((space.left, space.right)[side], inner))
+    raise ValueError(f"not a {space.kind} point: {data!r}")
 
 
 def family_doc(problem: MarginProblem) -> dict:
@@ -87,28 +96,19 @@ def build_problem(doc: dict) -> MarginProblem:
     return make_problem(doc["family"], doc["params"], doc.get("sigma"))
 
 
-def covering_doc(cov: UrysohnCovering) -> dict:
+def covering_doc(space: MetricSpace, cov: UrysohnCovering) -> dict:
     return {
         "d0": cov.d0,
         "h": cov.h,
         "triples": [
             {
                 "labels": list(t.labels),
-                "support": [encode_point(p) for p in t.support],
-                "assignment": [[encode_point(p), lab] for p, lab in t.assignment.items()],
+                "support": [encode_point(space, p) for p in t.support],
+                "assignment": [[encode_point(space, p), lab] for p, lab in t.assignment.items()],
             }
             for t in cov.triples
         ],
     }
-
-
-def decode_covering(space: MetricSpace, doc: dict) -> UrysohnCovering:
-    triples = []
-    for td in doc["triples"]:
-        support = [decode_point(space, d) for d in td["support"]]
-        assignment = {decode_point(space, d): lab for d, lab in td["assignment"]}
-        triples.append(UrysohnTriple(support, tuple(td["labels"]), assignment))
-    return UrysohnCovering(triples, doc["d0"], doc["h"])
 
 
 def bracket_doc(problem: MarginProblem, bracket: WidthBracket) -> dict:
@@ -129,62 +129,79 @@ def bracket_doc(problem: MarginProblem, bracket: WidthBracket) -> dict:
         "ub": {
             "value": bracket.ub,
             "method": bracket.ub_method,
-            "covering": covering_doc(bracket.covering),
+            "covering": covering_doc(problem.space, bracket.covering),
         },
         "exact": bracket.exact,
     }
 
 
-def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
-    """Independent re-check of a stored certificate.
+# what a document's values can raise while rebuilding or decoding
+_BAD_VALUE = (ArithmeticError, LookupError, TypeError, ValueError)
 
-    Rebuilds the problem, recomputes the separation bound and re-runs
-    covering verification; any mismatch with the stored values is
-    reported by name.
+
+def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
+    """Independent re-check of a stored certificate; reports, never raises.
+
+    Rebuilds the problem (its margin must be strict), re-checks the
+    stored triples at the stored D0 and the space's own connectivity
+    step, requires lb <= ub, then re-emits the certificate with
+    ``bracket_doc``.  The document supplies only D0, the triples and
+    ``ub.method``; every stored field that differs from its re-emitted
+    value is reported by name (one level down in ``lb`` and ``ub``).
     """
-    messages = []
-    if doc.get("kind") != "width_bracket":
+    if not isinstance(doc, dict) or doc.get("kind") != "width_bracket":
         return False, ["not a width_bracket certificate"]
     try:
         problem = build_problem(doc["problem"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         return False, [f"cannot rebuild problem: {exc}"]
-    sep = separation_certificate(problem, doc["d0"])
-    if sep.lb != doc["lb"]["value"]:
-        messages.append(
-            f"lower bound mismatch: recomputed {sep.lb}, stored {doc['lb']['value']}"
-        )
-    stored_delta = doc["lb"]["delta_star"]
-    same_delta = (
-        sep.delta_star == stored_delta  # covers the infinite single-class case
-        or abs(sep.delta_star - stored_delta) <= 1e-9
-    )
-    if not same_delta:
-        messages.append(
-            f"delta* mismatch: recomputed {sep.delta_star}, stored {stored_delta}"
-        )
-    cov = decode_covering(problem.space, doc["ub"]["covering"])
-    if cov.size != doc["ub"]["value"]:
-        messages.append(
-            f"covering size {cov.size} does not match stored ub {doc['ub']['value']}"
-        )
+    margin = validate_margin(problem)
+    if not margin.strict_pass:
+        return False, [f"margin invalid: min class distance {margin.min_pair} "
+                       f"<= gamma = {problem.gamma}"]
+    try:
+        d0, method, space = doc["d0"], doc["ub"]["method"], problem.space
+        # float() rejects an int beyond the float range; NaN is not equal to itself
+        if isinstance(d0, bool) or not isinstance(d0, (int, float)) or float(d0) != d0:
+            raise ValueError(f"d0 must be a number, got {d0!r}")
+        if method not in ("canonical", "exact-dp", "greedy"):
+            raise ValueError(f"unknown ub.method {method!r}")
+        triples = []
+        for td in doc["ub"]["covering"]["triples"]:  # labels must be integers
+            support = [decode_point(space, d) for d in td["support"]]
+            assignment = {decode_point(space, d): int(lab) for d, lab in td["assignment"]}
+            triples.append(UrysohnTriple(support, tuple(int(v) for v in td["labels"]), assignment))
+    except _BAD_VALUE as exc:
+        return False, [f"malformed certificate: {type(exc).__name__}: {exc}"]
+    cov = UrysohnCovering(triples, d0, default_step(space))
     report = verify_covering(problem, cov)
-    if not report.connectivity_ok:
-        messages.append("covering re-check failed: a support is not chain-connected")
-    if not report.diameters_ok:
-        messages.append("covering re-check failed: a support exceeds D0")
-    if report.uncovered:
-        messages.append(
-            f"covering re-check failed: {len(report.uncovered)} safe points uncovered"
-        )
-    if report.violations:
-        messages.append(
-            f"covering re-check failed: {len(report.violations)} label violations"
-        )
-    stored_exact = bool(doc.get("exact"))
-    if stored_exact != (doc["lb"]["value"] == doc["ub"]["value"]):
-        messages.append("exact flag inconsistent with stored endpoints")
+    checks = {"a support is not chain-connected": report.connectivity_ok,
+              "a support exceeds D0": report.diameters_ok,
+              f"{len(report.uncovered)} safe points uncovered": report.coverage_ok,
+              f"{len(report.violations)} label violations": report.correctness_ok}
+    messages = [f"covering re-check failed: {why}" for why, ok in checks.items() if not ok]
+    sep = separation_certificate(problem, d0)
+    # the TOL slack on diameters keeps this from following from the re-check
+    if sep.lb > cov.size:
+        messages.append(f"lower bound {sep.lb} exceeds the covering size {cov.size}")
+    bracket = WidthBracket(sep.lb, cov.size, d0, cov.h, sep, cov, report, method)
+    stored, fresh = _fields(doc), _fields(bracket_doc(problem, bracket))
+    for key in dict.fromkeys([*fresh, *stored]):
+        if stored.get(key) != fresh.get(key):
+            messages.append(f"{'.'.join(key)}: stored {stored.get(key, 'nothing')[:60]}, "
+                            f"re-derived {fresh.get(key, 'nothing')[:60]}")
     return not messages, messages
+
+
+def _fields(doc: dict) -> dict:
+    """Canonical JSON text of each top-level field, one level down in lb and ub."""
+    fields = {}
+    for key, value in doc.items():
+        if key in ("lb", "ub") and isinstance(value, dict):
+            fields.update(((key, k), v) for k, v in value.items())
+        else:
+            fields[(key,)] = value
+    return {k: json.dumps(v, sort_keys=True) for k, v in fields.items()}
 
 
 # -- structured key/value config text ---------------------------------------
@@ -231,14 +248,14 @@ def write_csv(path, header, rows) -> None:
 
 def samples_csv_rows(space: MetricSpace):
     for i, p in enumerate(space.sample_set):
-        yield [i, json.dumps(encode_point(p))]
+        yield [i, json.dumps(encode_point(space, p))]
 
 
 def safe_region_csv_rows(problem: MarginProblem):
     for j in range(problem.k):
         lab = problem.regions[j].label
         for p in problem.safe_points(j):
-            yield [json.dumps(encode_point(p)), lab]
+            yield [json.dumps(encode_point(problem.space, p)), lab]
 
 
 def problem_text(problem: MarginProblem) -> str:
@@ -250,7 +267,7 @@ def problem_text(problem: MarginProblem) -> str:
     return format_config(doc)
 
 
-def covering_text(cov: UrysohnCovering) -> str:
+def covering_text(space: MetricSpace, cov: UrysohnCovering) -> str:
     """Structured text for a covering: one block per triple, point ids and
     labels, plus the locality scale and connectivity step."""
     lines = [f"d0 = {cov.d0}", f"h = {cov.h}", f"triples = {cov.size}"]
@@ -259,7 +276,7 @@ def covering_text(cov: UrysohnCovering) -> str:
         lines.append(f"labels = {json.dumps(list(tri.labels))}")
         for p in tri.support:
             lines.append(
-                f"point {json.dumps(encode_point(p))} -> {tri.assignment[p]}"
+                f"point {json.dumps(encode_point(space, p))} -> {tri.assignment[p]}"
             )
     return "\n".join(lines) + "\n"
 

@@ -44,9 +44,7 @@ __all__ = [
 class SimplicialComplex:
     """A 2-complex: nerve vertices, edges and triangles with witnesses.
 
-    Under the shared-point overlap rule each witness is a point lying in
-    all supports of the face; under the proximity rule it is the closest
-    pair/triple of points found, one per support.
+    Each witness is a point lying in all supports of the face.
     """
 
     vertices: list[int]
@@ -58,71 +56,31 @@ class SimplicialComplex:
         return sum(1 for e in self.edges if v in e)
 
 
-def nerve(cov: UrysohnCovering, rule: str = "shared", proximity: float | None = None,
-          space: MetricSpace | None = None) -> SimplicialComplex:
+def nerve(cov: UrysohnCovering) -> SimplicialComplex:
     """Nerve of a covering up to dimension 2.
 
-    ``rule`` is ``"shared"`` (supports intersect iff they share a sample
-    point; the default) or ``"proximity"`` (supports within ``proximity``
-    of each other count as overlapping; needs ``space`` for distances).
-    The rule in force is the certificate's declared overlap semantics.
+    Supports intersect iff they share a sample point; this is the
+    certificate's declared overlap semantics.
     """
     n = len(cov.triples)
-    supports = [t.support for t in cov.triples]
-    sets = [set(s) for s in supports]
+    sets = [set(t.support) for t in cov.triples]
     witnesses: dict = {}
     edges = []
-
-    if rule == "shared":
-        def meet(i, j):
-            common = sets[i] & sets[j]
-            if not common:
-                return None
-            return min(common, key=repr)
-    elif rule == "proximity":
-        if proximity is None or space is None:
-            raise ValueError("proximity rule needs a threshold and a space")
-
-        def meet(i, j):
-            best = None
-            for p in supports[i]:
-                for q in supports[j]:
-                    d = space.dist(p, q)
-                    if best is None or d < best[0]:
-                        best = (d, (p, q))
-            if best is not None and best[0] <= proximity:
-                return best[1]
-            return None
-    else:
-        raise ValueError(f"unknown overlap rule {rule!r}")
-
     for i, j in combinations(range(n), 2):
-        w = meet(i, j)
-        if w is not None:
+        common = sets[i] & sets[j]
+        if common:
             edges.append((i, j))
-            witnesses[(i, j)] = w
+            witnesses[(i, j)] = min(common, key=repr)
 
     edge_set = set(edges)
     triangles = []
     for i, j, k in combinations(range(n), 3):
         if (i, j) not in edge_set or (i, k) not in edge_set or (j, k) not in edge_set:
             continue
-        if rule == "shared":
-            common = sets[i] & sets[j] & sets[k]
-            if common:
-                triangles.append((i, j, k))
-                witnesses[(i, j, k)] = min(common, key=repr)
-        else:
-            found = None
-            for p in supports[i]:
-                dj = min(space.dist(p, q) for q in supports[j])
-                dk = min(space.dist(p, q) for q in supports[k])
-                if dj <= proximity and dk <= proximity:
-                    found = p
-                    break
-            if found is not None:
-                triangles.append((i, j, k))
-                witnesses[(i, j, k)] = found
+        common = sets[i] & sets[j] & sets[k]
+        if common:
+            triangles.append((i, j, k))
+            witnesses[(i, j, k)] = min(common, key=repr)
     return SimplicialComplex(list(range(n)), edges, triangles, witnesses)
 
 
@@ -260,25 +218,19 @@ def convexity_window(space: MetricSpace, d0: float) -> ConvexityCheck:
     return ConvexityCheck(d0 < sys_len / 2, sys_len, d0, sys_len / 2 - d0)
 
 
-def cyclic_arc_cover(space: BouquetSpace, arcs_per_loop: int, overlap: float | None = None) -> UrysohnCovering:
+def cyclic_arc_cover(space: BouquetSpace, arcs_per_loop: int) -> UrysohnCovering:
     """Cover each loop by ``arcs_per_loop`` overlapping sampled arcs.
 
-    Consecutive arcs (cyclically) share sample points; the wedge point
-    itself is assigned to no arc, so arcs on different loops never meet
-    and the nerve splits into one cycle per loop.  Not a margin covering,
-    a topological probe.
+    Consecutive arcs (cyclically) overlap by one sampling resolution and
+    share sample points; the wedge point itself is assigned to no arc, so
+    arcs on different loops never meet and the nerve splits into one
+    cycle per loop.  Not a margin covering, a topological probe.
     """
     if arcs_per_loop < 3:
         raise ValueError("need at least 3 arcs per loop for a cyclic cover")
     L = space.L
     step = L / arcs_per_loop
-    if overlap is None:
-        overlap = space.resolution
-    if not space.resolution <= overlap < step / 2:
-        raise ValueError(
-            f"overlap {overlap} must lie in [resolution, step/2) = "
-            f"[{space.resolution}, {step / 2})"
-        )
+    overlap = space.resolution
     triples = []
     for loop in range(1, space.w + 1):
         loop_pts = [p for p in space.sample_set if p.loop == loop]

@@ -171,7 +171,7 @@ class PatchwiseClass:
     one_vs_rest: HypothesisTable | None
 
 
-def patchwise_class(w: int, enumerate_limit: int = 6) -> PatchwiseClass:
+def patchwise_class(w: int) -> PatchwiseClass:
     """Assignments of labels [w] to w arcs; full table only for small w.
 
     The binary ``one_vs_rest`` family holds the indicator of each label
@@ -180,7 +180,7 @@ def patchwise_class(w: int, enumerate_limit: int = 6) -> PatchwiseClass:
     if w < 1:
         raise ValueError("need at least one arc")
     bound = w * math.log2(w) if w > 1 else 0.0
-    if w > enumerate_limit:
+    if w > 6:
         return PatchwiseClass(w, w**w, bound, None, None)
     ground = list(range(w))
     assignments = list(product(range(1, w + 1), repeat=w))
@@ -218,25 +218,18 @@ _INTERVAL_INSTANCES = {
 }
 
 
-def separation_report(
-    w: int,
-    n: int,
-    L: float = 10.0,
-    gamma: float = 1.0,
-    d0: float = 4.0,
-    h: float = 0.5,
-    grid: int | None = None,
-) -> SeparationReport:
+def separation_report(w: int, n: int) -> SeparationReport:
     """Both separation directions in one table.
 
-    Row A: the w-loop problem's certified width bracket next to the
-    patchwise class's log2-cardinality bound w*log2(w).  Rows B: interval
-    problems of 1..n intervals, width bracket (1 for D0 >= 1) next to the
-    exact brute-force VC dimension 2n.
+    Row A: the w-loop problem (L = 10, gamma = 1, h = 0.5) at D0 = 4:
+    its certified width bracket next to the patchwise class's
+    log2-cardinality bound w*log2(w).  Rows B: interval problems of 1..n
+    intervals, width bracket (1 for D0 >= 1) next to the exact
+    brute-force VC dimension 2n on a grid of 4n + 8 points.
     """
     rows = []
-    pb = bouquet_problem(w, L, gamma, h)
-    br: WidthBracket = width_bracket(pb, d0)
+    pb = bouquet_problem(w, 10.0, 1.0, 0.5)
+    br: WidthBracket = width_bracket(pb, 4.0)
     pw = patchwise_class(w)
     rows.append(
         {
@@ -254,7 +247,7 @@ def separation_report(
             raise ValueError(f"no standard interval instance for n={nn}")
         ip = interval_union_problem(_INTERVAL_INSTANCES[nn], 0.05, 101)
         ibr = width_bracket(ip, 1.0)
-        table = intervals_class(nn, grid if grid is not None else 4 * nn + 8)
+        table = intervals_class(nn, 4 * nn + 8)
         vc = vc_dimension(table)
         rows.append(
             {

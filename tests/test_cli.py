@@ -1,10 +1,15 @@
 """CLI subcommands, exit codes, certificate round trips, determinism."""
 
 import json
+import math
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from urwidth import cli
 from urwidth.cli import main
 from urwidth.serialize import (
     bracket_doc,
@@ -20,15 +25,37 @@ from urwidth.serialize import (
 
 
 def test_point_codec_roundtrip():
-    from urwidth.problems import bouquet_problem, union_problem, wedge_problem
+    from urwidth.problems import (
+        bouquet_problem,
+        interval_union_problem,
+        union_problem,
+        wedge_problem,
+    )
+    from urwidth.spaces import graph_space
 
     a = bouquet_problem(2, 10.0, 1.0, 0.5)
     b = wedge_problem(2, 2, 2.0, 1.0, n=16, seed=1)
     u = union_problem(a, bouquet_problem(1, 10.0, 1.0, 0.5), 50.0)
-    for problem in (a, b, u):
-        for p in problem.space.sample_set[:25]:
-            data = json.loads(json.dumps(encode_point(p)))
-            assert decode_point(problem.space, data) == p
+    iv = interval_union_problem([(0.1, 0.3), (0.6, 0.7)], 0.1, 51)
+    mixed = union_problem(bouquet_problem(2, 10.0, 0.1, 0.5), iv, 50.0)
+    grid = graph_space([((0, 0), (0, 1)), ((0, 1), (1, 1), 2.0), ((1, 1), "hub")])
+    spaces = [q.space for q in (a, b, u, iv, mixed)] + [grid]
+    for space in spaces:
+        points = space.sample_set[:25] + space.sample_set[-5:]
+        for p in points:
+            data = json.loads(json.dumps(encode_point(space, p)))
+            assert decode_point(space, data) == p
+    assert encode_point(grid, (0, 1)) == ["vertex", (0, 1)]
+    assert encode_point(a.space, a.space.wedge_point) == ["loop", 0, 0.0]
+    # glue points come back canonical; off-space and mistagged points raise
+    assert decode_point(a.space, ["loop", 2, 0.0]) == a.space.wedge_point
+    bouquet3 = bouquet_problem(3, 10.0, 1.0, 0.5).space
+    for space, data in ((bouquet3, ["loop", 99, 1.0]), (bouquet3, ["loop", 1, 10.0]),
+                        (bouquet3, ["x", 0.5]), (iv.space, ["x", 1.5]),
+                        (grid, ["vertex", [5, 5]]), (u.space, ["side", 2, ["loop", 1, 1.0]]),
+                        (b.space, ["sphere", 1, [0.6, 0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            decode_point(space, data)
 
 
 def test_build_problem_roundtrip():
@@ -95,7 +122,7 @@ def test_width_certificate_and_verify(tmp_path, capsys):
     cert = Path(out) / "width_certificate.json"
     assert main(["verify", str(cert)]) == 0
 
-    # tampering with the lower bound must be caught on the delta* recheck
+    # tampering with the lower bound must be caught against the re-emitted lb
     doc = json.loads(cert.read_text())
     doc["lb"]["value"] += 1
     tampered = Path(out) / "tampered.json"
@@ -244,7 +271,7 @@ def test_machine_stream_file_roundtrip(tmp_path):
         writer.writerow(["step", "point", "label"])
         for i in range(30):
             x, lab = sample_safe(dist, rng)
-            writer.writerow([i, json.dumps(encode_point(x)), lab])
+            writer.writerow([i, json.dumps(encode_point(p.space, x)), lab])
     out = str(tmp_path / "o")
     assert main(["machine", "--family", "bouquet", "--w", "2", "-L", "10",
                  "--gamma", "1.0", "--h", "0.25", "--tau", "0", "--d0", "4",
@@ -441,3 +468,190 @@ def test_env_var_default_output(tmp_path, monkeypatch):
     monkeypatch.setenv("URWIDTH_OUT", str(tmp_path / "envout"))
     assert main(["nerve", "--w", "1", "-L", "12", "--h", "0.5", "--arcs", "6"]) == 0
     assert (tmp_path / "envout" / "betti.json").exists()
+
+
+def test_vc_exit_code_follows_the_check(tmp_path, monkeypatch):
+    from urwidth.vc import SeparationReport
+
+    row = {"family": "intervals", "instance": "n=1", "width_lb": 1, "width_ub": 1,
+           "vc": 5, "vc_bound": None, "vc_display": "5"}
+    monkeypatch.setattr(cli, "separation_report", lambda w, n: SeparationReport([row]))
+    assert main(["vc", "--w", "3", "--n-intervals", "1", "--out", str(tmp_path / "vc")]) == 1
+    cfg = tmp_path / "vc.cfg"
+    cfg.write_text(format_config({"experiment": "vc_separation", "w": 3, "n_max": 1}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 1
+
+
+@pytest.mark.parametrize("case, text, needle", [
+    ("missing_file", None, "stream.csv"),
+    ("short_row", 'step,point,label\n0,"[""loop"", 1, 5.0]",1\n1\n', "row 2"),
+    ("no_label_column", 'step,point\n0,"[""loop"", 1, 5.0]"\n', "'label'"),
+    ("off_space_point", 'step,point,label\n0,"[""loop"", 9, 5.0]",1\n', "row 1"),
+])
+def test_machine_stream_file_errors(tmp_path, capsys, case, text, needle):
+    stream = tmp_path / "stream.csv"
+    if text is not None:
+        stream.write_text(text)
+    assert main(["machine", "--family", "bouquet", "--w", "2", "-L", "10",
+                 "--gamma", "1.0", "--h", "0.25", "--d0", "4", "--r-construct", "2",
+                 "--stream", str(stream), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(stream) in err and needle in err, err
+
+
+@lru_cache(maxsize=None)
+def _honest_text(name: str) -> str:
+    from urwidth.coverings import width_bracket
+    from urwidth.problems import (
+        bouquet_problem,
+        interval_union_problem,
+        permuted_problem,
+        scaled_problem,
+        union_problem,
+        wedge_problem,
+    )
+
+    problems = {
+        "bouquet": lambda: (bouquet_problem(3, 10.0, 1.0, 0.5), 4.0),
+        "bouquet2": lambda: (bouquet_problem(2, 10.0, 1.0, 0.5), 4.0),
+        "single": lambda: (bouquet_problem(1, 10.0, 1.0, 0.5), 4.0),
+        "interval": lambda: (interval_union_problem([(0.2, 0.4)], 0.05, 21), 1.0),
+        "scaled": lambda: (scaled_problem(2, 2, 40.0, 1.0, 0.5), 4.0),
+        "wedge": lambda: (wedge_problem(2, 2, 2.0, 0.5, n=16, seed=1), 1.0),
+        "union": lambda: (permuted_problem(union_problem(
+            bouquet_problem(2, 10.0, 1.0, 0.5), bouquet_problem(1, 10.0, 1.0, 0.5), 100.0),
+            (3, 1, 2)), 4.0),
+    }
+    problem, d0 = problems[name]()
+    return json.dumps(bracket_doc(problem, width_bracket(problem, d0)))
+
+
+def _honest(name: str) -> dict:
+    return json.loads(_honest_text(name))
+
+
+@pytest.mark.parametrize("name", ["bouquet", "single", "interval", "scaled", "wedge", "union"])
+def test_honest_certificates_verify(name):
+    assert verify_bracket(_honest(name)) == (True, [])
+
+
+def _parent(doc, path):
+    """The container that holds the last key of ``path``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _set(path, value):
+    return lambda doc: _parent(doc, path).__setitem__(path[-1], value)
+
+
+def _drop(path):
+    return lambda doc: _parent(doc, path).__delitem__(path[-1])
+
+
+_TRIPLE0 = ("ub", "covering", "triples", 0)
+
+# one case per certificate field: (mutation, how one of the messages must start)
+_TAMPER = {
+    "d0_below_diameter": (_set(("d0",), 0.9), "covering re-check failed"),
+    "h": (_set(("h",), 2.0), "h:"),
+    "lb.value": (_set(("lb", "value"), 4), "lb.value:"),
+    "lb.value_as_bool": (_set(("lb", "value"), True), "lb.value:"),
+    "lb.delta_star": (_set(("lb", "delta_star"), 8.500000000000002), "lb.delta_star:"),
+    "lb.method": (_set(("lb", "method"), "reach-components"), "lb.method:"),
+    "lb.delta_table": (_set(("lb", "delta_table", 0, 2), 9.0), "lb.delta_table:"),
+    "lb.components": (_set(("lb", "components"), [[0, 1], [2]]), "lb.components:"),
+    "ub.value": (_set(("ub", "value"), 2), "ub.value:"),
+    "ub.method": (_set(("ub", "method"), "oracle"), "malformed certificate"),
+    "ub.covering.d0": (_set(("ub", "covering", "d0"), 100.0), "ub.covering:"),
+    "ub.covering.h": (_set(("ub", "covering", "h"), 100.0), "ub.covering:"),
+    "off_space_point": (_set(_TRIPLE0 + ("support", 0), ["loop", 99, 1.0]),
+                        "malformed certificate"),
+    "dropped_triple": (_drop(_TRIPLE0), "covering re-check failed"),
+    "flipped_label": (_set(_TRIPLE0 + ("assignment", 0, 1), 2), "covering re-check failed"),
+    "exact": (_set(("exact",), False), "exact:"),
+    "extra_key": (_set(("note",), "trust me"), "note:"),
+    "missing_key": (_drop(("exact",)), "exact:"),
+    "d0_not_a_number": (_set(("d0",), "4.0"), "malformed certificate"),
+    "d0_nan": (_set(("d0",), math.nan), "malformed certificate"),
+    "triples_not_a_list": (_set(("ub", "covering", "triples"), 7), "malformed certificate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TAMPER))
+def test_tampered_certificate_fails_by_name(tmp_path, capsys, case):
+    mutate, needle = _TAMPER[case]
+    doc = _honest("bouquet")
+    mutate(doc)
+    ok, messages = verify_bracket(doc)
+    assert not ok and messages
+    assert any(m.startswith(needle) for m in messages), messages
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_single_triple_forgery_with_inflated_scale_fails():
+    # one triple covering all three safe sets, its own D0 and h raised to
+    # 100 so that a check at the covering's scale would pass; ub = 1 < lb = 3
+    doc = _honest("bouquet")
+    cov = doc["ub"]["covering"]
+    merged = {key: [x for t in cov["triples"] for x in t[key]] for key in ("support", "assignment")}
+    cov.update(d0=100, h=100, triples=[{"labels": [1, 2, 3], **merged}])
+    doc["ub"]["value"], doc["exact"] = 1, False
+    ok, messages = verify_bracket(doc)
+    assert not ok
+    assert "lower bound 3 exceeds the covering size 1" in messages
+    assert any(m.startswith("covering re-check failed") for m in messages)
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+# replacement values kept small so a changed size parameter rebuilds quickly
+_LEAF_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(0.05, 20.0),
+    st.sampled_from([-1.0, 0.0, math.inf, -math.inf, math.nan]), st.text(max_size=3),
+)
+_DERIVED = (("lb",), ("ub", "value"), ("exact",), ("h",), ("ub", "covering", "d0"),
+            ("ub", "covering", "h"))
+
+
+def _change_leaf(data, name, prefixes=()):
+    """Honest certificate with one leaf replaced; returns (doc, old, new)."""
+    doc = _honest(name)
+    paths = [p for p in _leaves(doc)
+             if not prefixes or any(p[: len(q)] == q for q in prefixes)]
+    path = data.draw(st.sampled_from(paths))
+    node = _parent(doc, path)
+    old = node[path[-1]]
+    node[path[-1]] = data.draw(_LEAF_VALUES)
+    return doc, old, node[path[-1]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["bouquet2", "single", "interval"]))
+def test_changing_a_derived_leaf_fails_verification(data, name):
+    doc, old, new = _change_leaf(data, name, _DERIVED)
+    assume(json.dumps(old) != json.dumps(new))
+    ok, messages = verify_bracket(doc)
+    assert not ok and messages
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["bouquet2", "single", "interval"]))
+def test_changing_any_leaf_never_raises(data, name):
+    doc, _, _ = _change_leaf(data, name)
+    ok, messages = verify_bracket(doc)
+    assert ok == (messages == [])

@@ -250,25 +250,3 @@ def test_adjacency_bound_chain(w, arcs):
     beta1_space = w  # loops are independent cycles
     assert beta1_space <= b1_nerve <= len(cx.edges) <= delta0 * n / 2
 
-
-def test_nerve_proximity_rule():
-    # disjoint consecutive arcs close the cycle under the proximity rule
-    spc = bouquet_space(1, 12.0, 0.25)
-    step = 12.0 / 6
-    triples = []
-    for i in range(6):
-        members = [
-            p for p in spc.sample_set
-            if p.loop == 1 and i * step <= p.s < (i + 1) * step
-        ]
-        triples.append(UrysohnTriple(members, (1,), {p: 1 for p in members}))
-    cov = UrysohnCovering(triples, d0=step, h=0.5)
-    shared = nerve(cov)
-    assert shared.edges == []  # no shared samples at all
-    # consecutive arcs are one sample step apart; the wrap pair straddles the
-    # wedge point at distance two steps, so 0.5 closes exactly the 6-cycle
-    prox = nerve(cov, rule="proximity", proximity=0.5, space=spc)
-    assert len(prox.edges) == 6
-    assert betti(prox) == (1, 1)
-    with pytest.raises(ValueError):
-        nerve(cov, rule="proximity")  # threshold and space required
