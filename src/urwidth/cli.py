@@ -124,7 +124,10 @@ def cmd_space(args) -> int:
     elif args.kind == "interval":
         sp = interval_space(args.n)
     elif args.kind == "graph":
-        sp = graph_space([tuple(e) for e in json.loads(args.edges)])
+        edges = json.loads(args.edges)
+        if not isinstance(edges, list):
+            raise ValueError(f"--edges must be a JSON list of edges, got {args.edges!r}")
+        sp = graph_space(edges)
     else:
         raise ValueError(f"unknown space kind {args.kind!r}")
     desc = sp.describe()

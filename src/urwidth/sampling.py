@@ -131,6 +131,8 @@ def coupon_stats(
     The analytic column is the exact uniform coupon-collector mean w*H_w,
     the reference for the slope-1 regression.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
     rows = []
     for w in sorted(problems):
         dist = sampling_distribution(problems[w])
@@ -202,6 +204,8 @@ def permutation_learner_experiment(
     """
     if w < 1:
         raise ValueError("need at least one region")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
     # choice without p draws a different random stream; keep the explicit p
     q = np.full(w, 1.0 / w)
     successes = 0

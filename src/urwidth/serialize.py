@@ -73,8 +73,8 @@ def decode_point(space: MetricSpace, data):
         (x,) = fields
         return space.point(float(x))
     if (space.kind, tag) == ("graph", "vertex"):
-        (v,) = fields  # JSON turns a tuple vertex into a list
-        return space.point(tuple(v) if isinstance(v, list) else v)
+        (v,) = fields
+        return space.point(v)
     if (space.kind, tag) == ("disjoint_union", "side"):
         side, inner = fields
         if side not in (0, 1):

@@ -23,6 +23,7 @@ Points are plain hashable values whose shape depends on the space kind
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Iterable, NamedTuple, Sequence
 
 import networkx as nx
@@ -261,14 +262,16 @@ class GraphSpace(MetricSpace):
         super().__init__()
         g = nx.Graph()
         for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                weight = 1.0
-            else:
-                u, v, weight = edge
-            if weight <= 0:
-                raise ValueError(f"edge ({u}, {v}) has nonpositive weight {weight}")
-            g.add_edge(u, v, weight=float(weight))
+            if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+                raise ValueError(f"edge {edge!r} is not a (u, v) or (u, v, weight) list")
+            u, v = map(self._vertex, edge[:2])
+            weight = edge[2] if len(edge) == 3 else 1.0
+            if isinstance(weight, bool) or not isinstance(weight, Real) or not weight > 0:
+                raise ValueError(f"edge {edge!r} needs a positive number as weight")
+            try:
+                g.add_edge(u, v, weight=float(weight))
+            except TypeError:
+                raise ValueError(f"edge {edge!r} has an unhashable vertex") from None
         if g.number_of_nodes() == 0:
             raise ValueError("empty edge list")
         if not nx.is_connected(g):
@@ -279,7 +282,13 @@ class GraphSpace(MetricSpace):
         self.resolution = max(d["weight"] for _, _, d in g.edges(data=True))
         self._d = dict(nx.all_pairs_dijkstra_path_length(g, weight="weight"))
 
+    @staticmethod
+    def _vertex(v):
+        """JSON has no tuples: a list vertex is a tuple vertex, at every depth."""
+        return tuple(map(GraphSpace._vertex, v)) if isinstance(v, list) else v
+
     def point(self, vertex) -> object:
+        vertex = self._vertex(vertex)
         if vertex not in self.graph:
             raise ValueError(f"vertex {vertex!r} not in graph")
         return vertex
@@ -374,7 +383,8 @@ def interval_space(n: int) -> IntervalSpace:
 def graph_space(edges: Iterable[tuple]) -> GraphSpace:
     """Finite connected weighted graph; shortest-path metric on vertices.
 
-    ``edges`` holds (u, v) or (u, v, weight) tuples; weights default to 1.
+    ``edges`` holds (u, v) or (u, v, weight) tuples or lists; weights
+    default to 1, and a list vertex is read as a tuple at every depth.
     """
     return GraphSpace(edges)
 

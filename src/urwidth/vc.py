@@ -1,11 +1,13 @@
 """Brute-force VC dimension and the width/VC separation report.
 
-VC dimension is computed exactly by a level-by-level shattering search:
-a set can only be shattered if all of its subsets are, so level m keeps
-the shattered m-subsets and level m+1 extends them.  Pattern
-realizability is tested on hypothesis-indexed bitmasks with shared
-prefix pruning, which keeps grids of a few tens of points and tens of
-thousands of hypotheses tractable.
+VC dimension is computed exactly by a depth-first shattering search.
+Each point is a bitmask over hypotheses; a shattered set carries one
+nonempty hypothesis mask per +/- pattern on it, and adding a point splits
+every mask by that point's column.  The set stays shattered iff no half
+is empty, and the search only extends shattered sets, in increasing
+point order, since every prefix of a shattered set is shattered.  This
+keeps grids of a few tens of points and tens of thousands of hypotheses
+tractable.
 
 Two hypothesis classes are built here:
 
@@ -55,16 +57,9 @@ class HypothesisTable:
             raise ValueError(
                 f"ground set of size {len(self.ground)} exceeds the cap {GROUND_CAP}"
             )
-        seen = set()
-        dedup = []
-        for h in self.hypotheses:
-            h = tuple(h)
-            if len(h) != len(self.ground):
-                raise ValueError("hypothesis length does not match the ground set")
-            if h not in seen:
-                seen.add(h)
-                dedup.append(h)
-        self.hypotheses = dedup
+        self.hypotheses = list(dict.fromkeys(map(tuple, self.hypotheses)))
+        if any(len(h) != len(self.ground) for h in self.hypotheses):
+            raise ValueError("hypothesis length does not match the ground set")
 
     @property
     def binary(self) -> bool:
@@ -89,22 +84,8 @@ def _columns(table: HypothesisTable) -> tuple[list[int], int]:
     return cols, (1 << m) - 1
 
 
-def _shattered(idx: tuple[int, ...], cols: list[int], full: int) -> bool:
-    """True iff every +/- pattern on the points ``idx`` is realized."""
-
-    def rec(pos: int, mask: int) -> bool:
-        if mask == 0:
-            return False
-        if pos == len(idx):
-            return True
-        c = cols[idx[pos]]
-        return rec(pos + 1, mask & c) and rec(pos + 1, mask & ~c & full)
-
-    return rec(0, full)
-
-
 def vc_dimension(table: HypothesisTable) -> int:
-    """Exact VC dimension of a binary table by level-wise shattering search."""
+    """Exact VC dimension of a binary table by depth-first shattering search."""
     if not table.hypotheses:
         raise ValueError("empty hypothesis set")
     if not table.binary:
@@ -114,28 +95,23 @@ def vc_dimension(table: HypothesisTable) -> int:
         )
     cols, full = _columns(table)
     n = len(table.ground)
-    current = [()]
-    best = 0
-    level = 1
-    while current and level <= n:
-        prev = set(current)
-        nxt = []
-        for s in current:
-            start = s[-1] + 1 if s else 0
-            for j in range(start, n):
-                cand = s + (j,)
-                # every sub-level-set must already be shattered
-                if len(cand) >= 2 and any(
-                    cand[:i] + cand[i + 1 :] not in prev for i in range(len(cand) - 1)
-                ):
-                    continue
-                if _shattered(cand, cols, full):
-                    nxt.append(cand)
-        if nxt:
-            best = level
-        current = nxt
-        level += 1
-    return best
+
+    def grow(start: int, cells: list[int]) -> int:
+        """Most points >= ``start`` that extend the current shattered set;
+        ``cells`` holds the hypotheses realizing each of its patterns."""
+        best = 0
+        for j in range(start, n):
+            split = []
+            for m in cells:
+                ones = m & cols[j]
+                if ones == 0 or ones == m:
+                    break  # this pattern cannot take both labels on j
+                split += (ones, m ^ ones)
+            else:
+                best = max(best, 1 + grow(j + 1, split))
+        return best
+
+    return grow(0, [full])
 
 
 def intervals_class(n: int, grid: int) -> HypothesisTable:

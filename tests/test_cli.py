@@ -38,7 +38,8 @@ def test_point_codec_roundtrip():
     u = union_problem(a, bouquet_problem(1, 10.0, 1.0, 0.5), 50.0)
     iv = interval_union_problem([(0.1, 0.3), (0.6, 0.7)], 0.1, 51)
     mixed = union_problem(bouquet_problem(2, 10.0, 0.1, 0.5), iv, 50.0)
-    grid = graph_space([((0, 0), (0, 1)), ((0, 1), (1, 1), 2.0), ((1, 1), "hub")])
+    grid = graph_space([((0, 0), (0, 1)), ((0, 1), (1, 1), 2.0), ((1, 1), "hub"),
+                        ("hub", ((0, 1), 2))])
     spaces = [q.space for q in (a, b, u, iv, mixed)] + [grid]
     for space in spaces:
         points = space.sample_set[:25] + space.sample_set[-5:]
@@ -46,6 +47,7 @@ def test_point_codec_roundtrip():
             data = json.loads(json.dumps(encode_point(space, p)))
             assert decode_point(space, data) == p
     assert encode_point(grid, (0, 1)) == ["vertex", (0, 1)]
+    assert decode_point(grid, ["vertex", [[0, 1], 2]]) == ((0, 1), 2)
     assert encode_point(a.space, a.space.wedge_point) == ["loop", 0, 0.0]
     # glue points come back canonical; off-space and mistagged points raise
     assert decode_point(a.space, ["loop", 2, 0.0]) == a.space.wedge_point
@@ -419,6 +421,44 @@ def test_sample_coupon_and_permutation_commands(tmp_path):
                  "--out", out2]) == 0
     doc = json.loads((Path(out2) / "permutation.json").read_text())
     assert 0.0 <= doc["rate"] <= 1.0
+
+
+@pytest.mark.parametrize("edges, code", [
+    ("[[[0,1],[1,1]]]", 0),
+    ('[[0,1,"a"]]', 2),
+    ("[[0,1,NaN]]", 2),
+    ("[5]", 2),
+    ("[[0]]", 2),
+])
+def test_space_graph_edges(tmp_path, edges, code):
+    import csv
+
+    from urwidth.spaces import graph_space
+
+    out = tmp_path / "g"
+    assert main(["space", "--kind", "graph", "--edges", edges, "--out", str(out)]) == code
+    if code == 0:
+        space = graph_space(json.loads(edges))
+        with open(out / "samples.csv", newline="") as fh:
+            points = [decode_point(space, json.loads(row["point"]))
+                      for row in csv.DictReader(fh)]
+        assert points == space.sample_set == [(0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--experiment", "permutation", "--ws", "8", "--budget", "20", "--trials", "0"],
+    ["sample", "--experiment", "sweep", "--ws", "8", "--ratios", "0.5,1.0", "--trials", "0"],
+    ["sample", "--experiment", "coupon", "--ws", "4,8", "--trials", "0"],
+    None,
+], ids=["permutation", "sweep", "coupon", "run"])
+def test_zero_trials_is_config_error(tmp_path, capsys, argv):
+    if argv is None:
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(format_config({"experiment": "sample_complexity",
+                                      **_VALID_CONFIGS["sample_complexity"], "trials": 0}))
+        argv = ["run", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "need at least one trial" in capsys.readouterr().err
 
 
 def test_space_graph_and_interval_width(tmp_path):

@@ -5,6 +5,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urwidth.vc import (
     HypothesisTable,
@@ -88,6 +90,16 @@ def test_vc_agrees_with_oracles_on_random_tables():
         assert exact == _vc_restart_oracle(t, rnd)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_vc_matches_exhaustive_oracle(data):
+    n = data.draw(st.integers(1, 10))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    hyps = data.draw(st.lists(row, min_size=1, max_size=200))
+    t = HypothesisTable(list(range(n)), hyps)
+    assert vc_dimension(t) == _vc_exhaustive_oracle(t)
+
+
 def test_vc_monotone_under_hypothesis_inclusion():
     rnd = random.Random(43)
     for _ in range(20):
@@ -100,7 +112,7 @@ def test_vc_monotone_under_hypothesis_inclusion():
         assert vc_dimension(small) <= vc_dimension(big)
 
 
-@pytest.mark.parametrize("n,grid,expect", [(1, 12, 2), (2, 16, 4)])
+@pytest.mark.parametrize("n,grid,expect", [(1, 12, 2), (2, 16, 4), (3, 16, 6), (2, 22, 4)])
 def test_intervals_class_vc(n, grid, expect):
     assert vc_dimension(intervals_class(n, grid)) == expect
 
@@ -132,6 +144,7 @@ def test_patchwise_class_degenerate():
 def test_patchwise_one_vs_rest_shatters_representatives():
     pw = patchwise_class(3)
     assert vc_dimension(pw.one_vs_rest) == 3
+    assert vc_dimension(patchwise_class(6).one_vs_rest) == 6
 
 
 def test_patchwise_large_w_reports_bound_only():
