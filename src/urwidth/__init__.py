@@ -37,11 +37,9 @@ from .machine import (
 )
 from .problems import (
     MarginProblem,
-    SafeRegion,
     bouquet_problem,
     interval_union_problem,
     permuted_problem,
-    safe_region,
     scaled_problem,
     union_problem,
     validate_margin,
@@ -73,7 +71,6 @@ from .topology import (
     SimplicialComplex,
     betti,
     betti_bound_check,
-    convexity_window,
     cyclic_arc_cover,
     graph_beta1,
     max_adjacency,

@@ -239,9 +239,14 @@ class CoverSearch:
     chosen: list
 
 
-def _candidate_balls(problem, d0, h, radii, centers):
-    """Geodesic-ball candidates: (support, safe coverage mask), deduplicated."""
+def _candidate_balls(problem, d0):
+    """Geodesic-ball candidates: (support, safe coverage mask), deduplicated.
+
+    Centres are the sample points and radii run up the half-resolution
+    ladder to D0/2; a candidate must be chain-connected at the default step.
+    """
     space = problem.space
+    h = default_step(space)
     universe = problem.all_safe_points()
     pool = list(space.sample_set)
     known = set(pool)
@@ -250,18 +255,15 @@ def _candidate_balls(problem, d0, h, radii, centers):
             pool.append(x)
             known.add(x)
     bit = {x: i for i, (_, x) in enumerate(universe)}
-    if centers is None:
-        centers = space.sample_set
-    if radii is None:
-        step = space.resolution / 2
-        radii = [step * i for i in range(1, int(math.floor(d0 / 2 / step + TOL)) + 1)]
-        if not radii or radii[-1] < d0 / 2 - TOL:
-            radii.append(d0 / 2)
+    step = space.resolution / 2
+    radii = [step * i for i in range(1, int(math.floor(d0 / 2 / step + TOL)) + 1)]
+    if not radii or radii[-1] < d0 / 2 - TOL:
+        radii.append(d0 / 2)
     candidates = []
     seen_masks = {}
-    for c in centers:
+    for c in space.sample_set:
         dists = [(space.dist(c, x), x) for x in pool]
-        for r in sorted(radii):
+        for r in radii:
             support = [x for d, x in dists if d <= r + TOL]
             mask = 0
             for x in support:
@@ -279,13 +281,7 @@ def _candidate_balls(problem, d0, h, radii, centers):
     return universe, candidates
 
 
-def min_ball_cover(
-    problem: MarginProblem,
-    d0: float,
-    h: float | None = None,
-    radii=None,
-    centers=None,
-) -> tuple[UrysohnCovering, CoverSearch]:
+def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, CoverSearch]:
     """Minimum covering of the sampled safe points by geodesic balls.
 
     Exact bitmask dynamic programming when the safe sample count is at
@@ -294,9 +290,7 @@ def min_ball_cover(
     point from safe membership, which is always consistent because safe
     sets are pairwise disjoint.
     """
-    if h is None:
-        h = default_step(problem.space)
-    universe, candidates = _candidate_balls(problem, d0, h, radii, centers)
+    universe, candidates = _candidate_balls(problem, d0)
     n = len(universe)
     full = (1 << n) - 1
     masks = [m for _, m in candidates]
@@ -329,7 +323,7 @@ def min_ball_cover(
                 lab = problem.regions[j].label
             assignment[x] = lab
         triples.append(UrysohnTriple(list(support), labels, assignment))
-    cov = UrysohnCovering(triples, d0, h)
+    cov = UrysohnCovering(triples, d0, default_step(problem.space))
     info = CoverSearch(method, len(chosen), n, len(candidates), list(chosen))
     return cov, info
 
@@ -405,6 +399,8 @@ def width_bracket(problem: MarginProblem, d0: float) -> WidthBracket:
     canonical covering already meets lb the search is skipped: any
     covering is bounded below by lb, so the minimum cannot improve.
     """
+    if not math.isfinite(d0):
+        raise ValueError(f"D0 must be finite, got d0={d0}")
     report = validate_margin(problem)
     if not report.strict_pass:
         raise ValueError(

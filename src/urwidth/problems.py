@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 from .spaces import (
@@ -51,13 +52,11 @@ __all__ = [
     "FamilyTag",
     "MarginProblem",
     "MarginReport",
-    "SafeRegion",
     "bouquet_problem",
     "scaled_problem",
     "wedge_problem",
     "interval_union_problem",
     "validate_margin",
-    "safe_region",
     "permuted_problem",
     "union_problem",
     "FAMILIES",
@@ -219,17 +218,6 @@ class MarginReport:
     notes: list[str]
 
 
-@dataclass
-class SafeRegion:
-    """Closed gamma/2 neighbourhoods of the classes, pieces plus samples."""
-
-    gamma: float
-    pieces: list[tuple]
-    points: list[list]
-    labels: list[int]
-    resolution: float
-
-
 def _sampled_members(space: MetricSpace, pieces, reps) -> list:
     """Grid points inside the pieces; a piece with no grid member gets its
     analytic representative appended so every class stays nonempty."""
@@ -338,6 +326,13 @@ def interval_union_problem(
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    if not isinstance(intervals, (list, tuple)):
+        raise ValueError(f"intervals must be a list of [lo, hi] pairs, got {intervals!r}")
+    for ab in intervals:
+        if not isinstance(ab, (list, tuple)) or len(ab) != 2 or any(
+            isinstance(v, bool) or not isinstance(v, Real) for v in ab
+        ):
+            raise ValueError(f"interval {ab!r} is not a [lo, hi] pair of numbers")
     ivs = sorted((float(a), float(b)) for a, b in intervals)
     if not ivs:
         raise ValueError("need at least one interval")
@@ -424,37 +419,6 @@ def validate_margin(problem: MarginProblem) -> MarginReport:
         safe_gaps=gaps,
         safe_disjoint=all(g > 0 for g in gaps.values()),
         notes=notes,
-    )
-
-
-def _inflate(piece, delta: float):
-    if isinstance(piece, BallPiece):
-        return BallPiece(piece.center, piece.radius + delta)
-    if isinstance(piece, SegmentPiece):
-        return SegmentPiece(max(0.0, piece.lo - delta), min(1.0, piece.hi + delta))
-    if isinstance(piece, LiftedPiece):
-        return LiftedPiece(piece.side, _inflate(piece.piece, delta))
-    raise TypeError(f"unknown piece type {type(piece).__name__}")
-
-
-def safe_region(problem: MarginProblem) -> SafeRegion:
-    """Materialize the closed gamma/2 neighbourhoods of all classes."""
-    report = validate_margin(problem)
-    if not report.strict_pass:
-        raise ValueError(
-            f"margin-invalid problem: min pairwise class distance "
-            f"{report.min_pair} <= gamma = {problem.gamma} at pair {report.worst_pair}"
-        )
-    half = problem.gamma / 2
-    pieces = [
-        tuple(_inflate(pc, half) for pc in region.pieces) for region in problem.regions
-    ]
-    return SafeRegion(
-        gamma=problem.gamma,
-        pieces=pieces,
-        points=[problem.safe_points(j) for j in range(problem.k)],
-        labels=problem.labels,
-        resolution=problem.space.resolution,
     )
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "TrialStats",
     "threshold_sweep",
     "wilson_interval",
-    "missed_count_paths",
 ]
 
 
@@ -272,6 +271,9 @@ def threshold_sweep(
 ) -> TrialStats:
     """Success rate versus n/(w ln w) on a ratio grid; locates the
     2/3-success crossing per w by linear interpolation."""
+    for w in w_list:
+        if w < 2:  # w ln w vanishes at w = 1
+            raise ValueError(f"sweep needs w >= 2 for the ratio n/(w ln w), got w={w}")
     rows = []
     crossings: dict[int, float] = {}
     for w in w_list:
@@ -309,27 +311,3 @@ def threshold_sweep(
                 crossings[w] = per_w[0].ratio
     return TrialStats(rows, crossings)
 
-
-def missed_count_paths(
-    w: int, n_grid, trials: int, seed: int
-) -> np.ndarray:
-    """Missed-region counts on shared-prefix streams.
-
-    Row t, column i holds how many regions trial t has not yet seen
-    after n_grid[i] draws of one stream; prefixes are shared, so counts
-    are nonincreasing along each row and conditional success 1/m! is
-    monotone per path.
-    """
-    rng = np.random.default_rng(seed)
-    n_grid = sorted(n_grid)
-    out = np.zeros((trials, len(n_grid)), dtype=int)
-    n_max = n_grid[-1]
-    for t in range(trials):
-        draws = rng.integers(0, w, size=n_max)
-        seen = np.zeros(w, dtype=bool)
-        pos = 0
-        for i, n in enumerate(n_grid):
-            seen[draws[pos:n]] = True
-            pos = n
-            out[t, i] = w - int(seen.sum())
-    return out

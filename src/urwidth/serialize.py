@@ -42,8 +42,6 @@ __all__ = [
     "samples_csv_rows",
     "safe_region_csv_rows",
     "problem_text",
-    "table_to_csv",
-    "table_from_csv",
 ]
 
 def encode_point(space: MetricSpace, p) -> list:
@@ -280,20 +278,3 @@ def covering_text(space: MetricSpace, cov: UrysohnCovering) -> str:
             )
     return "\n".join(lines) + "\n"
 
-
-def table_to_csv(path, table) -> None:
-    """Hypothesis table as CSV: header of ground points, one row per vector."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([json.dumps(g) for g in table.ground])
-        writer.writerows(table.hypotheses)
-
-
-def table_from_csv(path):
-    from .vc import HypothesisTable
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    ground = [json.loads(g) for g in rows[0]]
-    hyps = [tuple(int(v) for v in row) for row in rows[1:]]
-    return HypothesisTable(ground, hyps)

@@ -111,8 +111,8 @@ class BouquetSpace(MetricSpace):
         super().__init__()
         if w < 1:
             raise ValueError(f"need at least one loop, got w={w}")
-        if L <= 0 or h <= 0:
-            raise ValueError(f"L and h must be positive, got L={L}, h={h}")
+        if not (0 < L < math.inf and 0 < h < math.inf):  # NaN fails too
+            raise ValueError(f"L and h must be positive and finite, got L={L}, h={h}")
         if h > L / 8:
             raise ValueError(
                 f"resolution h={h} too coarse: require h <= L/8 = {L / 8} "

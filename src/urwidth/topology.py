@@ -27,14 +27,12 @@ from .spaces import BouquetSpace, GraphSpace, MetricSpace
 __all__ = [
     "SimplicialComplex",
     "BettiBoundCheck",
-    "ConvexityCheck",
     "nerve",
     "betti",
     "max_adjacency",
     "betti_bound_check",
     "graph_beta1",
     "systole",
-    "convexity_window",
     "cyclic_arc_cover",
     "vertex_star_cover",
 ]
@@ -127,12 +125,6 @@ def betti(cx: SimplicialComplex) -> tuple[int, int]:
     return beta0, beta1
 
 
-def betti2(cx: SimplicialComplex) -> int:
-    """dim ker d2 (top homology of the truncated complex); used for the
-    Euler-characteristic consistency check."""
-    return len(cx.triangles) - _f2_rank(_d2_columns(cx))
-
-
 def max_adjacency(cx: SimplicialComplex) -> int:
     """Delta0: maximum vertex degree of the nerve's 1-skeleton."""
     if not cx.vertices:
@@ -200,22 +192,6 @@ def systole(space: MetricSpace) -> float:
         finally:
             g.add_edge(u, v, **data)
     return best
-
-
-@dataclass
-class ConvexityCheck:
-    passed: bool
-    systole: float
-    d0: float
-    margin: float
-
-
-def convexity_window(space: MetricSpace, d0: float) -> ConvexityCheck:
-    """Pass iff D0 < sys/2, i.e. every diameter-D0 patch fits in a ball of
-    radius below sys/4 (balls that small are geodesically convex in these
-    spaces, so patches carry no topology)."""
-    sys_len = systole(space)
-    return ConvexityCheck(d0 < sys_len / 2, sys_len, d0, sys_len / 2 - d0)
 
 
 def cyclic_arc_cover(space: BouquetSpace, arcs_per_loop: int) -> UrysohnCovering:

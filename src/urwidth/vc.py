@@ -15,8 +15,7 @@ Two hypothesis classes are built here:
   closed intervals on [0, 1]; VC dimension 2n given a large enough grid.
 * ``patchwise_class`` -- classifiers constant on each of w designated
   safe arcs; w^w assignments, hence the log2-cardinality bound
-  w*log2(w).  Multiclass tables report that bound instead of a binary
-  VC number; a one-vs-rest indicator family is emitted for binary
+  w*log2(w).  A one-vs-rest indicator family is emitted for binary
   shattering questions.
 
 ``separation_report`` puts width brackets (from the coverings module,
@@ -64,10 +63,6 @@ class HypothesisTable:
     @property
     def binary(self) -> bool:
         return all(v in (0, 1) for h in self.hypotheses for v in h)
-
-    @property
-    def log2_cardinality(self) -> float:
-        return math.log2(len(self.hypotheses)) if self.hypotheses else 0.0
 
 
 def _columns(table: HypothesisTable) -> tuple[list[int], int]:
@@ -143,12 +138,11 @@ class PatchwiseClass:
     w: int
     cardinality: int
     log2_bound: float
-    table: HypothesisTable | None  # multiclass assignment table, w <= 6 only
-    one_vs_rest: HypothesisTable | None
+    one_vs_rest: HypothesisTable | None  # w <= 6 only
 
 
 def patchwise_class(w: int) -> PatchwiseClass:
-    """Assignments of labels [w] to w arcs; full table only for small w.
+    """Assignments of labels [w] to w arcs; indicator table only for small w.
 
     The binary ``one_vs_rest`` family holds the indicator of each label
     under every assignment, over one representative point per arc.
@@ -157,16 +151,15 @@ def patchwise_class(w: int) -> PatchwiseClass:
         raise ValueError("need at least one arc")
     bound = w * math.log2(w) if w > 1 else 0.0
     if w > 6:
-        return PatchwiseClass(w, w**w, bound, None, None)
+        return PatchwiseClass(w, w**w, bound, None)
     ground = list(range(w))
     assignments = list(product(range(1, w + 1), repeat=w))
-    table = HypothesisTable(ground, assignments)
     ovr = [
         tuple(1 if a[i] == lab else 0 for i in range(w))
         for a in assignments
         for lab in range(1, w + 1)
     ]
-    return PatchwiseClass(w, len(assignments), bound, table, HypothesisTable(ground, ovr))
+    return PatchwiseClass(w, len(assignments), bound, HypothesisTable(ground, ovr))
 
 
 @dataclass

@@ -461,6 +461,42 @@ def test_zero_trials_is_config_error(tmp_path, capsys, argv):
     assert "need at least one trial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--experiment", "sweep", "--ws", "1", "--ratios", "0.5,1.0", "--trials", "10"],
+    None,
+], ids=["sample", "run"])
+def test_sweep_rejects_w_one(tmp_path, capsys, argv):
+    if argv is None:
+        cfg = tmp_path / "w1.cfg"
+        cfg.write_text(format_config({"experiment": "sample_complexity",
+                                      **_VALID_CONFIGS["sample_complexity"], "ws": [1, 4]}))
+        argv = ["run", str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "w=1" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("intervals, needle", [
+    ("5", "got 5"),
+    ("[0.2, 0.4]", "interval 0.2 is not"),
+    ("[[0.2, null]]", "interval [0.2, None] is not"),
+], ids=["scalar", "flat_pair", "null_bound"])
+def test_problem_rejects_malformed_intervals(tmp_path, capsys, intervals, needle):
+    assert main(["problem", "--family", "interval", "--intervals", intervals,
+                 "--out", str(tmp_path)]) == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["width", "--family", "bouquet", "--d0", "inf"], "D0 must be finite"),
+    (["problem", "--family", "bouquet", "-L", "inf"], "positive and finite"),
+], ids=["d0", "L"])
+def test_infinite_inputs_are_config_errors(tmp_path, capsys, argv, needle):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_space_graph_and_interval_width(tmp_path):
     out = str(tmp_path / "g")
     assert main(["space", "--kind", "graph",
@@ -489,19 +525,6 @@ def test_problem_and_covering_text_exports(tmp_path):
     cov_text = (Path(out) / "covering.txt").read_text()
     assert "triples = 2" in cov_text
     assert "[triple 0]" in cov_text
-
-
-def test_hypothesis_table_csv_roundtrip(tmp_path):
-    from urwidth.serialize import table_from_csv, table_to_csv
-    from urwidth.vc import intervals_class, vc_dimension
-
-    table = intervals_class(1, 12)
-    path = tmp_path / "table.csv"
-    table_to_csv(path, table)
-    back = table_from_csv(path)
-    assert back.ground == table.ground
-    assert back.hypotheses == table.hypotheses
-    assert vc_dimension(back) == 2
 
 
 def test_env_var_default_output(tmp_path, monkeypatch):

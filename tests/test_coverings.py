@@ -136,9 +136,9 @@ def test_min_ball_cover_exhaustive_minimality_oracle():
     from urwidth.coverings import _candidate_balls
 
     p = bouquet_problem(2, 10.0, 1.0, 0.5)
-    d0, h = 4.0, 2 * p.space.resolution
-    cov, info = min_ball_cover(p, d0, h)
-    universe, candidates = _candidate_balls(p, d0, h, None, None)
+    d0 = 4.0
+    cov, info = min_ball_cover(p, d0)
+    universe, candidates = _candidate_balls(p, d0)
     full = (1 << len(universe)) - 1
     masks = [m for _, m in candidates]
     for size in range(1, info.size):
@@ -226,9 +226,11 @@ def test_verify_covering_connectivity_failure():
 
 
 def test_min_ball_cover_infeasible_reports_uncovered():
-    p = bouquet_problem(2, 10.0, 1.0, 0.25)
+    # on a grid of step 3 the off-grid class sample at s = 7.5 lies 1.5 from
+    # every ball centre, beyond the largest radius D0/2 = 0.75
+    p = scaled_problem(1, 2, 30.0, 1.0, 3.0)
     with pytest.raises(ValueError, match="uncovered"):
-        min_ball_cover(p, 4.0, centers=[p.space.wedge_point], radii=[0.5])
+        min_ball_cover(p, 1.5)
 
 
 def test_min_ball_cover_greedy_above_exact_limit():

@@ -9,7 +9,6 @@ from urwidth.problems import (
     bouquet_problem,
     interval_union_problem,
     permuted_problem,
-    safe_region,
     scaled_problem,
     union_problem,
     validate_margin,
@@ -129,13 +128,6 @@ def test_validate_margin_fail_names_pair():
     assert rep.worst_pair == (0, 1)
 
 
-def test_safe_region_radius_grows():
-    p = bouquet_problem(2, 10.0, 1.0, 0.25)
-    sr = safe_region(p)
-    for pieces in sr.pieces:
-        assert pieces[0].radius == pytest.approx(0.75)  # gamma/4 + gamma/2
-
-
 def test_safe_region_shrinks_to_classes_as_gamma_vanishes():
     tiny = bouquet_problem(2, 10.0, 1e-6, 0.25)
     for j in range(2):
@@ -148,32 +140,6 @@ def test_interval_safe_region_adds_grid_points():
     pos = p.regions[0].points
     # gamma/2 = 0.05 adds 5 grid points on each side
     assert len(pos_safe) == len(pos) + 10
-
-
-def test_safe_region_structure():
-    p = bouquet_problem(3, 10.0, 1.0, 0.25)
-    sr = safe_region(p)
-    assert sr.labels == [1, 2, 3]
-    assert sr.gamma == 1.0
-    assert sr.resolution == p.space.resolution
-    assert [sorted(pts) for pts in sr.points] == [
-        sorted(p.safe_points(j)) for j in range(3)
-    ]
-    # margin-invalid input is rejected
-    from urwidth.problems import ClassRegion, FamilyTag, MarginProblem, SegmentPiece
-    from urwidth.spaces import interval_space
-
-    bad = MarginProblem(
-        interval_space(11),
-        0.5,
-        [
-            ClassRegion(1, (SegmentPiece(0.0, 0.2),), [0.0, 0.2]),
-            ClassRegion(2, (SegmentPiece(0.5, 0.7),), [0.5, 0.7]),
-        ],
-        FamilyTag("custom", {}),
-    )
-    with pytest.raises(ValueError, match="margin-invalid"):
-        safe_region(bad)
 
 
 def test_safe_region_monotone_in_gamma():

@@ -10,7 +10,6 @@ from urwidth.sampling import (
     coupon_stats,
     coupon_time,
     harmonic,
-    missed_count_paths,
     permutation_learner_experiment,
     regress,
     sample_safe,
@@ -135,15 +134,10 @@ def test_threshold_sweep_small_w_crosses_early():
     assert stats.crossings[2] <= 10 / (2 * math.log(2))
 
 
-def test_success_probability_monotone_on_shared_prefix_streams():
-    # conditional success given m missed is 1/m!; on shared prefixes the
-    # missed count is nonincreasing, so per-path success never decreases
-    grid = [10, 20, 40, 80, 160]
-    paths = missed_count_paths(16, grid, trials=300, seed=19)
-    assert (np.diff(paths, axis=1) <= 0).all()
-    sucker = np.vectorize(lambda m: 1.0 / math.factorial(m))
-    probs = sucker(paths)
-    assert (np.diff(probs, axis=1) >= 0).all()
+def test_threshold_sweep_rejects_w_below_two():
+    # n/(w ln w) divides by zero at w = 1
+    with pytest.raises(ValueError, match="w=1"):
+        threshold_sweep([4, 1], [0.5, 1.0], 10, seed=0)
 
 
 def test_mean_coverage_time_dominates_under_mass_reduction():

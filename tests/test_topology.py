@@ -12,9 +12,7 @@ from urwidth.problems import bouquet_problem
 from urwidth.spaces import bouquet_space, graph_space
 from urwidth.topology import (
     betti,
-    betti2,
     betti_bound_check,
-    convexity_window,
     cyclic_arc_cover,
     graph_beta1,
     max_adjacency,
@@ -40,10 +38,8 @@ def _naive_f2_rank(rows, width):
     return rank
 
 
-def _betti_oracle(cx):
-    """Recompute (beta0, beta1) with the naive elimination."""
-    vindex = {v: i for i, v in enumerate(cx.vertices)}
-    d1 = [(1 << vindex[a]) | (1 << vindex[b]) for a, b in cx.edges]
+def _d2_oracle(cx):
+    """Columns of d2 (triangles -> edges), bit-packed, built independently."""
     eindex = {tuple(sorted(e)): i for i, e in enumerate(cx.edges)}
     d2 = []
     for a, b, c in cx.triangles:
@@ -51,8 +47,15 @@ def _betti_oracle(cx):
         for face in ((a, b), (a, c), (b, c)):
             col |= 1 << eindex[tuple(sorted(face))]
         d2.append(col)
+    return d2
+
+
+def _betti_oracle(cx):
+    """Recompute (beta0, beta1) with the naive elimination."""
+    vindex = {v: i for i, v in enumerate(cx.vertices)}
+    d1 = [(1 << vindex[a]) | (1 << vindex[b]) for a, b in cx.edges]
     r1 = _naive_f2_rank(d1, len(cx.vertices))
-    r2 = _naive_f2_rank(d2, max(1, len(cx.edges)))
+    r2 = _naive_f2_rank(_d2_oracle(cx), max(1, len(cx.edges)))
     return len(cx.vertices) - r1, len(cx.edges) - r1 - r2
 
 
@@ -125,7 +128,8 @@ def test_euler_characteristic_consistency():
         ]
         cx = SimplicialComplex(list(range(n)), edges, tris, {})
         b0, b1 = betti(cx)
-        b2 = betti2(cx)
+        # b2 = dim ker d2, the top homology of the truncated complex
+        b2 = len(cx.triangles) - _naive_f2_rank(_d2_oracle(cx), max(1, len(cx.edges)))
         chi = len(cx.vertices) - len(cx.edges) + len(cx.triangles)
         assert chi == b0 - b1 + b2
 
@@ -216,14 +220,6 @@ def test_systole_matches_cycle_enumeration_oracle():
         done += 1
         gs = graph_space([(u, v, g[u][v]["weight"]) for u, v in g.edges])
         assert systole(gs) == pytest.approx(_girth_oracle(g))
-
-
-def test_convexity_window():
-    bq = bouquet_space(1, 10.0, 0.5)
-    assert convexity_window(bq, 4.0).passed  # 4 < 5
-    assert not convexity_window(bq, 5.0).passed  # boundary
-    tri = graph_space([(0, 1), (1, 2), (2, 0)])
-    assert convexity_window(tri, 1.0).passed
 
 
 def test_cyclic_cover_on_three_loops():

@@ -131,7 +131,8 @@ def test_patchwise_class_enumeration():
     pw = patchwise_class(3)
     assert pw.cardinality == 27
     assert pw.log2_bound == pytest.approx(3 * math.log2(3))
-    assert len(pw.table.hypotheses) == 27
+    # every subset of the 3 arcs is one label's indicator under some assignment
+    assert len(pw.one_vs_rest.hypotheses) == 2**3
 
 
 def test_patchwise_class_degenerate():
@@ -149,7 +150,7 @@ def test_patchwise_one_vs_rest_shatters_representatives():
 
 def test_patchwise_large_w_reports_bound_only():
     pw = patchwise_class(8)
-    assert pw.table is None
+    assert pw.one_vs_rest is None
     assert pw.cardinality == 8**8
     assert pw.log2_bound == pytest.approx(24.0)
 
