@@ -89,7 +89,7 @@ def _dump_json(path: Path, doc) -> None:
 def _problem_from_args(args) -> object:
     family = "interval_union" if args.family == "interval" else args.family
     flags = dict(vars(args), L=args.length, R=args.radius)
-    params = {key: flags[key] for key in FAMILIES[family][1]}
+    params = {key: flags[key] for key in FAMILIES[family].params}
     if "intervals" in params:
         params["intervals"] = json.loads(params["intervals"])
     sigma = [int(x) for x in args.sigma.split(",")] if args.sigma else None
@@ -362,18 +362,15 @@ def cmd_verify(args) -> int:
 # -- experiment driver --------------------------------------------------------
 
 
-def _check_window(family: str, params: dict, d0: float) -> None:
-    window = parameter_window(family, **params)
-    if window.empty:
-        raise ValueError(f"empty locality window: {window.note}")
-    if not window.contains(d0):
-        raise ValueError(
-            f"D0 = {d0} outside the admissible window [{window.lo}, {window.hi})"
-        )
+def _check_window(family: str, cfg: dict) -> None:
+    window = parameter_window(family, **cfg)
+    if not window.contains(cfg["d0"]):  # an empty window's note names its requirement
+        raise ValueError(window.note or (
+            f"D0 = {cfg['d0']} outside the admissible window [{window.lo}, {window.hi})"))
 
 
 def _run_hierarchy(cfg, out: Path) -> tuple[int, list[str]]:
-    _check_window("bouquet", {"L": cfg["L"], "gamma": cfg["gamma"]}, cfg["d0"])
+    _check_window("bouquet", cfg)
     rows = []
     artifacts = []
     for w in cfg["ws"]:
@@ -398,8 +395,7 @@ def _run_hierarchy(cfg, out: Path) -> tuple[int, list[str]]:
 
 
 def _run_scaling(cfg, out: Path) -> tuple[int, list[str]]:
-    _check_window("scaled", {"L": cfg["L"], "gamma": cfg["gamma"], "m": cfg["m"]},
-                  cfg["d0"])
+    _check_window("scaled", cfg)
     p = scaled_problem(cfg["w"], cfg["m"], cfg["L"], cfg["gamma"], cfg["h"])
     br = width_bracket(p, cfg["d0"])
     _dump_json(out / "width_scaled.json", bracket_doc(p, br))
@@ -447,6 +443,7 @@ def _run_machine(cfg, out: Path) -> tuple[int, list[str]]:
 
 
 def _run_additivity(cfg, out: Path) -> tuple[int, list[str]]:
+    _check_window("bouquet", cfg)  # both sides are bouquets
     if cfg["separation"] <= cfg["d0"]:
         raise ValueError("separation must exceed D0 for the additivity law")
     a = bouquet_problem(cfg["w_left"], cfg["L"], cfg["gamma"], cfg["h"])
@@ -468,7 +465,7 @@ def _run_additivity(cfg, out: Path) -> tuple[int, list[str]]:
 
 
 # kind -> (runner, required fields, optional fields); each field maps to its
-# type, where [t] is a list of t.  Every kind also takes an optional "out".
+# type, where [t] is a nonempty list of t; every kind also takes an optional "out".
 _EXPERIMENTS = {
     "hierarchy": (_run_hierarchy, {"ws": [int], "L": float, "gamma": float,
                                    "d0": float, "h": float}, {}),
@@ -491,7 +488,7 @@ _EXPERIMENTS = {
 def _has_type(value, typ) -> bool:
     # an int passes as a float; a bool never passes as a number
     if isinstance(typ, list):
-        return isinstance(value, list) and all(_has_type(v, typ[0]) for v in value)
+        return isinstance(value, list) and value != [] and all(_has_type(v, typ[0]) for v in value)
     accepted = (int, float) if typ is float else typ
     return isinstance(value, accepted) and not isinstance(value, bool)
 
@@ -503,7 +500,7 @@ def _check_config(kind: str, cfg: dict) -> None:
             raise ValueError(f"config missing required field {key!r}")
     for key, typ in {**required, **optional, "out": str}.items():
         if key in cfg and not _has_type(cfg[key], typ):
-            name = f"list of {typ[0].__name__}" if isinstance(typ, list) else typ.__name__
+            name = f"nonempty list of {typ[0].__name__}" if isinstance(typ, list) else typ.__name__
             raise ValueError(f"config field {key!r} must be {name}, got {cfg[key]!r}")
 
 

@@ -31,7 +31,11 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .problems import TOL, MarginProblem, validate_margin
+import networkx as nx
+
+# Window and parameter_window are re-exported: each family's D0 window is
+# registered with the family in problems.FAMILIES
+from .problems import TOL, MarginProblem, Window, parameter_window, validate_margin
 from .spaces import MetricSpace, is_chain_connected, subset_diameter
 
 __all__ = [
@@ -210,21 +214,10 @@ def separation_certificate(problem: MarginProblem, d0: float) -> SeparationCerti
         return SeparationCertificate(
             k, d0, delta_star, table, "pairwise-separation", [[j] for j in range(k)]
         )
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j), d in table.items():
-        if d <= d0:
-            parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for j in range(k):
-        comps.setdefault(find(j), []).append(j)
-    components = sorted(comps.values())
+    reach = nx.Graph()
+    reach.add_nodes_from(range(k))
+    reach.add_edges_from(pair for pair, d in table.items() if d <= d0)
+    components = sorted(sorted(c) for c in nx.connected_components(reach))
     return SeparationCertificate(
         len(components), d0, delta_star, table, "reach-components", components
     )
@@ -425,43 +418,3 @@ def width_bracket(problem: MarginProblem, d0: float) -> WidthBracket:
             best = (cov.size, info.method, cov, cov_rep)
     ub, method, covering, cov_report = best
     return WidthBracket(sep.lb, ub, d0, covering.h, sep, covering, cov_report, method)
-
-
-@dataclass
-class Window:
-    lo: float
-    hi: float
-    note: str = ""
-
-    @property
-    def empty(self) -> bool:
-        return not self.lo < self.hi
-
-    def contains(self, d0: float) -> bool:
-        return self.lo <= d0 < self.hi
-
-
-def parameter_window(family: str, **params) -> Window:
-    """Admissible D0 interval [lo, hi) for a problem family.
-
-    bouquet: [3g/2, L/2 - 3g/4); scaled: [3g/2, min(L/(2m) - 3g/2,
-    L/4 - 3g/4)); wedge: [3g/2, pi*R - 3g/4).  An empty interval is
-    signalled explicitly via ``empty`` with a note on the requirement.
-    """
-    g = params["gamma"]
-    lo = 1.5 * g
-    if family == "bouquet":
-        L = params["L"]
-        hi = L / 2 - 0.75 * g
-        note = "" if lo < hi else f"empty window: requires L > 9*gamma/2 (L={L}, gamma={g})"
-    elif family == "scaled":
-        L, m = params["L"], params["m"]
-        hi = min(L / (2 * m) - 1.5 * g, L / 4 - 0.75 * g)
-        note = "" if lo < hi else f"empty window: loop spacing too tight (L={L}, m={m}, gamma={g})"
-    elif family == "wedge":
-        R = params["R"]
-        hi = math.pi * R - 0.75 * g
-        note = "" if lo < hi else f"empty window: requires pi*R > 9*gamma/4 (R={R}, gamma={g})"
-    else:
-        raise ValueError(f"unknown family {family!r}; expected bouquet, scaled or wedge")
-    return Window(lo, hi, note)

@@ -1,8 +1,8 @@
 """The streaming Evaluate-Detect-Construct machine.
 
 State is a frozen, growing library of local classifiers: each entry is a
-sampled geodesic ball around the point whose arrival raised the alarm,
-carrying the constant label observed there.  Detection computes the
+geodesic ball around the point whose arrival raised the alarm, carrying
+the constant label observed there.  Detection computes the
 prediction residue min_i max(0, d(x, center_i) - radius_i); at residue
 above the tolerance the machine constructs a new entry, otherwise it
 evaluates with the best-matching entry.  Entries are append-only: no
@@ -34,12 +34,11 @@ _EVAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LibraryEntry:
-    """One frozen local classifier: a constant-label sampled ball."""
+    """One frozen local classifier: a constant-label ball."""
 
     center: object
     radius: float
     label: object
-    support: tuple
     step_index: int
 
 
@@ -108,20 +107,13 @@ def alarm(state: MachineState, x) -> float:
     return _nearest(state, x)[0]
 
 
-def _sampled_ball(space: MetricSpace, center, radius: float) -> tuple:
-    support = [p for p in space.sample_set if space.dist(center, p) <= radius]
-    if center not in set(support):
-        support.append(center)
-    return tuple(support)
-
-
 def step(state: MachineState, sample: tuple) -> StepRecord:
     """One Evaluate-Detect-Construct cycle; appends to the log.
 
     Residue within tolerance: evaluate with the minimal-residue entry
     (lowest index on ties); constructed entries are constant, so the
     prediction is that entry's label.  Otherwise: construct a new entry,
-    a sampled ball of radius r_construct around the alarming point.
+    a ball of radius r_construct around the alarming point.
     """
     x, y = sample
     if state.labels is not None and y not in state.labels:
@@ -134,14 +126,7 @@ def step(state: MachineState, sample: tuple) -> StepRecord:
             index, "evaluate", x, y, residue, i, predicted, predicted == y
         )
     else:
-        entry = LibraryEntry(
-            x,
-            state.r_construct,
-            y,
-            _sampled_ball(state.space, x, state.r_construct),
-            index,
-        )
-        state.entries.append(entry)
+        state.entries.append(LibraryEntry(x, state.r_construct, y, index))
         rec = StepRecord(index, "construct", x, y, residue, len(state.entries) - 1)
     state.log.append(rec)
     return rec

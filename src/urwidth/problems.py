@@ -24,16 +24,20 @@ Families:
 * ``union_problem``      -- two problems living on a separated disjoint
   union, classes relabelled consecutively.
 
-``FAMILIES`` registers the constructors by family name, and
-``make_problem`` rebuilds any problem from its ``FamilyTag``.
+``FAMILIES`` registers every family by name: its constructor, the
+constructor's parameter names and, for the bouquet, scaled and wedge
+families, the admissible window of the locality scale D0.
+``make_problem`` rebuilds any problem from its ``FamilyTag`` and
+``parameter_window`` reads a family's window.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .spaces import (
     MetricSpace,
@@ -59,7 +63,10 @@ __all__ = [
     "validate_margin",
     "permuted_problem",
     "union_problem",
+    "Window",
+    "Family",
     "FAMILIES",
+    "parameter_window",
     "make_problem",
 ]
 
@@ -296,7 +303,7 @@ def wedge_problem(
     w: int, k: int, R: float, gamma: float, n: int = 64, seed: int = 0
 ) -> MarginProblem:
     """K = w classes on a wedge of k-spheres, one ball per antipode."""
-    if gamma <= 0 or 3 * gamma / 2 >= math.pi * R - 3 * gamma / 4:
+    if gamma <= 0 or parameter_window("wedge", R=R, gamma=gamma).empty:
         raise ValueError(
             f"gamma={gamma} too large for sphere radius R={R}: "
             "the admissible locality window is empty"
@@ -470,14 +477,75 @@ def union_problem(
     return MarginProblem(space, left.gamma, regions, tag)
 
 
-# family name -> (constructor, parameter names); a FamilyTag's params are
-# exactly the constructor's keyword arguments
+def _union_from_tags(s: float, left: dict, right: dict) -> MarginProblem:
+    """``union_problem`` of the two sides that the family tags describe."""
+    sides = []
+    for tag in (left, right):
+        if not isinstance(tag, dict) or set(tag) != {"name", "params", "sigma"}:
+            raise ValueError("a union side must be a family tag with keys name, params, sigma")
+        sides.append(make_problem(tag["name"], tag["params"], tag["sigma"]))
+    return union_problem(*sides, s)
+
+
+@dataclass
+class Window:
+    lo: float
+    hi: float
+    note: str = ""
+
+    @property
+    def empty(self) -> bool:
+        return not self.lo < self.hi
+
+    def contains(self, d0: float) -> bool:
+        return self.lo <= d0 < self.hi
+
+
+@dataclass(frozen=True)
+class Family:
+    """A registered family; a ``FamilyTag`` rebuilds as ``build(**params)``."""
+
+    build: Callable[..., MarginProblem]
+    params: tuple[str, ...]  # exactly the keyword arguments of ``build``
+    # upper end of the D0 window, a function of the params it names, and the
+    # requirement an empty window reports; the lower end is always 3*gamma/2
+    window_hi: Callable[..., float] | None = None
+    window_needs: str = ""
+
+
 FAMILIES = {
-    "bouquet": (bouquet_problem, ("w", "L", "gamma", "h")),
-    "scaled": (scaled_problem, ("w", "m", "L", "gamma", "h")),
-    "wedge": (wedge_problem, ("w", "k", "R", "gamma", "n", "seed")),
-    "interval_union": (interval_union_problem, ("intervals", "gamma", "n_pts")),
+    "bouquet": Family(bouquet_problem, ("w", "L", "gamma", "h"),
+                      lambda L, gamma: L / 2 - 0.75 * gamma,
+                      "requires L > 9*gamma/2"),
+    "scaled": Family(scaled_problem, ("w", "m", "L", "gamma", "h"),
+                     lambda L, m, gamma: min(L / (2 * m) - 1.5 * gamma, L / 4 - 0.75 * gamma),
+                     "loop spacing too tight"),
+    "wedge": Family(wedge_problem, ("w", "k", "R", "gamma", "n", "seed"),
+                    lambda R, gamma: math.pi * R - 0.75 * gamma,
+                    "requires pi*R > 9*gamma/4"),
+    "interval_union": Family(interval_union_problem, ("intervals", "gamma", "n_pts")),
+    "union": Family(_union_from_tags, ("s", "left", "right")),
 }
+
+
+def parameter_window(family: str, /, **params) -> Window:
+    """Admissible D0 interval [lo, hi) for a problem family.
+
+    bouquet: [3g/2, L/2 - 3g/4); scaled: [3g/2, min(L/(2m) - 3g/2,
+    L/4 - 3g/4)); wedge: [3g/2, pi*R - 3g/4).  Only the parameters the
+    window reads are needed, others are ignored.  An empty interval is
+    signalled explicitly via ``empty`` with a note on the requirement.
+    """
+    fam = FAMILIES.get(family)
+    if fam is None or fam.window_hi is None:
+        windowed = [name for name, f in FAMILIES.items() if f.window_hi]
+        raise ValueError(f"family {family!r} has no D0 window; expected one of {windowed}")
+    args = {name: params[name] for name in inspect.signature(fam.window_hi).parameters}
+    lo, hi = 1.5 * args["gamma"], fam.window_hi(**args)
+    if lo < hi:
+        return Window(lo, hi)
+    shown = ", ".join(f"{name}={value}" for name, value in args.items())
+    return Window(lo, hi, f"empty window: {fam.window_needs} ({shown})")
 
 
 def make_problem(name: str, params: dict, sigma: Sequence[int] | None = None) -> MarginProblem:
@@ -488,24 +556,11 @@ def make_problem(name: str, params: dict, sigma: Sequence[int] | None = None) ->
     sigma) and rebuilds both sides first.  A nonempty ``sigma`` relabels
     the result.  Raises ValueError on anything it cannot rebuild exactly.
     """
-    if name == "union":
-        names = ("s", "left", "right")
-    elif name in FAMILIES:
-        names = FAMILIES[name][1]
-    else:
+    if name not in FAMILIES:
         raise ValueError(f"unknown problem family {name!r}")
+    names = FAMILIES[name].params
     if not isinstance(params, dict) or set(params) != set(names):
         got = sorted(params) if isinstance(params, dict) else type(params).__name__
         raise ValueError(f"family {name!r} takes parameters {sorted(names)}, got {got}")
-    if name == "union":
-        left, right = (_make_side(params[side]) for side in ("left", "right"))
-        p = union_problem(left, right, params["s"])
-    else:
-        p = FAMILIES[name][0](**params)
+    p = FAMILIES[name].build(**params)
     return permuted_problem(p, sigma) if sigma else p
-
-
-def _make_side(tag) -> MarginProblem:
-    if not isinstance(tag, dict) or set(tag) != {"name", "params", "sigma"}:
-        raise ValueError("a union side must be a family tag with keys name, params, sigma")
-    return make_problem(tag["name"], tag["params"], tag["sigma"])

@@ -163,8 +163,8 @@ class WedgeSphereSpace(MetricSpace):
         super().__init__()
         if w < 1 or k < 1:
             raise ValueError(f"need w >= 1 and k >= 1, got w={w}, k={k}")
-        if R <= 0:
-            raise ValueError(f"radius must be positive, got R={R}")
+        if not 0 < R < math.inf:  # NaN fails too
+            raise ValueError(f"radius must be positive and finite, got R={R}")
         if n < 16:
             raise ValueError(f"need n >= 16 samples per sphere, got n={n}")
         self.w = w

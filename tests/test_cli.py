@@ -73,8 +73,8 @@ def test_build_problem_roundtrip():
         wedge_problem,
     )
 
-    for ctor, names in FAMILIES.values():
-        assert tuple(inspect.signature(ctor).parameters) == names
+    for family in FAMILIES.values():
+        assert tuple(inspect.signature(family.build).parameters) == family.params
     a = permuted_problem(bouquet_problem(3, 10.0, 1.0, 0.5), (2, 3, 1))
     b = scaled_problem(2, 2, 40.0, 1.0, 0.5)
     problems = [
@@ -257,6 +257,18 @@ def test_run_additivity(tmp_path):
     assert doc["additive"] is True
 
 
+def test_run_additivity_outside_window_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "add.cfg"
+    cfg.write_text(
+        "experiment = \"additivity\"\nw_left = 1\nw_right = 1\nL = 10.0\n"
+        "gamma = 1.0\nd0 = 1.0\nh = 0.5\nseparation = 100.0\n"  # window is [1.5, 4.25)
+    )
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "outside the admissible window" in capsys.readouterr().err
+    assert not list(out.glob("width_*.json"))
+
+
 def test_machine_stream_file_roundtrip(tmp_path):
     import csv
 
@@ -350,10 +362,11 @@ _VALID_CONFIGS = {
 
 
 @pytest.mark.parametrize("kind, missing, wrong", [
-    ("hierarchy", "d0", [("ws", 3), ("ws", [1, "2"])]),
+    ("hierarchy", "d0", [("ws", 3), ("ws", [1, "2"]), ("ws", [])]),
     ("scaling", "m", [("w", 2.5)]),
     ("vc_separation", "n_max", [("n_max", True)]),
-    ("sample_complexity", "seed", [("coupon_trials", "many"), ("ratios", [1.0, True])]),
+    ("sample_complexity", "seed", [("coupon_trials", "many"), ("ratios", [1.0, True]),
+                                   ("ratios", [])]),
     ("nerve_betti", "arcs", [("arcs", "six")]),
     ("machine_run", "r_construct", [("seed", 4.0)]),
     ("additivity", "separation", [("L", None)]),
@@ -491,7 +504,9 @@ def test_problem_rejects_malformed_intervals(tmp_path, capsys, intervals, needle
 @pytest.mark.parametrize("argv, needle", [
     (["width", "--family", "bouquet", "--d0", "inf"], "D0 must be finite"),
     (["problem", "--family", "bouquet", "-L", "inf"], "positive and finite"),
-], ids=["d0", "L"])
+    (["problem", "--family", "wedge", "-R", "inf"], "positive and finite"),
+    (["space", "--kind", "wedge", "-R", "nan"], "positive and finite"),
+], ids=["d0", "L", "wedge_R_inf", "wedge_R_nan"])
 def test_infinite_inputs_are_config_errors(tmp_path, capsys, argv, needle):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert needle in capsys.readouterr().err

@@ -4,10 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urwidth.problems import (
     bouquet_problem,
     interval_union_problem,
+    parameter_window,
     permuted_problem,
     scaled_problem,
     union_problem,
@@ -197,6 +200,16 @@ def test_wedge_problem_margin():
 
     assert rep.min_pair == pytest.approx(2 * math.pi * 2 - 0.5)
     assert rep.strict_pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(R=st.floats(1e-3, 10.0), gamma=st.floats(1e-3, 10.0))
+def test_wedge_problem_refuses_exactly_the_empty_window(R, gamma):
+    if parameter_window("wedge", R=R, gamma=gamma).empty:
+        with pytest.raises(ValueError, match="locality window is empty"):
+            wedge_problem(2, 2, R, gamma, n=16)
+    else:
+        assert wedge_problem(2, 2, R, gamma, n=16).gamma == gamma
 
 
 def test_union_problem_relabels_and_separates():
