@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import networkx as nx
+import numpy as np
 
 # Window and parameter_window are re-exported: each family's D0 window is
 # registered with the family in problems.FAMILIES
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 EXACT_LIMIT = 24  # most safe samples searched by exact dynamic programming
+BLOCK = 64  # pool rows per distance matrix: peak memory is BLOCK x pool floats
 
 
 @dataclass
@@ -236,7 +238,11 @@ def _candidate_balls(problem, d0):
     """Geodesic-ball candidates: (support, safe coverage mask), deduplicated.
 
     Centres are the sample points and radii run up the half-resolution
-    ladder to D0/2; a candidate must be chain-connected at the default step.
+    ladder to D0/2; a candidate must be chain-connected at the default step
+    and of diameter <= D0.  A centre's balls are the prefixes of its pool
+    points sorted by distance, so each radius adds only its new points to
+    the coverage mask and to a union-find over the step graph.  Supports
+    list their points in pool order.
     """
     space = problem.space
     h = default_step(space)
@@ -248,29 +254,58 @@ def _candidate_balls(problem, d0):
             pool.append(x)
             known.add(x)
     bit = {x: i for i, (_, x) in enumerate(universe)}
+    pool_bits = [1 << bit[x] if x in bit else 0 for x in pool]
     step = space.resolution / 2
     radii = [step * i for i in range(1, int(math.floor(d0 / 2 / step + TOL)) + 1)]
     if not radii or radii[-1] < d0 / 2 - TOL:
         radii.append(d0 / 2)
+    bounds = np.array([r + TOL for r in radii])
+    # the step graph is undirected: every metric here is symmetric bit for bit
+    nbrs = []
+    for start in range(0, len(pool), BLOCK):
+        nbrs.extend(
+            np.flatnonzero(row <= h).tolist()
+            for row in space.dists(pool[start : start + BLOCK], pool)
+        )
     candidates = []
-    seen_masks = {}
-    for c in space.sample_set:
-        dists = [(space.dist(c, x), x) for x in pool]
-        for r in radii:
-            support = [x for d, x in dists if d <= r + TOL]
-            mask = 0
-            for x in support:
-                i = bit.get(x)
-                if i is not None:
-                    mask |= 1 << i
-            if mask == 0 or mask in seen_masks:
-                continue
-            if subset_diameter(space, support) > d0 + TOL:
-                continue
-            if not is_chain_connected(space, support, h):
-                continue
-            seen_masks[mask] = True
-            candidates.append((support, mask))
+    seen_masks = set()
+    n_centres = len(space.sample_set)
+    for start in range(0, n_centres, BLOCK):
+        for row in space.dists(pool[start : min(start + BLOCK, n_centres)], pool):
+            near = np.flatnonzero(row <= bounds[-1])
+            near = near[np.argsort(row[near], kind="stable")]
+            d_sorted = row[near]
+            ends = np.searchsorted(d_sorted, bounds, side="right").tolist()
+            near = near.tolist()
+            parent = {}  # union-find over the first ``joined`` points of the ball
+            components = mask = size = joined = 0
+            for end in ends:
+                for k in near[size:end]:
+                    mask |= pool_bits[k]
+                size = end
+                if mask == 0 or mask in seen_masks:
+                    continue
+                for k in near[joined:size]:
+                    parent[k] = k  # k stays the root of every set it joins
+                    components += 1
+                    for j in nbrs[k]:
+                        if j in parent:
+                            while parent[j] != j:
+                                parent[j] = j = parent[parent[j]]  # path halving
+                            if j != k:
+                                parent[j] = k
+                                components -= 1
+                joined = size
+                if components != 1:
+                    continue
+                support = [pool[k] for k in sorted(near[:size])]
+                # the triangle inequality bounds the diameter by twice the
+                # farthest point's distance; only a ball reaching past D0/2,
+                # inside the TOL slack, needs its exact diameter
+                if 2 * d_sorted[size - 1] > d0 and space.dists(support, support).max() > d0 + TOL:
+                    continue
+                seen_masks.add(mask)
+                candidates.append((support, mask))
     return universe, candidates
 
 

@@ -278,7 +278,9 @@ def scaled_problem(w: int, m: int, L: float, gamma: float, h: float) -> MarginPr
     """K = w*m classes: m balls per loop on the far semicircle."""
     if m < 1 or w < 1:
         raise ValueError(f"need w, m >= 1, got w={w}, m={m}")
-    if gamma <= 0 or L / m <= 3 * gamma:
+    if not gamma > 0:  # NaN fails too
+        raise ValueError(f"gamma must be positive, got gamma={gamma}")
+    if L / m <= 3 * gamma:
         raise ValueError(
             f"spacing constraint violated: need L/m > 3*gamma, "
             f"got L/m = {L / m} vs 3*gamma = {3 * gamma}"
@@ -303,12 +305,14 @@ def wedge_problem(
     w: int, k: int, R: float, gamma: float, n: int = 64, seed: int = 0
 ) -> MarginProblem:
     """K = w classes on a wedge of k-spheres, one ball per antipode."""
-    if gamma <= 0 or parameter_window("wedge", R=R, gamma=gamma).empty:
+    space = wedge_sphere_space(w, k, R, n=n, seed=seed)  # names a bad R first
+    if not gamma > 0:  # NaN fails too
+        raise ValueError(f"gamma must be positive, got gamma={gamma}")
+    if parameter_window("wedge", R=R, gamma=gamma).empty:
         raise ValueError(
             f"gamma={gamma} too large for sphere radius R={R}: "
             "the admissible locality window is empty"
         )
-    space = wedge_sphere_space(w, k, R, n=n, seed=seed)
     regions = [
         _ball_region(space, j, space.antipode(j), gamma / 4) for j in range(1, w + 1)
     ]
@@ -331,7 +335,7 @@ def interval_union_problem(
     at distance > gamma from them, pulled back by one grid step so the
     pairwise margin is strictly greater than gamma even on aligned grids.
     """
-    if gamma <= 0:
+    if not gamma > 0:  # NaN fails too
         raise ValueError("gamma must be positive")
     if not isinstance(intervals, (list, tuple)):
         raise ValueError(f"intervals must be a list of [lo, hi] pairs, got {intervals!r}")

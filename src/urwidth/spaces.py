@@ -95,6 +95,18 @@ class MetricSpace:
     def dist(self, p, q) -> float:
         raise NotImplementedError
 
+    def dists(self, ps: Sequence, qs: Sequence) -> np.ndarray:
+        """The ``len(ps) x len(qs)`` matrix of ``dist(p, q)``, bit for bit.
+
+        This base version loops over the scalar ``dist``; spaces with a
+        closed form override it with array arithmetic in the same order.
+        """
+        out = np.empty((len(ps), len(qs)))
+        for i, p in enumerate(ps):
+            for j, q in enumerate(qs):
+                out[i, j] = self.dist(p, q)
+        return out
+
     def diameter(self) -> float:
         """Max pairwise distance over the sample set."""
         return subset_diameter(self, self.sample_set)
@@ -151,6 +163,17 @@ class BouquetSpace(MetricSpace):
             return min(a, self.L - a)
         # cross-loop paths run through the wedge point
         return min(p.s, self.L - p.s) + min(q.s, self.L - q.s)
+
+    def dists(self, ps: Sequence[BouquetPoint], qs: Sequence[BouquetPoint]) -> np.ndarray:
+        lp = np.array([p.loop for p in ps], dtype=int)
+        lq = np.array([q.loop for q in qs], dtype=int)
+        sp = np.array([p.s for p in ps], dtype=float)
+        sq = np.array([q.s for q in qs], dtype=float)
+        out = np.abs(sp[:, None] - sq[None, :])
+        np.minimum(out, self.L - out, out=out)
+        cross = np.minimum(sp, self.L - sp)[:, None] + np.minimum(sq, self.L - sq)[None, :]
+        np.copyto(out, cross, where=lp[:, None] != lq[None, :])
+        return out
 
     def describe(self) -> dict:
         return {"kind": self.kind, "w": self.w, "L": self.L, "h": self.h}
@@ -250,6 +273,9 @@ class IntervalSpace(MetricSpace):
 
     def dist(self, p: float, q: float) -> float:
         return abs(p - q)
+
+    def dists(self, ps: Sequence[float], qs: Sequence[float]) -> np.ndarray:
+        return np.abs(np.array(ps, dtype=float)[:, None] - np.array(qs, dtype=float)[None, :])
 
     def describe(self) -> dict:
         return {"kind": self.kind, "n": self.n}

@@ -506,7 +506,13 @@ def test_problem_rejects_malformed_intervals(tmp_path, capsys, intervals, needle
     (["problem", "--family", "bouquet", "-L", "inf"], "positive and finite"),
     (["problem", "--family", "wedge", "-R", "inf"], "positive and finite"),
     (["space", "--kind", "wedge", "-R", "nan"], "positive and finite"),
-], ids=["d0", "L", "wedge_R_inf", "wedge_R_nan"])
+    # NaN fails every comparison, so each check must be written to refuse it
+    (["problem", "--family", "wedge", "-R", "nan"], "positive and finite"),
+    (["problem", "--family", "scaled", "--w", "2", "--m", "2", "-L", "40",
+      "--gamma", "nan"], "gamma must be positive"),
+    (["problem", "--family", "interval", "--gamma", "nan"], "gamma must be positive"),
+], ids=["d0", "L", "wedge_R_inf", "wedge_R_nan", "wedge_problem_R_nan",
+        "scaled_gamma_nan", "interval_gamma_nan"])
 def test_infinite_inputs_are_config_errors(tmp_path, capsys, argv, needle):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert needle in capsys.readouterr().err

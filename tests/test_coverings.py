@@ -7,7 +7,10 @@ import random
 import pytest
 
 from urwidth.coverings import (
+    TOL,
+    _candidate_balls,
     canonical_covering,
+    default_step,
     min_ball_cover,
     parameter_window,
     separation_certificate,
@@ -21,6 +24,7 @@ from urwidth.problems import (
     union_problem,
     wedge_problem,
 )
+from urwidth.spaces import is_chain_connected, subset_diameter
 
 
 def test_canonical_bouquet_covering_passes_all_conditions():
@@ -295,3 +299,81 @@ def test_bracket_soundness_recheck():
     assert again.lb == br.lb
     assert again.delta_star > br.d0
     assert verify_covering(p, br.covering).passed
+
+
+def _scalar_candidate_balls(problem, d0):
+    """Reference search: every ball filtered from the whole pool, one scalar
+    distance at a time, with diameter and chain connectivity re-derived."""
+    space = problem.space
+    h = default_step(space)
+    universe = problem.all_safe_points()
+    pool = list(space.sample_set)
+    known = set(pool)
+    for _, x in universe:
+        if x not in known:
+            pool.append(x)
+            known.add(x)
+    bit = {x: i for i, (_, x) in enumerate(universe)}
+    step = space.resolution / 2
+    radii = [step * i for i in range(1, int(math.floor(d0 / 2 / step + TOL)) + 1)]
+    if not radii or radii[-1] < d0 / 2 - TOL:
+        radii.append(d0 / 2)
+    candidates = []
+    seen_masks = set()
+    for c in space.sample_set:
+        dists = [(space.dist(c, x), x) for x in pool]
+        for r in radii:
+            support = [x for d, x in dists if d <= r + TOL]
+            mask = 0
+            for x in support:
+                i = bit.get(x)
+                if i is not None:
+                    mask |= 1 << i
+            if mask == 0 or mask in seen_masks:
+                continue
+            if subset_diameter(space, support) > d0 + TOL:
+                continue
+            if not is_chain_connected(space, support, h):
+                continue
+            seen_masks.add(mask)
+            candidates.append((support, mask))
+    return universe, candidates
+
+
+def _golden_instances():
+    rng = random.Random(8)
+    out = []
+    for _ in range(4):
+        w, L = rng.randint(1, 5), rng.uniform(8.0, 14.0)
+        gamma = rng.uniform(L / 15, L / 10)
+        p = bouquet_problem(w, L, gamma, L / rng.randint(16, 40))
+        out.append((p, rng.uniform(0.5, 4.0)))
+    for _ in range(2):
+        w, m = rng.randint(1, 3), rng.randint(2, 3)
+        p = scaled_problem(w, m, 30.0, 1.0, rng.choice([0.5, 1.0]))
+        out.append((p, rng.uniform(1.0, 4.0)))
+    for _ in range(2):
+        a = rng.uniform(0.1, 0.4)
+        p = interval_union_problem([(a, a + 0.1), (a + 0.3, a + 0.45)], 0.1, rng.randint(21, 61))
+        out.append((p, rng.uniform(0.05, 0.6)))
+    left = bouquet_problem(2, 10.0, 1.0, 0.5)
+    out.append((union_problem(left, bouquet_problem(1, 10.0, 1.0, 1.0), 3.0), 2.5))
+    # D0/2 sits 0.75e-9 below the grid distance 2.0, inside the TOL slack:
+    # the ball of radius D0/2 about the wedge point takes points 2.0 out on
+    # every loop, so the triangle bound fails and the exact diameter,
+    # 4.0 > D0 + TOL, rejects it
+    out.append((bouquet_problem(3, 10.0, 1.0, 0.5), 4.0 - 1.5e-9))
+    out.append((bouquet_problem(12, 10.0, 1.0, 0.1), 4.0))
+    return [pytest.param(p, d0, id=f"{p.family.name}-{i}") for i, (p, d0) in enumerate(out)]
+
+
+@pytest.mark.parametrize("problem, d0", _golden_instances())
+def test_candidate_balls_match_scalar_reference(problem, d0):
+    assert _candidate_balls(problem, d0) == _scalar_candidate_balls(problem, d0)
+
+
+def test_bouquet_w12_cover_size():
+    # the same instance as the last golden case, which checks its candidates
+    _, info = min_ball_cover(bouquet_problem(12, 10.0, 1.0, 0.1), 4.0)
+    assert (info.universe, info.n_candidates) == (180, 936)
+    assert (info.method, info.size) == ("greedy", 12)

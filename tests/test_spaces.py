@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from urwidth.spaces import (
     bouquet_space,
@@ -227,3 +229,50 @@ def test_metric_axioms_on_random_triples(make):
         else:
             assert dpq > 0.0
         assert dpq <= sp.dist(p, r) + sp.dist(r, q) + 1e-12
+
+
+_BOUQUET = bouquet_space(3, 10.0, 0.5)
+_KERNEL_SPACES = {
+    "bouquet": _BOUQUET,
+    "interval": interval_space(21),
+    "union": disjoint_union(_BOUQUET, bouquet_space(2, 7.0, 0.25), 2.5),
+    "wedge": wedge_sphere_space(2, 2, 1.5, n=16, seed=3),
+    "graph": graph_space([("a", "b", 0.3), ("b", "c", 1.7), ("c", "a", 0.9), ("c", "d", 2.2)]),
+}
+
+
+def _bouquet_points(sp):
+    # arc 0 is the wedge point on every loop, L/2 the loop's antipode
+    arc = st.one_of(st.just(0.0), st.just(sp.L / 2), st.floats(0.0, sp.L, exclude_max=True))
+    return st.builds(sp.point, st.integers(1, sp.w), arc)
+
+
+def _kernel_points(name):
+    sp = _KERNEL_SPACES[name]
+    if name == "bouquet":
+        pt = _bouquet_points(sp)
+    elif name == "interval":
+        pt = st.floats(0.0, 1.0)
+    elif name == "union":
+        pt = st.one_of(
+            st.builds(sp.point, st.just(0), _bouquet_points(sp.left)),
+            st.builds(sp.point, st.just(1), _bouquet_points(sp.right)),
+        )
+    else:  # wedge and graph, like union, use the base-class loop over ``dist``
+        pt = st.sampled_from(sp.sample_set)
+    return st.lists(pt, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_KERNEL_SPACES)).flatmap(
+    lambda name: st.tuples(st.just(name), _kernel_points(name), _kernel_points(name))))
+@example(("union", [], [(1, _KERNEL_SPACES["union"].right.wedge_point)]))
+@example(("wedge", _KERNEL_SPACES["wedge"].sample_set[:2], []))
+def test_dists_matrix_equals_scalar_dist(case):
+    name, ps, qs = case
+    sp = _KERNEL_SPACES[name]
+    got = sp.dists(ps, qs)
+    assert got.shape == (len(ps), len(qs))
+    for i, p in enumerate(ps):
+        for j, q in enumerate(qs):
+            assert got[i, j] == sp.dist(p, q)  # bit for bit, not approximately
