@@ -81,8 +81,10 @@ def machine_new(
     Constructed balls must respect the locality scale, hence the
     requirement 0 < 2*r_construct <= D0.
     """
-    if tau < 0:
-        raise ValueError(f"tolerance must be nonnegative, got tau={tau}")
+    if not 0 <= tau < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be nonnegative and finite, got tau={tau}")
+    if not math.isfinite(d0):
+        raise ValueError(f"D0 must be finite, got D0={d0}")
     if not 0 < 2 * r_construct <= d0:
         raise ValueError(
             f"need 0 < 2*r_construct <= D0, got r_construct={r_construct}, D0={d0}"

@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .spaces import (
     MetricSpace,
     bouquet_space,
@@ -112,6 +114,29 @@ def piece_point_dist(space: MetricSpace, piece, x) -> float:
         return max(0.0, space.dist(piece.center, x) - piece.radius)
     if isinstance(piece, SegmentPiece):
         return max(piece.lo - x, x - piece.hi, 0.0)
+    raise TypeError(f"unknown piece type {type(piece).__name__}")
+
+
+def piece_dists(space: MetricSpace, piece, pts: Sequence) -> np.ndarray:
+    """``piece_point_dist`` for every point of ``pts``, bit for bit."""
+    if isinstance(piece, LiftedPiece):
+        comp = (space.left, space.right)[piece.side]
+        sides = np.array([side for side, _ in pts], dtype=int)
+        out = np.empty(len(pts))
+        for side, own in enumerate((space.left, space.right)):
+            idx = np.flatnonzero(sides == side)
+            inner = [pts[i][1] for i in idx]
+            if side == piece.side:
+                out[idx] = piece_dists(comp, piece.piece, inner)
+            else:
+                bridge = space.s + own.dists(inner, [space.anchors[side]])[:, 0]
+                out[idx] = bridge + piece_point_dist(comp, piece.piece, space.anchors[piece.side])
+        return out
+    if isinstance(piece, BallPiece):
+        return np.maximum(0.0, space.dists([piece.center], pts)[0] - piece.radius)
+    if isinstance(piece, SegmentPiece):
+        x = np.array(pts, dtype=float)
+        return np.maximum(np.maximum(piece.lo - x, x - piece.hi), 0.0)
     raise TypeError(f"unknown piece type {type(piece).__name__}")
 
 
@@ -199,7 +224,11 @@ class MarginProblem:
     def safe_points(self, j: int) -> list:
         """Sampled safe set of class slot ``j``; class samples always included."""
         if j not in self._safe_cache:
-            pts = [x for x in self.space.sample_set if self.is_safe(j, x)]
+            sample = self.space.sample_set
+            gap = np.minimum.reduce(
+                [piece_dists(self.space, pc, sample) for pc in self.regions[j].pieces]
+            )
+            pts = [sample[i] for i in np.flatnonzero(gap <= self.gamma / 2 + TOL)]
             have = set(pts)
             for extra in self.regions[j].points:
                 if extra not in have:
@@ -228,14 +257,11 @@ class MarginReport:
 def _sampled_members(space: MetricSpace, pieces, reps) -> list:
     """Grid points inside the pieces; a piece with no grid member gets its
     analytic representative appended so every class stays nonempty."""
-    pts = [
-        x
-        for x in space.sample_set
-        if min(piece_point_dist(space, pc, x) for pc in pieces) <= TOL
-    ]
+    rows = [piece_dists(space, pc, space.sample_set) for pc in pieces]
+    pts = [space.sample_set[i] for i in np.flatnonzero(np.minimum.reduce(rows) <= TOL)]
     have = set(pts)
-    for pc, rep in zip(pieces, reps):
-        if all(piece_point_dist(space, pc, x) > TOL for x in pts) and rep not in have:
+    for row, rep in zip(rows, reps):
+        if not (row <= TOL).any() and rep not in have:
             pts.append(rep)
             have.add(rep)
     return pts

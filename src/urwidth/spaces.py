@@ -70,6 +70,16 @@ class SpherePoint(NamedTuple):
     u: tuple
 
 
+# Screening slack, in radians, of ``WedgeSphereSpace._fill_resolution``.
+# Its numpy angles and the scalar ``_unit_angle`` both err from the true
+# angle by a few ulps of pi, about 1e-15; a column whose numpy angle lies
+# more than 1e-9 above its row's minimum cannot be the scalar nearest
+# neighbour.  Rows are screened SCREEN_BLOCK at a time, so the temporaries
+# hold SCREEN_BLOCK x group x (k + 1) floats, not group^2 x (k + 1).
+SCREEN_SLACK = 1e-9
+SCREEN_BLOCK = 64
+
+
 def _unit_angle(u: Sequence[float], v: Sequence[float]) -> float:
     # Kahan's formula: stable at both the parallel and antipodal ends,
     # unlike arccos of the dot product.
@@ -213,13 +223,26 @@ class WedgeSphereSpace(MetricSpace):
 
     def _fill_resolution(self) -> float:
         # max nearest-neighbour spacing within any one sphere's samples;
-        # chain connectivity at 2x this step links every sampled patch
+        # chain connectivity at 2x this step links every sampled patch.
+        # Numpy angles screen each row for the columns near its minimum and
+        # the scalar ``dist`` picks the winner among them, so the value
+        # equals the all-pairs loop over ``q != p`` bit for bit.
         worst = 0.0
         for sphere in range(1, self.w + 1):
             group = [p for p in self.sample_set if p.sphere in (0, sphere)]
-            for p in group:
-                nn = min(self.dist(p, q) for q in group if q != p)
-                worst = max(worst, nn)
+            tags = np.array([p.sphere for p in group])
+            dirs = np.array([p.u for p in group]).T.copy()  # one contiguous row per axis
+            for lo in range(0, len(group), SCREEN_BLOCK):
+                u, v = dirs[:, lo : lo + SCREEN_BLOCK, None], dirs[:, None, :]
+                angle = 2.0 * np.arctan2(
+                    np.sqrt(((u - v) ** 2).sum(axis=0)), np.sqrt(((u + v) ** 2).sum(axis=0))
+                )
+                same = (tags[lo : lo + SCREEN_BLOCK, None] == tags) & (u == v).all(axis=0)
+                angle[same] = np.inf  # every q == p, not only the diagonal
+                near = angle <= angle.min(axis=1, keepdims=True) + SCREEN_SLACK
+                for i, row in enumerate(near, lo):
+                    nn = min(self.dist(group[i], group[j]) for j in np.flatnonzero(row))
+                    worst = max(worst, nn)
         return worst
 
     def point(self, sphere: int, u: Sequence[float]) -> SpherePoint:
@@ -344,8 +367,8 @@ class DisjointUnionSpace(MetricSpace):
 
     def __init__(self, left: MetricSpace, right: MetricSpace, s: float):
         super().__init__()
-        if s <= 0:
-            raise ValueError(f"separation must be positive, got s={s}")
+        if not 0 < s < math.inf:  # NaN fails too
+            raise ValueError(f"separation must be positive and finite, got s={s}")
         self.left = left
         self.right = right
         self.s = float(s)

@@ -269,6 +269,17 @@ def test_run_additivity_outside_window_is_config_error(tmp_path, capsys):
     assert not list(out.glob("width_*.json"))
 
 
+@pytest.mark.parametrize("separation", [math.inf, math.nan], ids=["inf", "nan"])
+def test_run_additivity_rejects_non_finite_separation(tmp_path, capsys, separation):
+    cfg = tmp_path / "add.cfg"
+    cfg.write_text(format_config({"experiment": "additivity", **_VALID_CONFIGS["additivity"],
+                                  "separation": separation}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "separation must be positive and finite" in capsys.readouterr().err
+    assert not list(out.glob("width_*.json"))
+
+
 def test_machine_stream_file_roundtrip(tmp_path):
     import csv
 
@@ -511,11 +522,29 @@ def test_problem_rejects_malformed_intervals(tmp_path, capsys, intervals, needle
     (["problem", "--family", "scaled", "--w", "2", "--m", "2", "-L", "40",
       "--gamma", "nan"], "gamma must be positive"),
     (["problem", "--family", "interval", "--gamma", "nan"], "gamma must be positive"),
+    (["machine", "--family", "bouquet", "--w", "2", "--tau", "nan", "--d0", "4",
+      "--r-construct", "1", "--steps", "50"], "tolerance must be nonnegative and finite"),
+    (["machine", "--family", "bouquet", "--w", "2", "--tau", "inf", "--d0", "4",
+      "--r-construct", "1", "--steps", "50"], "tolerance must be nonnegative and finite"),
+    (["machine", "--family", "bouquet", "--w", "2", "--d0", "inf", "--r-construct", "1",
+      "--steps", "50"], "D0 must be finite"),
+    # a dict is a ``run`` config
+    ({"experiment": "machine_run", **_VALID_CONFIGS["machine_run"], "tau": math.nan},
+     "tolerance must be nonnegative and finite"),
+    ({"experiment": "machine_run", **_VALID_CONFIGS["machine_run"], "d0": math.inf},
+     "D0 must be finite"),
 ], ids=["d0", "L", "wedge_R_inf", "wedge_R_nan", "wedge_problem_R_nan",
-        "scaled_gamma_nan", "interval_gamma_nan"])
+        "scaled_gamma_nan", "interval_gamma_nan", "machine_tau_nan", "machine_tau_inf",
+        "machine_d0_inf", "run_machine_tau_nan", "run_machine_d0_inf"])
 def test_infinite_inputs_are_config_errors(tmp_path, capsys, argv, needle):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    if isinstance(argv, dict):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(format_config(argv))
+        argv = ["run", str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
     assert needle in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
 
 
 def test_space_graph_and_interval_width(tmp_path):

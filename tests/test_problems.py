@@ -3,15 +3,23 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urwidth.problems import (
+    FAMILIES,
+    TOL,
+    BallPiece,
+    LiftedPiece,
     bouquet_problem,
     interval_union_problem,
+    make_problem,
     parameter_window,
     permuted_problem,
+    piece_dists,
+    piece_point_dist,
     scaled_problem,
     union_problem,
     validate_margin,
@@ -223,3 +231,88 @@ def test_union_problem_relabels_and_separates():
     for (i, j), d in rep.pair_table.items():
         if i < 2 <= j:
             assert d >= 100.0
+
+
+# one instance per registered family; the unions mix bouquet, wedge and
+# interval sides so lifted pieces meet points of both sides
+_BOUQUET_TAG = {"name": "bouquet", "params": {"w": 2, "L": 10.0, "gamma": 0.5, "h": 0.5},
+                "sigma": None}
+_MEMBERSHIP_PROBLEMS = {
+    "bouquet": make_problem("bouquet", {"w": 3, "L": 10.0, "gamma": 1.0, "h": 0.25}),
+    "scaled": make_problem("scaled", {"w": 2, "m": 3, "L": 40.0, "gamma": 1.0, "h": 0.5}),
+    "wedge": make_problem("wedge", {"w": 2, "k": 2, "R": 2.0, "gamma": 0.5, "n": 40,
+                                    "seed": 3}),
+    # the first interval holds no grid point, so its midpoint is appended
+    "interval_union": make_problem("interval_union", {
+        "intervals": [[0.101, 0.102], [0.4, 0.6]], "gamma": 0.05, "n_pts": 11}),
+    "union": make_problem("union", {
+        "s": 6.0, "left": _BOUQUET_TAG,
+        "right": {"name": "wedge", "params": {"w": 1, "k": 1, "R": 1.5, "gamma": 0.5,
+                                              "n": 24, "seed": 2}, "sigma": None}}),
+    "union_interval": union_problem(
+        interval_union_problem([(0.2, 0.5)], 0.1, 31), bouquet_problem(2, 10.0, 0.1, 0.5), 2.5),
+}
+
+
+def _piece_and_points(name):
+    p = _MEMBERSHIP_PROBLEMS[name]
+    pieces = [pc for r in p.regions for pc in r.pieces]
+    pool = list(p.space.sample_set) + [x for r in p.regions for x in r.points]
+    pool += [pc.center for pc in pieces if isinstance(pc, BallPiece)]
+    return st.tuples(st.just(name), st.sampled_from(pieces),
+                     st.lists(st.sampled_from(pool), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_MEMBERSHIP_PROBLEMS)).flatmap(_piece_and_points))
+def test_piece_dists_equal_scalar_piece_point_dist(case):
+    name, piece, pts = case
+    space = _MEMBERSHIP_PROBLEMS[name].space
+    got = piece_dists(space, piece, pts)
+    want = np.array([piece_point_dist(space, piece, x) for x in pts], dtype=float)
+    assert got.shape == (len(pts),)
+    assert got.tobytes() == want.tobytes()  # bit for bit, not approximately
+
+
+def test_lifted_pieces_seen_from_both_sides():
+    p = _MEMBERSHIP_PROBLEMS["union"]
+    for r in p.regions:
+        (piece,) = r.pieces
+        assert isinstance(piece, LiftedPiece)
+        got = piece_dists(p.space, piece, p.space.sample_set)
+        want = [piece_point_dist(p.space, piece, x) for x in p.space.sample_set]
+        assert got.tolist() == want
+        other = [d for x, d in zip(p.space.sample_set, want) if x[0] != piece.side]
+        assert other and min(other) >= p.space.s
+
+
+def _scalar_rep(piece):
+    if isinstance(piece, LiftedPiece):
+        return (piece.side, _scalar_rep(piece.piece))
+    if isinstance(piece, BallPiece):
+        return piece.center
+    return (piece.lo + piece.hi) / 2
+
+
+def _scalar_members(space, pieces):
+    # the scalar filter: grid members of the pieces, then the representative
+    # of each piece that has no grid member
+    pts = [x for x in space.sample_set
+           if min(piece_point_dist(space, pc, x) for pc in pieces) <= TOL]
+    for pc in pieces:
+        rep = _scalar_rep(pc)
+        if all(piece_point_dist(space, pc, x) > TOL for x in pts) and rep not in pts:
+            pts.append(rep)
+    return pts
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES) + ["union_interval"])
+def test_safe_sets_and_class_points_equal_scalar_filter(name):
+    p = _MEMBERSHIP_PROBLEMS[name]
+    for j, r in enumerate(p.regions):
+        assert r.points == _scalar_members(p.space, r.pieces)
+        want = [x for x in p.space.sample_set if p.is_safe(j, x)]
+        want += [x for x in r.points if x not in want]
+        assert p.safe_points(j) == want
+    if name == "interval_union":
+        assert 0.1015 in p.regions[0].points  # the appended representative

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from urwidth.problems import wedge_problem
 from urwidth.spaces import (
     bouquet_space,
     disjoint_union,
@@ -85,6 +86,44 @@ def test_wedge_rejects_degenerate_direction():
         sp.point(1, (0.5, 0.5, 0.5))
 
 
+def _fill_resolution_oracle(sp):
+    # the all-pairs loop: max over the samples of each sphere (pole
+    # included) of the distance to the nearest sample q != p
+    worst = 0.0
+    for sphere in range(1, sp.w + 1):
+        group = [p for p in sp.sample_set if p.sphere in (0, sphere)]
+        for p in group:
+            worst = max(worst, min(sp.dist(p, q) for q in group if q != p))
+    return worst
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_wedge_resolution_equals_all_pairs_loop(k, seed):
+    sp = wedge_sphere_space(1 + seed % 3, k, 1.7, n=70 + 40 * k, seed=seed)
+    assert sp.resolution.hex() == _fill_resolution_oracle(sp).hex()
+
+
+@pytest.mark.parametrize("copied", ["pole", "worst"])
+def test_wedge_resolution_skips_every_copy_of_a_duplicated_sample(copied):
+    sp = wedge_sphere_space(2, 2, 2.0, n=16, seed=1)
+    if copied == "pole":  # the pole now appears twice in each group
+        sp.sample_set.append(sp.pole)
+    else:  # a copy of the sample farthest from its neighbours
+        sp.sample_set.append(max(
+            sp.sample_set[1:],
+            key=lambda p: min(sp.dist(p, q) for q in sp.sample_set
+                              if q != p and q.sphere in (0, p.sphere))))
+    got = sp._fill_resolution()
+    assert got.hex() == _fill_resolution_oracle(sp).hex() == sp.resolution.hex()
+
+
+def test_wedge_n800_resolution_pinned():
+    # the value the all-pairs loop gave; a certificate writes it
+    p = wedge_problem(3, 2, 2.0, 0.5, n=800)
+    assert p.space.resolution == float.fromhex("0x1.7f76b57b408dcp-2")
+
+
 def test_interval_space_grid_and_distance():
     sp = interval_space(11)
     assert sp.dist(0.3, 0.7) == pytest.approx(0.4)
@@ -131,6 +170,13 @@ def test_disjoint_union_separation_and_identity():
     # within-component distances preserved bit-exactly
     p, q = a.sample_set[3], a.sample_set[11]
     assert u.dist((0, p), (0, q)) == a.dist(p, q)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
+def test_disjoint_union_rejects_separation_outside_positive_reals(s):
+    a = bouquet_space(1, 10.0, 1.0)
+    with pytest.raises(ValueError, match="separation must be positive and finite"):
+        disjoint_union(a, a, s)
 
 
 def test_disjoint_union_minimum_achieved_at_anchors():
