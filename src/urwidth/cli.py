@@ -192,6 +192,8 @@ def _read_stream(path: Path, space):
 
 
 def _seeded_stream(p, seed: int, steps: int) -> list:
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got steps={steps}")
     rng = np.random.default_rng(seed)
     dist = sampling_distribution(p)
     return [sample_safe(dist, rng) for _ in range(steps)]
@@ -214,10 +216,10 @@ def _machine_run(out: Path, p, stream, seed, tau, d0, r_construct):
 
 
 def cmd_machine(args) -> int:
-    out = _out_dir(args.out)
     p = _problem_from_args(args)
     stream = (_read_stream(Path(args.stream), p.space) if args.stream
               else _seeded_stream(p, args.seed, args.steps))
+    out = _out_dir(args.out)
     trace, doc = _machine_run(out, p, stream, args.seed, args.tau, args.d0, args.r_construct)
     doc.update(tau=args.tau, d0=args.d0, r_construct=args.r_construct)
     doc["events"] = [

@@ -37,7 +37,7 @@ import numpy as np
 # Window and parameter_window are re-exported: each family's D0 window is
 # registered with the family in problems.FAMILIES
 from .problems import TOL, MarginProblem, Window, parameter_window, validate_margin
-from .spaces import MetricSpace, is_chain_connected, subset_diameter
+from .spaces import BLOCK, MetricSpace, is_chain_connected, subset_diameter
 
 __all__ = [
     "UrysohnTriple",
@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 EXACT_LIMIT = 24  # most safe samples searched by exact dynamic programming
-BLOCK = 64  # pool rows per distance matrix: peak memory is BLOCK x pool floats
 
 
 @dataclass
@@ -238,11 +237,13 @@ def _candidate_balls(problem, d0):
     """Geodesic-ball candidates: (support, safe coverage mask), deduplicated.
 
     Centres are the sample points and radii run up the half-resolution
-    ladder to D0/2; a candidate must be chain-connected at the default step
-    and of diameter <= D0.  A centre's balls are the prefixes of its pool
-    points sorted by distance, so each radius adds only its new points to
-    the coverage mask and to a union-find over the step graph.  Supports
-    list their points in pool order.
+    ladder to D0/2, or only to the largest pool distance when that is
+    smaller, since every ball past it is the whole pool; a candidate must
+    be chain-connected at the default step and of diameter <= D0.  A
+    centre's balls are the prefixes of its pool points sorted by distance,
+    so each radius adds only its new points to the coverage mask and to a
+    union-find over the step graph.  Supports list their points in pool
+    order.
     """
     space = problem.space
     h = default_step(space)
@@ -255,18 +256,19 @@ def _candidate_balls(problem, d0):
             known.add(x)
     bit = {x: i for i, (_, x) in enumerate(universe)}
     pool_bits = [1 << bit[x] if x in bit else 0 for x in pool]
+    # the step graph is undirected: every metric here is symmetric bit for bit
+    nbrs = []
+    far = 0.0  # largest pool distance: every ball past it is the whole pool
+    for start in range(0, len(pool), BLOCK):
+        block = space.dists(pool[start : start + BLOCK], pool)
+        far = max(far, float(block.max()))
+        nbrs.extend(np.flatnonzero(row <= h).tolist() for row in block)
     step = space.resolution / 2
-    radii = [step * i for i in range(1, int(math.floor(d0 / 2 / step + TOL)) + 1)]
+    top = min(d0 / 2, far)
+    radii = [step * i for i in range(1, int(math.floor(top / step + TOL)) + 1)]
     if not radii or radii[-1] < d0 / 2 - TOL:
         radii.append(d0 / 2)
     bounds = np.array([r + TOL for r in radii])
-    # the step graph is undirected: every metric here is symmetric bit for bit
-    nbrs = []
-    for start in range(0, len(pool), BLOCK):
-        nbrs.extend(
-            np.flatnonzero(row <= h).tolist()
-            for row in space.dists(pool[start : start + BLOCK], pool)
-        )
     candidates = []
     seen_masks = set()
     n_centres = len(space.sample_set)

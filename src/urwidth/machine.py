@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .spaces import MetricSpace
+import numpy as np
+
+from .spaces import BLOCK, MetricSpace
 
 __all__ = [
     "LibraryEntry",
@@ -92,46 +95,89 @@ def machine_new(
     return MachineState(space, tau, d0, r_construct, tuple(labels) if labels else None)
 
 
-def _nearest(state: MachineState, x) -> tuple[float, int]:
-    """(residue, index) of the minimal-residue entry, lowest index on ties;
-    (+inf, -1) on an empty library."""
-    best = (math.inf, -1)
-    for i, e in enumerate(state.entries):
-        r = max(0.0, state.space.dist(x, e.center) - e.radius)
-        if r < best[0]:
-            best = (r, i)
-    return best
+def _residues(state: MachineState, xs) -> np.ndarray:
+    """max(0, d(x, center) - radius): one row per point of ``xs``, one
+    column per library entry."""
+    d = state.space.dists(xs, [e.center for e in state.entries])
+    # fmax, like Python's max(0.0, v), gives 0.0 where v is NaN
+    return np.fmax(0.0, d - np.array([e.radius for e in state.entries], dtype=float))
 
 
 def alarm(state: MachineState, x) -> float:
     """Prediction residue of ``x``: distance beyond the nearest entry's
     ball, +inf on an empty library."""
-    return _nearest(state, x)[0]
+    if not state.entries:
+        return math.inf
+    return _residues(state, [x])[0].min().item()
+
+
+def _fold(state: MachineState, samples) -> list[StepRecord]:
+    """Apply one Evaluate-Detect-Construct cycle per sample, in order;
+    returns the new records, which are also appended to the log.
+
+    Residue within tolerance: evaluate with the minimal-residue entry,
+    lowest index on ties; constructed entries are constant, so the
+    prediction is that entry's label.  Otherwise: construct a new entry,
+    a ball of radius r_construct around the alarming point.
+
+    Samples are taken BLOCK at a time: one residue matrix against the
+    library as it stands at the block's start, then one column per entry
+    constructed inside the block.  A running minimum updated only on a
+    strict ``<`` keeps argmin's first occurrence, so each residue and
+    entry equals a per-sample scan of the library bit for bit.  A sample
+    that is not a (point, label) pair, or whose label lies outside
+    ``state.labels``, raises after every sample before it has applied.
+    """
+    limit = state.tau + _EVAL_TOL
+    first = len(state.log)
+    samples = iter(samples)
+    while block := list(islice(samples, BLOCK)):
+        xs, ys, error = [], [], None
+        for sample in block:
+            try:
+                x, y = sample
+                if state.labels is not None and y not in state.labels:
+                    raise ValueError(f"label {y!r} outside the concept space {state.labels}")
+            except (TypeError, ValueError) as exc:  # raised once the samples before it apply
+                error = exc
+                break
+            xs.append(x)
+            ys.append(y)
+        n = len(xs)
+        if state.entries and n:
+            res = _residues(state, xs)
+            arg = res.argmin(axis=1)
+            best = res[np.arange(n), arg]
+        else:  # every residue is +inf: the first sample constructs
+            best, arg = np.full(n, math.inf), np.full(n, -1)
+        t = 0
+        while t < n:
+            hits = np.flatnonzero(best[t:] > limit)
+            c = t + int(hits[0]) if hits.size else n
+            for j, residue, i in zip(range(t, c), best[t:c].tolist(), arg[t:c].tolist()):
+                predicted = state.entries[i].label
+                state.log.append(StepRecord(len(state.log), "evaluate", xs[j], ys[j],
+                                            residue, i, predicted, predicted == ys[j]))
+            if c == n:
+                break
+            index = len(state.log)
+            state.entries.append(LibraryEntry(xs[c], state.r_construct, ys[c], index))
+            state.log.append(StepRecord(index, "construct", xs[c], ys[c], best[c].item(),
+                                        len(state.entries) - 1))
+            t = c + 1
+            if t < n:
+                col = np.fmax(0.0, state.space.dists(xs[t:], [xs[c]])[:, 0] - state.r_construct)
+                closer = np.flatnonzero(col < best[t:]) + t
+                best[closer] = col[closer - t]
+                arg[closer] = len(state.entries) - 1
+        if error is not None:
+            raise error
+    return state.log[first:]
 
 
 def step(state: MachineState, sample: tuple) -> StepRecord:
-    """One Evaluate-Detect-Construct cycle; appends to the log.
-
-    Residue within tolerance: evaluate with the minimal-residue entry
-    (lowest index on ties); constructed entries are constant, so the
-    prediction is that entry's label.  Otherwise: construct a new entry,
-    a ball of radius r_construct around the alarming point.
-    """
-    x, y = sample
-    if state.labels is not None and y not in state.labels:
-        raise ValueError(f"label {y!r} outside the concept space {state.labels}")
-    residue, i = _nearest(state, x)
-    index = len(state.log)
-    if state.entries and residue <= state.tau + _EVAL_TOL:
-        predicted = state.entries[i].label
-        rec = StepRecord(
-            index, "evaluate", x, y, residue, i, predicted, predicted == y
-        )
-    else:
-        state.entries.append(LibraryEntry(x, state.r_construct, y, index))
-        rec = StepRecord(index, "construct", x, y, residue, len(state.entries) - 1)
-    state.log.append(rec)
-    return rec
+    """One Evaluate-Detect-Construct cycle (see ``_fold``); appends to the log."""
+    return _fold(state, [sample])[0]
 
 
 @dataclass
@@ -142,23 +188,22 @@ class Trace:
 
 
 def run_stream(state: MachineState, stream) -> Trace:
-    """Fold ``step`` over a sample sequence.
+    """Apply the machine to a sample sequence, as one ``step`` per sample.
 
     The size curve lists the library size after each step; an empty
     stream yields the current size as a single entry.
     """
-    records = []
+    size = state.library_size
+    records = _fold(state, stream)
     curve = []
     errors = 0
-    for sample in stream:
-        rec = step(state, sample)
-        records.append(rec)
-        curve.append(state.library_size)
-        if rec.kind == "evaluate" and not rec.correct:
+    for rec in records:
+        if rec.kind == "construct":
+            size += 1
+        elif not rec.correct:
             errors += 1
-    if not curve:
-        curve = [state.library_size]
-    return Trace(records, curve, errors)
+        curve.append(size)
+    return Trace(records, curve or [size], errors)
 
 
 def replay_log(
@@ -176,6 +221,5 @@ def replay_log(
     library prefix bit-exactly.
     """
     state = machine_new(space, tau, d0, r_construct, labels)
-    for rec in log:
-        step(state, (rec.point, rec.label))
+    _fold(state, ((rec.point, rec.label) for rec in log))
     return state

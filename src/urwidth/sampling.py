@@ -18,7 +18,8 @@ and m >= 2 components separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class SamplingDistribution:
     weights: tuple
     c1: float
     c2: float
+    # normalised CDF of ``weights``, built as ``Generator.choice`` builds it
+    cdf: list[float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         k = self.problem.k
@@ -64,6 +67,9 @@ class SamplingDistribution:
                     f"[{lo}, {hi}]"
                 )
         self.weights = tuple(float(q) for q in w)
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf.tolist()
 
     @property
     def k(self) -> int:
@@ -80,8 +86,12 @@ def sampling_distribution(
 
 
 def sample_safe(dist: SamplingDistribution, rng: np.random.Generator):
-    """One labelled draw: region by weight, point uniform in its safe set."""
-    j = int(rng.choice(dist.k, p=dist.weights))
+    """One labelled draw: region by weight, point uniform in its safe set.
+
+    The region index is the one ``rng.choice(dist.k, p=dist.weights)``
+    would give, drawn from the same random bits.
+    """
+    j = bisect_right(dist.cdf, rng.random())
     pts = dist.problem.safe_points(j)
     x = pts[int(rng.integers(len(pts)))]
     return x, dist.problem.regions[j].label
@@ -99,13 +109,13 @@ def coupon_time(dist: SamplingDistribution, rng: np.random.Generator) -> int:
     chunk = max(32, 2 * k)
     while True:
         draws = rng.choice(k, size=chunk, p=weights)
-        for r in draws:
-            t += 1
-            if not seen[r]:
-                seen[r] = True
-                remaining -= 1
-                if remaining == 0:
-                    return t
+        regions, first = np.unique(draws, return_index=True)
+        fresh = ~seen[regions]
+        remaining -= int(fresh.sum())
+        if remaining == 0:  # the last new region's first draw ends the wait
+            return t + int(first[fresh].max()) + 1
+        seen[regions] = True
+        t += chunk
 
 
 def harmonic(n: int) -> float:

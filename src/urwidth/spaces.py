@@ -74,10 +74,12 @@ class SpherePoint(NamedTuple):
 # Its numpy angles and the scalar ``_unit_angle`` both err from the true
 # angle by a few ulps of pi, about 1e-15; a column whose numpy angle lies
 # more than 1e-9 above its row's minimum cannot be the scalar nearest
-# neighbour.  Rows are screened SCREEN_BLOCK at a time, so the temporaries
-# hold SCREEN_BLOCK x group x (k + 1) floats, not group^2 x (k + 1).
+# neighbour.  Rows are screened BLOCK at a time, so the temporaries hold
+# BLOCK x group x (k + 1) floats, not group^2 x (k + 1).
 SCREEN_SLACK = 1e-9
-SCREEN_BLOCK = 64
+# Rows per block wherever a distance matrix or screen is built block by
+# block: peak memory is BLOCK x columns floats, not rows x columns.
+BLOCK = 64
 
 
 def _unit_angle(u: Sequence[float], v: Sequence[float]) -> float:
@@ -232,12 +234,12 @@ class WedgeSphereSpace(MetricSpace):
             group = [p for p in self.sample_set if p.sphere in (0, sphere)]
             tags = np.array([p.sphere for p in group])
             dirs = np.array([p.u for p in group]).T.copy()  # one contiguous row per axis
-            for lo in range(0, len(group), SCREEN_BLOCK):
-                u, v = dirs[:, lo : lo + SCREEN_BLOCK, None], dirs[:, None, :]
+            for lo in range(0, len(group), BLOCK):
+                u, v = dirs[:, lo : lo + BLOCK, None], dirs[:, None, :]
                 angle = 2.0 * np.arctan2(
                     np.sqrt(((u - v) ** 2).sum(axis=0)), np.sqrt(((u + v) ** 2).sum(axis=0))
                 )
-                same = (tags[lo : lo + SCREEN_BLOCK, None] == tags) & (u == v).all(axis=0)
+                same = (tags[lo : lo + BLOCK, None] == tags) & (u == v).all(axis=0)
                 angle[same] = np.inf  # every q == p, not only the diagonal
                 near = angle <= angle.min(axis=1, keepdims=True) + SCREEN_SLACK
                 for i, row in enumerate(near, lo):

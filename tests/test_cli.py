@@ -547,6 +547,24 @@ def test_infinite_inputs_are_config_errors(tmp_path, capsys, argv, needle):
     assert not list(out.glob("*.json"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["machine", "--family", "bouquet", "--w", "2", "--d0", "4", "--r-construct", "1",
+     "--steps", "0"],
+    ["machine", "--family", "bouquet", "--w", "2", "--d0", "4", "--r-construct", "1",
+     "--steps", "-3"],
+    {"experiment": "machine_run", **_VALID_CONFIGS["machine_run"], "steps": 0},
+], ids=["machine_steps_0", "machine_steps_negative", "run_machine_steps_0"])
+def test_machine_step_count_below_one_is_a_config_error(tmp_path, capsys, argv):
+    if isinstance(argv, dict):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(format_config(argv))
+        argv = ["run", str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "steps" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_space_graph_and_interval_width(tmp_path):
     out = str(tmp_path / "g")
     assert main(["space", "--kind", "graph",

@@ -377,3 +377,17 @@ def test_bouquet_w12_cover_size():
     _, info = min_ball_cover(bouquet_problem(12, 10.0, 1.0, 0.1), 4.0)
     assert (info.universe, info.n_candidates) == (180, 936)
     assert (info.method, info.size) == ("greedy", 12)
+
+
+@pytest.mark.parametrize("problem", [
+    interval_union_problem([(0.2, 0.3), (0.6, 0.7)], 0.05, 21),
+    wedge_problem(2, 2, 2.0, 1.0, n=16, seed=1),
+], ids=["interval", "wedge"])
+def test_huge_d0_stops_the_radius_ladder_at_the_pool_diameter(problem):
+    # past the largest pool distance every ball is the whole pool, so a D0
+    # near the float limit must give the candidates of a modest D0, fast
+    pool = list(problem.space.sample_set) + [x for _, x in problem.all_safe_points()]
+    far = float(problem.space.dists(pool, pool).max())
+    huge = _candidate_balls(problem, 1e308)
+    assert huge == _candidate_balls(problem, 4 * far)
+    assert huge == _scalar_candidate_balls(problem, 4 * far)

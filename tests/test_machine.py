@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urwidth.machine import (
+    _EVAL_TOL,
+    LibraryEntry,
+    StepRecord,
     alarm,
     machine_new,
     replay_log,
@@ -14,7 +19,7 @@ from urwidth.machine import (
 )
 from urwidth.problems import bouquet_problem
 from urwidth.sampling import sample_safe, sampling_distribution
-from urwidth.spaces import bouquet_space
+from urwidth.spaces import bouquet_space, graph_space, interval_space
 
 
 def _fresh(space):
@@ -154,3 +159,138 @@ def test_permuted_stream_zero_errors_after_first_visits():
     trace = run_stream(st, [sample_safe(dist, rng) for _ in range(60)])
     assert trace.errors == 0
     assert st.library_size == 3
+
+
+# -- the batched fold against the per-sample scan it replaced -----------------
+
+
+def _ref_step(state, sample):
+    """Reference machine step: scan the library one scalar distance at a time,
+    keeping the first minimal residue."""
+    x, y = sample
+    if state.labels is not None and y not in state.labels:
+        raise ValueError(f"label {y!r} outside the concept space {state.labels}")
+    residue, i = math.inf, -1
+    for k, e in enumerate(state.entries):
+        r = max(0.0, state.space.dist(x, e.center) - e.radius)
+        if r < residue:
+            residue, i = r, k
+    index = len(state.log)
+    if state.entries and residue <= state.tau + _EVAL_TOL:
+        predicted = state.entries[i].label
+        rec = StepRecord(index, "evaluate", x, y, residue, i, predicted, predicted == y)
+    else:
+        state.entries.append(LibraryEntry(x, state.r_construct, y, index))
+        rec = StepRecord(index, "construct", x, y, residue, len(state.entries) - 1)
+    state.log.append(rec)
+    return rec
+
+
+_SPACES = {
+    "bouquet": bouquet_space(3, 8.0, 0.5),
+    "interval": interval_space(41),
+    # integer weights: many exactly tied residues
+    "graph": graph_space([(i, (i + 1) % 12) for i in range(12)]
+                         + [(0, 6, 2), (3, 9, 3), (12, 0)]),
+}
+
+
+def _assert_same_run(space, tau, r_construct, labels, prefix, stream):
+    ref = machine_new(space, tau, 2 * r_construct, r_construct, labels)
+    got = machine_new(space, tau, 2 * r_construct, r_construct, labels)
+    for s in prefix:  # both machines start from the same nonempty library
+        _ref_step(ref, s)
+        _ref_step(got, s)
+    start = ref.library_size
+    want = [_ref_step(ref, s) for s in stream]
+    trace = run_stream(got, stream)
+    assert trace.records == want
+    assert repr(trace.records) == repr(want)
+    assert got.entries == ref.entries and repr(got.log) == repr(ref.log)
+    sizes, size = [], start
+    for r in want:
+        size += r.kind == "construct"
+        sizes.append(size)
+    assert trace.size_curve == (sizes or [start])
+    assert trace.errors == sum(r.kind == "evaluate" and not r.correct for r in want)
+    replayed = replay_log(space, tau, 2 * r_construct, r_construct, ref.log, labels)
+    assert replayed.entries == ref.entries
+    assert repr(replayed.log) == repr(ref.log)
+
+
+@st.composite
+def _machine_cases(draw):
+    kind = draw(st.sampled_from(sorted(_SPACES)))
+    space = _SPACES[kind]
+    pts = st.sampled_from(space.sample_set)
+    labels = (1, 2, 3)
+    sample = st.tuples(pts, st.sampled_from(labels))
+    tau = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    r_construct = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    prefix = draw(st.lists(sample, max_size=6))
+    stream = draw(st.lists(sample, min_size=0, max_size=200))
+    return space, tau, r_construct, draw(st.sampled_from([labels, None])), prefix, stream
+
+
+@settings(max_examples=60, deadline=None)
+@given(_machine_cases())
+def test_fold_matches_per_sample_reference(case):
+    _assert_same_run(*case)
+
+
+@pytest.mark.parametrize("kind, r", [("bouquet", 0.5), ("graph", 0.5), ("interval", 0.05)])
+def test_fold_constructs_mid_block(kind, r):
+    # a stream that walks the sample set keeps reaching new ground: constructs
+    # fall inside blocks, and the later rows of a block must see them
+    space = _SPACES[kind]
+    rng = np.random.default_rng(5)
+    stream = [(x, 1 + int(rng.integers(3))) for x in space.sample_set for _ in range(7)]
+    ref = machine_new(space, 0.0, 2 * r, r)
+    constructs = [rec.index for rec in (_ref_step(ref, s) for s in stream)
+                  if rec.kind == "construct"]
+    assert len(stream) > 64 and any(i > 64 and i % 64 not in (0, 63) for i in constructs)
+    _assert_same_run(space, 0.0, r, None, [], stream)
+    _assert_same_run(space, 0.25, r, (1, 2, 3), stream[:5], stream[5:])
+
+
+def test_exact_residue_ties_keep_lowest_entry():
+    sp = interval_space(11)
+    st_ = machine_new(sp, tau=1.0, d0=0.2, r_construct=0.1)
+    step(st_, (0.0, 1))
+    step(st_, (0.4, 2))  # residue 0.3 <= tau: evaluates, no second entry
+    st_.entries.append(LibraryEntry(0.4, 0.1, 2, 1))  # equidistant from 0.2
+    rec = run_stream(st_, [(0.2, 2)] * 70).records
+    assert {(r.kind, r.entry, r.residue) for r in rec} == {("evaluate", 0, 0.1)}
+
+
+def test_residue_exactly_at_the_tolerance_evaluates():
+    sp = interval_space(11)
+    tau = 0.25 - _EVAL_TOL
+    assert tau + _EVAL_TOL == 0.25  # the limit lands on the residue exactly
+    stream = [(0.0, 1)] + [(0.5, 1)] * 70 + [(0.6, 2)] + [(0.5, 1)] * 3
+    trace = run_stream(machine_new(sp, tau, 0.5, 0.25), stream)
+    assert [r.kind for r in trace.records[1:71]] == ["evaluate"] * 70
+    assert {r.residue for r in trace.records[1:71]} == {0.25}
+    assert trace.records[71].kind == "construct"
+    _assert_same_run(sp, tau, 0.25, None, [], stream)
+
+
+@pytest.mark.parametrize("k", [0, 5, 63, 64, 100])
+@pytest.mark.parametrize("bad, match", [
+    (lambda x: (x, 9), r"label 9 outside the concept space \(1, 2, 3\)"),
+    (lambda x: (x, 1, 2), "too many values to unpack"),
+], ids=["label", "triple"])
+def test_bad_sample_applies_exactly_the_prefix(k, bad, match):
+    space = _SPACES["interval"]
+    rng = np.random.default_rng(k)
+    stream = [(space.sample_set[int(rng.integers(41))], 1 + int(rng.integers(3)))
+              for _ in range(150)]
+    stream[k] = bad(stream[k][0])
+    ref = machine_new(space, 0.0, 0.5, 0.25, labels=(1, 2, 3))
+    for s in stream[:k]:
+        _ref_step(ref, s)
+    got = machine_new(space, 0.0, 0.5, 0.25, labels=(1, 2, 3))
+    with pytest.raises(ValueError, match=match):
+        run_stream(got, stream)
+    assert len(got.log) == k
+    assert got.log == ref.log and got.entries == ref.entries

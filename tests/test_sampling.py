@@ -1,9 +1,12 @@
 """Coverage-time statistics and the permutation-learner protocol."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urwidth.problems import bouquet_problem
 from urwidth.sampling import (
@@ -161,3 +164,59 @@ def test_seeded_determinism():
     b = threshold_sweep([8], [0.5, 1.0], 200, seed=23)
     assert a.rows == b.rows
     assert a.crossings == b.crossings
+
+
+# -- the fast draws against the numpy calls they replaced ---------------------
+
+
+@lru_cache(maxsize=None)
+def _bouquet(k):
+    return bouquet_problem(k, 10.0, 1.0, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    raw=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=8),
+)
+def test_sample_safe_matches_generator_choice(seed, raw):
+    # raw weights in [1, 2], normalised: every q_j lies in [1/(2K), 2/K]
+    k = len(raw)
+    total = math.fsum(raw)
+    weights = [r / total for r in raw]
+    try:
+        dist = sampling_distribution(_bouquet(k), weights, c1=2.0, c2=2.0)
+    except ValueError:  # the normalised sum missed 1 by more than 1e-12
+        return
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        j = int(ref_rng.choice(k, p=dist.weights))  # the oracle draw
+        pts = dist.problem.safe_points(j)
+        want = (pts[int(ref_rng.integers(len(pts)))], dist.problem.regions[j].label)
+        assert sample_safe(dist, got_rng) == want
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _coupon_time_oracle(dist, rng):
+    """The per-draw loop: count draws until every region has been seen."""
+    k = dist.k
+    if k == 1:
+        return 1
+    seen, remaining, t = np.zeros(k, dtype=bool), k, 0
+    while True:
+        for r in rng.choice(k, size=max(32, 2 * k), p=np.asarray(dist.weights)):
+            t += 1
+            if not seen[r]:
+                seen[r] = True
+                remaining -= 1
+                if remaining == 0:
+                    return t
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 64])
+def test_coupon_time_matches_per_draw_loop(k):
+    dist = sampling_distribution(_bouquet(k))
+    got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+    for _ in range(30):  # one shared rng: the state after each call must match too
+        assert coupon_time(dist, got_rng) == _coupon_time_oracle(dist, ref_rng)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
