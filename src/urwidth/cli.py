@@ -4,7 +4,9 @@ Subcommands: space, problem, width, machine, sample, nerve, vc, run,
 verify.  ``run`` executes a whole experiment described by a structured
 key/value config file and writes CSV tables, JSON certificates, SVG
 plots and a run manifest; ``verify`` re-checks a stored certificate
-without trusting its intermediate values.
+without trusting its intermediate values.  A command computes all of its
+files before ``_write`` creates the output directory, so a refused
+command writes nothing.
 
 Exit codes: 0 pass, 1 check failed, 2 config error.  The default output
 directory is taken from the URWIDTH_OUT environment variable when set.
@@ -46,6 +48,7 @@ from .serialize import (
     build_problem,
     config_hash,
     covering_text,
+    csv_text,
     decode_point,
     encode_point,
     family_doc,
@@ -55,7 +58,6 @@ from .serialize import (
     safe_region_csv_rows,
     samples_csv_rows,
     verify_bracket,
-    write_csv,
 )
 from .spaces import bouquet_space, graph_space, interval_space, wedge_sphere_space
 from .svgplot import line_plot
@@ -74,16 +76,21 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-def _out_dir(value: str | None) -> Path:
-    out = Path(value or os.environ.get("URWIDTH_OUT") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+def _write(out_flag: str | None, files: dict[str, str]) -> Path:
+    """Create the output directory and write ``{file name: text}`` into it."""
+    out = Path(out_flag or os.environ.get("URWIDTH_OUT") or ".")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            with open(out / name, "w", newline="") as fh:  # keeps csv_text's \r\n
+                fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output directory {out}: {exc}") from exc
     return out
 
 
-def _dump_json(path: Path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _problem_from_args(args) -> object:
@@ -116,7 +123,6 @@ def _add_problem_flags(sub) -> None:
 
 
 def cmd_space(args) -> int:
-    out = _out_dir(args.out)
     if args.kind == "bouquet":
         sp = bouquet_space(args.w, args.length, args.h)
     elif args.kind == "wedge":
@@ -132,15 +138,14 @@ def cmd_space(args) -> int:
         raise ValueError(f"unknown space kind {args.kind!r}")
     desc = sp.describe()
     desc["resolution"] = sp.resolution
-    (out / "space.txt").write_text(format_config(desc))
-    write_csv(out / "samples.csv", ["id", "point"], samples_csv_rows(sp))
+    out = _write(args.out, {"space.txt": format_config(desc),
+                            "samples.csv": csv_text(["id", "point"], samples_csv_rows(sp))})
     print(f"wrote {out / 'space.txt'} and {out / 'samples.csv'} "
           f"({len(sp.sample_set)} sample points)")
     return EXIT_OK
 
 
 def cmd_problem(args) -> int:
-    out = _out_dir(args.out)
     p = _problem_from_args(args)
     rep = validate_margin(p)
     doc = {
@@ -152,20 +157,21 @@ def cmd_problem(args) -> int:
         "worst_pair": list(rep.worst_pair) if rep.worst_pair else None,
         "notes": rep.notes,
     }
-    (out / "problem.txt").write_text(problem_text(p))
-    _dump_json(out / "validation.json", doc)
-    write_csv(out / "safe_region.csv", ["point", "label"], safe_region_csv_rows(p))
+    _write(args.out, {
+        "problem.txt": problem_text(p),
+        "validation.json": _json(doc),
+        "safe_region.csv": csv_text(["point", "label"], safe_region_csv_rows(p)),
+    })
     print(f"margin validation: {'pass' if rep.strict_pass else 'FAIL'} "
           f"(min pairwise distance {rep.min_pair}, gamma {p.gamma})")
     return EXIT_OK if rep.strict_pass else EXIT_CHECK_FAILED
 
 
 def cmd_width(args) -> int:
-    out = _out_dir(args.out)
     p = _problem_from_args(args)
     br = width_bracket(p, args.d0)
-    _dump_json(out / "width_certificate.json", bracket_doc(p, br))
-    (out / "covering.txt").write_text(covering_text(p.space, br.covering))
+    _write(args.out, {"width_certificate.json": _json(bracket_doc(p, br)),
+                      "covering.txt": covering_text(p.space, br.covering)})
     sep = br.separation
     print(f"width bracket: [{br.lb}, {br.ub}]" + (" exact" if br.exact else ""))
     print(f"  lb {br.lb} via {sep.method}: delta* = {sep.delta_star:.6g} vs D0 = {br.d0}")
@@ -188,6 +194,8 @@ def _read_stream(path: Path, space):
             out.append((int(r["step"]), point, json.loads(r["label"])))
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise ValueError(f"stream file {path}, row {n}: {exc!r}") from exc
+    if not out:
+        raise ValueError(f"stream file {path} holds no samples")
     return [(point, label) for _, point, label in sorted(out, key=lambda row: row[0])]
 
 
@@ -199,28 +207,27 @@ def _seeded_stream(p, seed: int, steps: int) -> list:
     return [sample_safe(dist, rng) for _ in range(steps)]
 
 
-def _machine_run(out: Path, p, stream, seed, tau, d0, r_construct):
+def _machine_run(p, stream, seed, tau, d0, r_construct):
+    """The trace, its JSON document and the ``size_curve.svg`` text."""
     state = machine_new(p.space, tau, d0, r_construct, labels=tuple(p.labels))
     trace = run_stream(state, stream)
-    line_plot(out / "size_curve.svg",
-              [("library size", list(range(1, len(trace.size_curve) + 1)),
-                [float(s) for s in trace.size_curve])],
-              title="metric library growth", xlabel="step", ylabel="entries")
+    svg = line_plot([("library size", list(range(1, len(trace.size_curve) + 1)),
+                      [float(s) for s in trace.size_curve])],
+                    title="metric library growth", xlabel="step", ylabel="entries")
     return trace, {
         "problem": family_doc(p),
         "final_library_size": state.library_size,
         "errors": trace.errors,
         "size_curve": trace.size_curve,
         "seed": seed,
-    }
+    }, svg
 
 
 def cmd_machine(args) -> int:
     p = _problem_from_args(args)
     stream = (_read_stream(Path(args.stream), p.space) if args.stream
               else _seeded_stream(p, args.seed, args.steps))
-    out = _out_dir(args.out)
-    trace, doc = _machine_run(out, p, stream, args.seed, args.tau, args.d0, args.r_construct)
+    trace, doc, svg = _machine_run(p, stream, args.seed, args.tau, args.d0, args.r_construct)
     doc.update(tau=args.tau, d0=args.d0, r_construct=args.r_construct)
     doc["events"] = [
         {
@@ -235,61 +242,54 @@ def cmd_machine(args) -> int:
         }
         for r in trace.records
     ]
-    _dump_json(out / "trace.json", doc)
-    write_csv(
-        out / "trace.csv",
-        ["step", "kind", "point", "label", "predicted", "correct", "library_size"],
-        (
-            [r.index, r.kind, json.dumps(encode_point(p.space, r.point)), r.label,
-             r.predicted, r.correct, size]
-            for r, size in zip(trace.records, trace.size_curve)
+    _write(args.out, {
+        "size_curve.svg": svg,
+        "trace.json": _json(doc),
+        "trace.csv": csv_text(
+            ["step", "kind", "point", "label", "predicted", "correct", "library_size"],
+            ([r.index, r.kind, json.dumps(encode_point(p.space, r.point)), r.label,
+              r.predicted, r.correct, size]
+             for r, size in zip(trace.records, trace.size_curve)),
         ),
-    )
+    })
     print(f"final library size {doc['final_library_size']}, "
           f"{trace.errors} prediction errors over {len(stream)} steps")
     return EXIT_OK
 
 
-def _write_sweep(out: Path, ws, ratios, trials: int, seed: int) -> dict:
+def _sweep(ws, ratios, trials: int, seed: int):
     stats = threshold_sweep(ws, ratios, trials, seed)
-    write_csv(
-        out / "sweep.csv",
-        ["w", "n", "ratio", "trials", "successes", "rate", "wilson_lo",
-         "wilson_hi", "p_all_seen", "p_one_missed", "p_multi_missed", "seed"],
-        ([r.w, r.n, r.ratio, r.trials, r.successes, r.rate, r.wilson_lo,
-          r.wilson_hi, r.p_all_seen, r.p_one_missed, r.p_multi_missed, r.seed]
-         for r in stats.rows),
-    )
     series = []
     for w in ws:
         pts = [(r.ratio, r.rate) for r in stats.rows if r.w == w]
         series.append((f"w={w}", [x for x, _ in pts], [y for _, y in pts]))
-    line_plot(out / "success_vs_ratio.svg", series,
-              title="learner success vs n/(w ln w)",
-              xlabel="n / (w ln w)", ylabel="success rate")
-    _dump_json(out / "crossings.json",
-               {str(w): r for w, r in stats.crossings.items()})
-    return stats.crossings
+    return stats.crossings, {
+        "sweep.csv": csv_text(
+            ["w", "n", "ratio", "trials", "successes", "rate", "wilson_lo",
+             "wilson_hi", "p_all_seen", "p_one_missed", "p_multi_missed", "seed"],
+            ([r.w, r.n, r.ratio, r.trials, r.successes, r.rate, r.wilson_lo,
+              r.wilson_hi, r.p_all_seen, r.p_one_missed, r.p_multi_missed, r.seed]
+             for r in stats.rows),
+        ),
+        "success_vs_ratio.svg": line_plot(series, title="learner success vs n/(w ln w)",
+                                          xlabel="n / (w ln w)", ylabel="success rate"),
+        "crossings.json": _json({str(w): r for w, r in stats.crossings.items()}),
+    }
 
 
-def _write_coupon(out: Path, ws, L: float, gamma: float, h: float,
-                  trials: int, seed: int) -> list:
-    problems = {w: bouquet_problem(w, L, gamma, h) for w in ws}
-    rows = coupon_stats(problems, trials, seed)
-    write_csv(
-        out / "coupon.csv",
+def _coupon(ws, L: float, gamma: float, h: float, trials: int, seed: int):
+    rows = coupon_stats({w: bouquet_problem(w, L, gamma, h) for w in ws}, trials, seed)
+    return rows, {"coupon.csv": csv_text(
         ["w", "trials", "mean", "median", "analytic_mean", "seed"],
         ([r.w, r.trials, r.mean, r.median, r.analytic_mean, r.seed] for r in rows),
-    )
-    return rows
+    )}
 
 
 def cmd_sample(args) -> int:
-    out = _out_dir(args.out)
     ws = [int(x) for x in args.ws.split(",")]
     if args.experiment == "coupon":
-        rows = _write_coupon(out, ws, args.length, args.gamma, args.h,
-                             args.trials, args.seed)
+        rows, files = _coupon(ws, args.length, args.gamma, args.h, args.trials, args.seed)
+        _write(args.out, files)
         slope, intercept, r2 = regress(
             [r.analytic_mean for r in rows], [r.mean for r in rows]
         )
@@ -298,13 +298,14 @@ def cmd_sample(args) -> int:
     if args.experiment == "permutation":
         rng = np.random.default_rng(args.seed)
         res = permutation_learner_experiment(ws[0], args.budget, args.trials, rng)
-        _dump_json(out / "permutation.json", res.__dict__)
+        _write(args.out, {"permutation.json": _json(res.__dict__)})
         print(f"w={res.w} n={res.n}: success rate {res.rate:.4f} "
               f"(95% Wilson [{res.wilson_lo:.4f}, {res.wilson_hi:.4f}])")
         return EXIT_OK
     if args.experiment == "sweep":
         ratios = [float(x) for x in args.ratios.split(",")]
-        crossings = _write_sweep(out, ws, ratios, args.trials, args.seed)
+        crossings, files = _sweep(ws, ratios, args.trials, args.seed)
+        _write(args.out, files)
         print(f"2/3-success crossings: {crossings}")
         return EXIT_OK
     raise ValueError(f"unknown experiment {args.experiment!r}")
@@ -325,24 +326,22 @@ def _nerve_betti(w: int, L: float, h: float, arcs: int):
 
 
 def cmd_nerve(args) -> int:
-    out = _out_dir(args.out)
     space, cx, doc = _nerve_betti(args.w, args.length, args.h, args.arcs)
     lines = ["# nerve face list"]
     lines += [f"v {v}" for v in cx.vertices]
     lines += [f"e {a} {b}" for a, b in cx.edges]
     lines += [f"t {a} {b} {c}" for a, b, c in cx.triangles]
-    (out / "nerve_faces.txt").write_text("\n".join(lines) + "\n")
     doc.update(arcs_per_loop=args.arcs, w=args.w, systole=systole(space))
-    _dump_json(out / "betti.json", doc)
+    _write(args.out, {"nerve_faces.txt": "\n".join(lines) + "\n", "betti.json": _json(doc)})
     print(f"nerve: beta0={doc['beta0']} beta1={doc['beta1']} Delta0={doc['delta0']}; "
           f"bound N >= {doc['bound']:.3g}: {'pass' if doc['bound_pass'] else 'FAIL'}")
     return EXIT_OK if doc["bound_pass"] else EXIT_CHECK_FAILED
 
 
 def cmd_vc(args) -> int:
-    out = _out_dir(args.out)
-    code, _ = _run_vc_separation({"w": args.w, "n_max": args.n_intervals}, out)
-    print((out / "vc_separation.txt").read_text(), end="")
+    code, files = _run_vc_separation({"w": args.w, "n_max": args.n_intervals})
+    _write(args.out, files)
+    print(files["vc_separation.txt"], end="")
     return code
 
 
@@ -371,80 +370,74 @@ def _check_window(family: str, cfg: dict) -> None:
             f"D0 = {cfg['d0']} outside the admissible window [{window.lo}, {window.hi})"))
 
 
-def _run_hierarchy(cfg, out: Path) -> tuple[int, list[str]]:
+def _run_hierarchy(cfg) -> tuple[int, dict[str, str]]:
     _check_window("bouquet", cfg)
     rows = []
-    artifacts = []
+    files = {}
     for w in cfg["ws"]:
         p = bouquet_problem(w, cfg["L"], cfg["gamma"], cfg["h"])
         br = width_bracket(p, cfg["d0"])
-        name = f"width_w{w}.json"
-        _dump_json(out / name, bracket_doc(p, br))
-        artifacts.append(name)
+        files[f"width_w{w}.json"] = _json(bracket_doc(p, br))
         rows.append([w, br.lb, br.ub, br.exact])
-    write_csv(out / "hierarchy.csv", ["w", "lb", "ub", "exact"], rows)
-    artifacts.append("hierarchy.csv")
-    line_plot(
-        out / "hierarchy.svg",
+    files["hierarchy.csv"] = csv_text(["w", "lb", "ub", "exact"], rows)
+    files["hierarchy.svg"] = line_plot(
         [("lb", [float(r[0]) for r in rows], [float(r[1]) for r in rows]),
          ("ub", [float(r[0]) for r in rows], [float(r[2]) for r in rows])],
         title="width bracket vs loop count",
         xlabel="w", ylabel="width",
     )
-    artifacts.append("hierarchy.svg")
     bad = [r for r in rows if not (r[1] == r[2] == r[0])]
-    return (EXIT_OK if not bad else EXIT_CHECK_FAILED), artifacts
+    return (EXIT_OK if not bad else EXIT_CHECK_FAILED), files
 
 
-def _run_scaling(cfg, out: Path) -> tuple[int, list[str]]:
+def _run_scaling(cfg) -> tuple[int, dict[str, str]]:
     _check_window("scaled", cfg)
     p = scaled_problem(cfg["w"], cfg["m"], cfg["L"], cfg["gamma"], cfg["h"])
     br = width_bracket(p, cfg["d0"])
-    _dump_json(out / "width_scaled.json", bracket_doc(p, br))
-    write_csv(out / "scaling.csv", ["w", "m", "lb", "ub", "exact"],
-              [[cfg["w"], cfg["m"], br.lb, br.ub, br.exact]])
     expected = cfg["w"] * cfg["m"]
     code = EXIT_OK if br.lb == br.ub == expected else EXIT_CHECK_FAILED
-    return code, ["width_scaled.json", "scaling.csv"]
+    return code, {
+        "width_scaled.json": _json(bracket_doc(p, br)),
+        "scaling.csv": csv_text(["w", "m", "lb", "ub", "exact"],
+                                [[cfg["w"], cfg["m"], br.lb, br.ub, br.exact]]),
+    }
 
 
-def _run_vc_separation(cfg, out: Path) -> tuple[int, list[str]]:
+def _run_vc_separation(cfg) -> tuple[int, dict[str, str]]:
     rep = separation_report(cfg["w"], cfg["n_max"])
-    _dump_json(out / "vc_separation.json", {"rows": rep.rows})
-    (out / "vc_separation.txt").write_text(rep.as_text() + "\n")
     ok = all(
         r["vc"] == 2 * int(r["instance"].split("=")[1])
         for r in rep.rows
         if r["family"] == "intervals"
     )
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), [
-        "vc_separation.json", "vc_separation.txt"
-    ]
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), {
+        "vc_separation.json": _json({"rows": rep.rows}),
+        "vc_separation.txt": rep.as_text() + "\n",
+    }
 
 
-def _run_sample_complexity(cfg, out: Path) -> tuple[int, list[str]]:
-    _write_sweep(out, cfg["ws"], cfg["ratios"], cfg["trials"], cfg["seed"])
-    _write_coupon(out, cfg["ws"], cfg.get("L", 10.0), cfg.get("gamma", 1.0),
-                  cfg.get("h", 0.5), cfg.get("coupon_trials", cfg["trials"]), cfg["seed"])
-    return EXIT_OK, ["sweep.csv", "success_vs_ratio.svg", "crossings.json", "coupon.csv"]
+def _run_sample_complexity(cfg) -> tuple[int, dict[str, str]]:
+    _, files = _sweep(cfg["ws"], cfg["ratios"], cfg["trials"], cfg["seed"])
+    _, coupon_files = _coupon(cfg["ws"], cfg.get("L", 10.0), cfg.get("gamma", 1.0),
+                              cfg.get("h", 0.5), cfg.get("coupon_trials", cfg["trials"]),
+                              cfg["seed"])
+    return EXIT_OK, {**files, **coupon_files}
 
 
-def _run_nerve_betti(cfg, out: Path) -> tuple[int, list[str]]:
+def _run_nerve_betti(cfg) -> tuple[int, dict[str, str]]:
     _, _, doc = _nerve_betti(cfg["w"], cfg["L"], cfg["h"], cfg["arcs"])
-    _dump_json(out / "betti.json", doc)
     return (EXIT_OK if doc["bound_pass"] and doc["beta1"] == cfg["w"]
-            else EXIT_CHECK_FAILED), ["betti.json"]
+            else EXIT_CHECK_FAILED), {"betti.json": _json(doc)}
 
 
-def _run_machine(cfg, out: Path) -> tuple[int, list[str]]:
+def _run_machine(cfg) -> tuple[int, dict[str, str]]:
     p = bouquet_problem(cfg["w"], cfg["L"], cfg["gamma"], cfg["h"])
     stream = _seeded_stream(p, cfg["seed"], cfg["steps"])
-    _, doc = _machine_run(out, p, stream, cfg["seed"], cfg["tau"], cfg["d0"], cfg["r_construct"])
-    _dump_json(out / "machine.json", doc)
-    return EXIT_OK, ["machine.json", "size_curve.svg"]
+    _, doc, svg = _machine_run(p, stream, cfg["seed"], cfg["tau"], cfg["d0"], cfg["r_construct"])
+    return EXIT_OK, {"machine.json": _json(doc), "size_curve.svg": svg}
 
 
-def _run_additivity(cfg, out: Path) -> tuple[int, list[str]]:
+def _run_additivity(cfg) -> tuple[int, dict[str, str]]:
     _check_window("bouquet", cfg)  # both sides are bouquets
     if cfg["separation"] <= cfg["d0"]:
         raise ValueError("separation must exceed D0 for the additivity law")
@@ -454,19 +447,18 @@ def _run_additivity(cfg, out: Path) -> tuple[int, list[str]]:
     br_a = width_bracket(a, cfg["d0"])
     br_b = width_bracket(b, cfg["d0"])
     br_u = width_bracket(u, cfg["d0"])
-    for name, p, br in (("left", a, br_a), ("right", b, br_b), ("union", u, br_u)):
-        _dump_json(out / f"width_{name}.json", bracket_doc(p, br))
+    files = {f"width_{name}.json": _json(bracket_doc(p, br))
+             for name, p, br in (("left", a, br_a), ("right", b, br_b), ("union", u, br_u))}
     ok = (br_u.lb, br_u.ub) == (br_a.lb + br_b.lb, br_a.ub + br_b.ub)
-    _dump_json(out / "additivity.json", {
+    files["additivity.json"] = _json({
         "left": [br_a.lb, br_a.ub], "right": [br_b.lb, br_b.ub],
         "union": [br_u.lb, br_u.ub], "additive": ok,
     })
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), [
-        "width_left.json", "width_right.json", "width_union.json", "additivity.json"
-    ]
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), files
 
 
-# kind -> (runner, required fields, optional fields); each field maps to its
+# kind -> (runner, required fields, optional fields); a runner maps a checked config
+# to (exit code, {file name: text}) and writes nothing.  Each field maps to its
 # type, where [t] is a nonempty list of t; every kind also takes an optional "out".
 _EXPERIMENTS = {
     "hierarchy": (_run_hierarchy, {"ws": [int], "L": float, "gamma": float,
@@ -522,19 +514,19 @@ def cmd_run(args) -> int:
               f"{sorted(_EXPERIMENTS)}", file=sys.stderr)
         return EXIT_CONFIG
     _check_config(kind, cfg)
-    out = _out_dir(args.out or cfg.get("out"))
     started = time.time()
-    code, artifacts = _EXPERIMENTS[kind][0](cfg, out)
-    manifest = {
+    code, files = _EXPERIMENTS[kind][0](cfg)
+    artifacts = sorted(files)
+    files["manifest.json"] = _json({
         "experiment": kind,
         "config": cfg,
         "config_sha256": config_hash(cfg),
         "version": __version__,
         "python": sys.version.split()[0],
-        "artifacts": sorted(artifacts),
+        "artifacts": artifacts,
         "wall_clock_s": round(time.time() - started, 3),
-    }
-    _dump_json(out / "manifest.json", manifest)
+    })
+    out = _write(args.out or cfg.get("out"), files)
     print(f"experiment {kind}: {'pass' if code == EXIT_OK else 'CHECK FAILED'} "
           f"({len(artifacts)} artifacts in {out})")
     return code

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from typing import Any
 
@@ -38,7 +39,7 @@ __all__ = [
     "parse_config_text",
     "format_config",
     "config_hash",
-    "write_csv",
+    "csv_text",
     "samples_csv_rows",
     "safe_region_csv_rows",
     "problem_text",
@@ -237,11 +238,13 @@ def config_hash(d: dict) -> str:
 # -- CSV ---------------------------------------------------------------------
 
 
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def csv_text(header, rows) -> str:
+    """CSV text (``\r\n`` line ends); write it to a file opened with ``newline=""``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def samples_csv_rows(space: MetricSpace):

@@ -1,7 +1,7 @@
 """Minimal self-contained SVG line plots, no plotting dependency.
 
 Deterministic output: fixed palette, fixed float formatting, no
-timestamps, so identical data yields byte-identical files.
+timestamps, so identical data yields byte-identical text.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def line_plot(
-    path,
     series,
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
     width: int = 640,
     height: int = 420,
-) -> None:
-    """Write a line plot to ``path``.
+) -> str:
+    """SVG text of a line plot.
 
     ``series`` is a list of (label, xs, ys) triples; axes are scaled to
     the joint data range with a small margin.
@@ -121,5 +120,4 @@ def line_plot(
             f'font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -544,7 +544,7 @@ def test_infinite_inputs_are_config_errors(tmp_path, capsys, argv, needle):
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
     assert needle in capsys.readouterr().err
-    assert not list(out.glob("*.json"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -618,6 +618,7 @@ def test_vc_exit_code_follows_the_check(tmp_path, monkeypatch):
     ("short_row", 'step,point,label\n0,"[""loop"", 1, 5.0]",1\n1\n', "row 2"),
     ("no_label_column", 'step,point\n0,"[""loop"", 1, 5.0]"\n', "'label'"),
     ("off_space_point", 'step,point,label\n0,"[""loop"", 9, 5.0]",1\n', "row 1"),
+    ("header_only", "step,point,label\n", "holds no samples"),
 ])
 def test_machine_stream_file_errors(tmp_path, capsys, case, text, needle):
     stream = tmp_path / "stream.csv"
@@ -628,6 +629,59 @@ def test_machine_stream_file_errors(tmp_path, capsys, case, text, needle):
                  "--stream", str(stream), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert str(stream) in err and needle in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["space", "--kind", "graph", "--edges", "[[0,1],[1,2]"], "delimiter"),
+    (["problem", "--family", "bouquet", "--gamma", "5"], "gamma"),
+    (["width", "--family", "bouquet", "--d0", "nan"], "D0 must be finite"),
+    (["sample", "--experiment", "sweep", "--ws", "1", "--ratios", "0.5,1.0", "--trials", "10"],
+     "w >= 2"),
+    (["nerve", "--arcs", "2"], "at least 3 arcs"),
+    (["vc", "--n-intervals", "4"], "n=4"),
+    ({"experiment": "hierarchy", **_VALID_CONFIGS["hierarchy"], "ws": [2], "d0": 5.0},
+     "outside the admissible window"),
+    ({"experiment": "machine_run", **_VALID_CONFIGS["machine_run"], "steps": 0},
+     "steps must be at least 1"),
+    # the first w succeeds before the second is refused
+    ({"experiment": "hierarchy", **_VALID_CONFIGS["hierarchy"], "ws": [1, 0]}, "w=0"),
+    # the sweep succeeds before the coupon problems refuse gamma
+    ({"experiment": "sample_complexity", **_VALID_CONFIGS["sample_complexity"], "gamma": 5.0},
+     "gamma"),
+], ids=["space_edges", "problem_gamma", "width_d0_nan", "sweep_w1", "nerve_arcs",
+        "vc_n_intervals", "run_hierarchy_d0", "run_machine_steps_0", "run_hierarchy_ws",
+        "run_sample_complexity_gamma"])
+def test_refused_command_writes_nothing(tmp_path, capsys, argv, needle):
+    if isinstance(argv, dict):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(format_config(argv))
+        argv = ["run", str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["nerve", "--w", "1", "-L", "12", "--h", "0.5", "--arcs", "6",
+                 "--out", str(out)]) == 2
+    assert f"cannot write output directory {out}" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_manifest_lists_each_artifact_once(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(format_config({"experiment": "hierarchy", **_VALID_CONFIGS["hierarchy"],
+                                  "ws": [2, 2]}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["hierarchy.csv", "hierarchy.svg", "width_w2.json"]
+    assert "(3 artifacts in" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["artifacts"] + ["manifest.json"])
 
 
 @lru_cache(maxsize=None)
