@@ -15,6 +15,7 @@ directory is taken from the URWIDTH_OUT environment variable when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -77,14 +78,31 @@ EXIT_CONFIG = 2
 
 
 def _write(out_flag: str | None, files: dict[str, str]) -> Path:
-    """Create the output directory and write ``{file name: text}`` into it."""
+    """Create the output directory and write ``{file name: text}`` into it.
+
+    All or nothing: if a write fails, every file written so far gets its
+    old bytes back or is removed, and every directory made here is removed.
+    """
     out = Path(out_flag or os.environ.get("URWIDTH_OUT") or ".")
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    old: dict[Path, bytes | None] = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            with open(out / name, "w", newline="") as fh:  # keeps csv_text's \r\n
+            path = out / name
+            old[path] = path.read_bytes() if path.exists() else None
+            with open(path, "w", newline="") as fh:  # keeps csv_text's \r\n
                 fh.write(text)
     except OSError as exc:
+        for path, data in old.items():
+            with contextlib.suppress(OSError):
+                if data is None:
+                    path.unlink(missing_ok=True)
+                else:
+                    path.write_bytes(data)
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise ValueError(f"cannot write output directory {out}: {exc}") from exc
     return out
 

@@ -74,8 +74,10 @@ class SpherePoint(NamedTuple):
 # Its numpy angles and the scalar ``_unit_angle`` both err from the true
 # angle by a few ulps of pi, about 1e-15; a column whose numpy angle lies
 # more than 1e-9 above its row's minimum cannot be the scalar nearest
-# neighbour.  Rows are screened BLOCK at a time, so the temporaries hold
-# BLOCK x group x (k + 1) floats, not group^2 x (k + 1).
+# neighbour, and a row whose numpy nearest-neighbour angle lies more than
+# 1e-9 below the largest one cannot hold the scalar maximum.  Rows are
+# screened BLOCK at a time, so the temporaries hold BLOCK x group x (k + 1)
+# floats, not group^2 x (k + 1).
 SCREEN_SLACK = 1e-9
 # Rows per block wherever a distance matrix or screen is built block by
 # block: peak memory is BLOCK x columns floats, not rows x columns.
@@ -110,8 +112,10 @@ class MetricSpace:
     def dists(self, ps: Sequence, qs: Sequence) -> np.ndarray:
         """The ``len(ps) x len(qs)`` matrix of ``dist(p, q)``, bit for bit.
 
-        This base version loops over the scalar ``dist``; spaces with a
-        closed form override it with array arithmetic in the same order.
+        This base version loops over the scalar ``dist``.  Bouquet and
+        interval override it with array arithmetic in the same order; the
+        wedge of spheres sums cached per-point pole angles with numpy and
+        keeps the scalar formula for same-sphere entries.
         """
         out = np.empty((len(ps), len(qs)))
         for i, p in enumerate(ps):
@@ -192,6 +196,15 @@ class BouquetSpace(MetricSpace):
 
 
 class WedgeSphereSpace(MetricSpace):
+    """Wedge of round k-spheres glued at a common pole.
+
+    Each sample point's pole angle is computed once, with the scalar
+    ``_unit_angle``, at construction.  A cross-sphere distance is R times
+    the sum of two such angles, so ``dists`` fills the matrix with numpy
+    and equals ``dist`` bit for bit; only same-sphere entries stay on the
+    scalar great-circle formula.
+    """
+
     kind = "wedge_spheres"
 
     def __init__(self, w: int, k: int, R: float, n: int, seed: int):
@@ -221,30 +234,44 @@ class WedgeSphereSpace(MetricSpace):
                 u = tuple(float(x) for x in row / nrm)
                 pts.append(self.point(sphere, u))
         self.sample_set = pts
+        # read-only after construction; a point off the sample set misses
+        # and ``_pole_angle`` computes its angle on the spot
+        self._pole_angles = {p: _unit_angle(p.u, self.pole_dir) for p in pts}
         self.resolution = self._fill_resolution()
 
     def _fill_resolution(self) -> float:
         # max nearest-neighbour spacing within any one sphere's samples;
         # chain connectivity at 2x this step links every sampled patch.
-        # Numpy angles screen each row for the columns near its minimum and
-        # the scalar ``dist`` picks the winner among them, so the value
-        # equals the all-pairs loop over ``q != p`` bit for bit.
+        # Numpy angles screen the rows that can hold the maximum and, in
+        # each such row, the columns near its minimum; the scalar ``dist``
+        # picks the winner among them, so the value equals the all-pairs
+        # loop over ``q != p`` bit for bit.
         worst = 0.0
         for sphere in range(1, self.w + 1):
             group = [p for p in self.sample_set if p.sphere in (0, sphere)]
             tags = np.array([p.sphere for p in group])
             dirs = np.array([p.u for p in group]).T.copy()  # one contiguous row per axis
-            for lo in range(0, len(group), BLOCK):
-                u, v = dirs[:, lo : lo + BLOCK, None], dirs[:, None, :]
+
+            def angles(rows):
+                u, v = dirs[:, rows, None], dirs[:, None, :]
                 angle = 2.0 * np.arctan2(
                     np.sqrt(((u - v) ** 2).sum(axis=0)), np.sqrt(((u + v) ** 2).sum(axis=0))
                 )
-                same = (tags[lo : lo + BLOCK, None] == tags) & (u == v).all(axis=0)
+                same = (tags[rows, None] == tags) & (u == v).all(axis=0)
                 angle[same] = np.inf  # every q == p, not only the diagonal
+                return angle
+
+            nn = np.concatenate(
+                [angles(slice(lo, lo + BLOCK)).min(axis=1) for lo in range(0, len(group), BLOCK)]
+            )
+            rows = np.flatnonzero(nn >= nn.max() - SCREEN_SLACK)
+            for lo in range(0, len(rows), BLOCK):
+                block = rows[lo : lo + BLOCK]
+                angle = angles(block)
                 near = angle <= angle.min(axis=1, keepdims=True) + SCREEN_SLACK
-                for i, row in enumerate(near, lo):
-                    nn = min(self.dist(group[i], group[j]) for j in np.flatnonzero(row))
-                    worst = max(worst, nn)
+                for i, row in zip(block, near):
+                    cols = np.flatnonzero(row)
+                    worst = max(worst, min(self.dist(group[i], group[j]) for j in cols))
         return worst
 
     def point(self, sphere: int, u: Sequence[float]) -> SpherePoint:
@@ -267,7 +294,23 @@ class WedgeSphereSpace(MetricSpace):
         if p.sphere == q.sphere:
             return self.R * _unit_angle(p.u, q.u)
         # through the glue pole; a pole-tagged point has zero pole distance
-        return self.R * (_unit_angle(p.u, self.pole_dir) + _unit_angle(q.u, self.pole_dir))
+        return self.R * (self._pole_angle(p) + self._pole_angle(q))
+
+    def _pole_angle(self, p: SpherePoint) -> float:
+        a = self._pole_angles.get(p)
+        return _unit_angle(p.u, self.pole_dir) if a is None else a
+
+    def dists(self, ps: Sequence[SpherePoint], qs: Sequence[SpherePoint]) -> np.ndarray:
+        ap = np.array([self._pole_angle(p) for p in ps], dtype=float)
+        aq = np.array([self._pole_angle(q) for q in qs], dtype=float)
+        out = self.R * (ap[:, None] + aq[None, :])  # the scalar's two IEEE operations
+        tp = np.array([p.sphere for p in ps], dtype=int)
+        tq = np.array([q.sphere for q in qs], dtype=int)
+        ii, jj = np.nonzero(tp[:, None] == tq[None, :])
+        out[ii, jj] = [
+            self.R * _unit_angle(ps[i].u, qs[j].u) for i, j in zip(ii.tolist(), jj.tolist())
+        ]
+        return out
 
     def describe(self) -> dict:
         return {

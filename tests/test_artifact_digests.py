@@ -45,6 +45,8 @@ _CASES = {
     "vc": (["vc", "--w", "3", "--n-intervals", "1"], None),
     **{f"run_{kind}": (["run"], text) for kind, text in _RUNS.items()},
     "space_wedge": (["space", "--kind", "wedge", "--w", "2", "--n", "16", "--seed", "1"], None),
+    "problem_wedge": (["problem", "--family", "wedge", "--w", "2", "--n", "16", "--seed", "1"],
+                      None),
     "width_wedge": (["width", "--family", "wedge", "--w", "2", "--n", "16", "--h", "0.5",
                      "--seed", "1", "--d0", "1"], None),
     "sample_coupon": (["sample", "--experiment", "coupon", "--ws", "4,8", "--trials", "100",
@@ -67,6 +69,11 @@ _GOLDEN = {
         "problem.txt": "105486b4a9f31758a65f02b6363b9d32430a4db1af16abeb9d75e1902d225c6e",
         "safe_region.csv": "c3e46b4998e8cf5588b756e0963f7fc34bc17b15c2459f3751564fbd6becfdf2",
         "validation.json": "1d04cce5e1b7da0afa0127af2080fb8eded167f0f3cd9158de6c3a324dad065a",
+    },
+    "problem_wedge": {
+        "problem.txt": "6b90d32d15c61bcf1cc7ebbcc93be8c6d113f9e1d30280e1a24fdcc29551f193",
+        "safe_region.csv": "26b27c6f411254ed32538a9b7ee804ce30eeeeb1c848b5c08579f56bb3ab93d6",
+        "validation.json": "142aa6af7afbb3db5d2633cff7ee6052f17651bce9db7891d6db9b3347572081",
     },
     "run_additivity": {
         "additivity.json": "5807a4ab22a221f7c6092465f2a1f48c0f065abfe80ce7c01a4b49ca1989e569",

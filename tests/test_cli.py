@@ -672,6 +672,26 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert out.read_text() == "not a directory\n"
 
 
+def test_failed_write_leaves_the_output_directory_as_it_found_it(tmp_path, capsys):
+    # size_curve.svg is written before trace.json, which is a directory
+    out = tmp_path / "o"
+    (out / "trace.json").mkdir(parents=True)
+    (out / "size_curve.svg").write_text("earlier run\n")
+    assert main(["machine", "--family", "bouquet", "--w", "2", "--d0", "4", "--r-construct",
+                 "1", "--steps", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write output directory {out}" in err and "Is a directory" in err
+    assert sorted(p.name for p in out.iterdir()) == ["size_curve.svg", "trace.json"]
+    assert (out / "size_curve.svg").read_text() == "earlier run\n"
+    assert not any((out / "trace.json").iterdir())
+
+
+def test_failed_write_removes_the_directories_it_made(tmp_path):
+    with pytest.raises(ValueError, match="cannot write output directory"):
+        cli._write(str(tmp_path / "a" / "b"), {"x.txt": "1\n", "no/such/dir.txt": "2\n"})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_lists_each_artifact_once(tmp_path, capsys):
     cfg = tmp_path / "dup.cfg"
     cfg.write_text(format_config({"experiment": "hierarchy", **_VALID_CONFIGS["hierarchy"],

@@ -364,6 +364,11 @@ def _golden_instances():
     # 4.0 > D0 + TOL, rejects it
     out.append((bouquet_problem(3, 10.0, 1.0, 0.5), 4.0 - 1.5e-9))
     out.append((bouquet_problem(12, 10.0, 1.0, 0.1), 4.0))
+    # wedges, whose ``dists`` sums cached pole angles: D0 below the window
+    # [3*gamma/2, pi*R - 3*gamma/4) = [1.95, 2.17) and inside it
+    out.append((wedge_problem(2, 1, 1.0, 1.3, n=24, seed=3), 1.0))
+    out.append((wedge_problem(2, 2, 1.0, 1.3, n=32, seed=4), 2.0))
+    out.append((wedge_problem(2, 1, 1.0, 1.3, n=20, seed=6), 2.1))
     return [pytest.param(p, d0, id=f"{p.family.name}-{i}") for i, (p, d0) in enumerate(out)]
 
 

@@ -104,6 +104,14 @@ def test_wedge_resolution_equals_all_pairs_loop(k, seed):
     assert sp.resolution.hex() == _fill_resolution_oracle(sp).hex()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(16, 48), st.integers(0, 2**63),
+       st.floats(0.1, 10.0))
+def test_wedge_resolution_equals_all_pairs_loop_on_small_wedges(w, k, n, seed, R):
+    sp = wedge_sphere_space(w, k, R, n=n, seed=seed)
+    assert sp.resolution.hex() == _fill_resolution_oracle(sp).hex()
+
+
 @pytest.mark.parametrize("copied", ["pole", "worst"])
 def test_wedge_resolution_skips_every_copy_of_a_duplicated_sample(copied):
     sp = wedge_sphere_space(2, 2, 2.0, n=16, seed=1)
@@ -283,6 +291,8 @@ _KERNEL_SPACES = {
     "interval": interval_space(21),
     "union": disjoint_union(_BOUQUET, bouquet_space(2, 7.0, 0.25), 2.5),
     "wedge": wedge_sphere_space(2, 2, 1.5, n=16, seed=3),
+    "wedge_k1": wedge_sphere_space(3, 1, 0.8, n=16, seed=4),
+    "wedge_k3": wedge_sphere_space(2, 3, 2.5, n=16, seed=5),
     "graph": graph_space([("a", "b", 0.3), ("b", "c", 1.7), ("c", "a", 0.9), ("c", "d", 2.2)]),
 }
 
@@ -291,6 +301,32 @@ def _bouquet_points(sp):
     # arc 0 is the wedge point on every loop, L/2 the loop's antipode
     arc = st.one_of(st.just(0.0), st.just(sp.L / 2), st.floats(0.0, sp.L, exclude_max=True))
     return st.builds(sp.point, st.integers(1, sp.w), arc)
+
+
+def _wedge_points(sp):
+    # sample points, which the pole-angle cache holds, and points off it:
+    # fresh unit vectors and sample directions moved to another sphere
+    def fresh(sphere, raw):
+        nrm = math.hypot(*raw)
+        return sp.point(sphere, [x / nrm for x in raw])
+
+    raw = st.lists(st.floats(-1.0, 1.0), min_size=sp.k + 1, max_size=sp.k + 1)
+    return st.one_of(
+        st.sampled_from(sp.sample_set),
+        st.sampled_from([sp.pole] + [sp.antipode(j) for j in range(1, sp.w + 1)]),
+        st.builds(fresh, st.integers(1, sp.w), raw.filter(lambda v: math.hypot(*v) > 0.1)),
+        st.builds(sp.point, st.integers(1, sp.w), st.sampled_from([p.u for p in sp.sample_set])),
+    )
+
+
+def _wedge_dist(sp, p, q):
+    """The scalar wedge metric written out, with no cached pole angle."""
+    def angle(u, v):
+        return 2.0 * math.atan2(math.dist(u, v), math.dist(u, [-x for x in v]))
+
+    if p.sphere == q.sphere:
+        return sp.R * angle(p.u, q.u)
+    return sp.R * (angle(p.u, sp.pole_dir) + angle(q.u, sp.pole_dir))
 
 
 def _kernel_points(name):
@@ -304,7 +340,9 @@ def _kernel_points(name):
             st.builds(sp.point, st.just(0), _bouquet_points(sp.left)),
             st.builds(sp.point, st.just(1), _bouquet_points(sp.right)),
         )
-    else:  # wedge and graph, like union, use the base-class loop over ``dist``
+    elif name.startswith("wedge"):
+        pt = _wedge_points(sp)
+    else:  # graph, like union, uses the base-class loop over ``dist``
         pt = st.sampled_from(sp.sample_set)
     return st.lists(pt, max_size=8)
 
@@ -322,3 +360,5 @@ def test_dists_matrix_equals_scalar_dist(case):
     for i, p in enumerate(ps):
         for j, q in enumerate(qs):
             assert got[i, j] == sp.dist(p, q)  # bit for bit, not approximately
+            if name.startswith("wedge"):
+                assert got[i, j] == _wedge_dist(sp, p, q)
