@@ -77,13 +77,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
+def _out_dir(out_flag: str | None) -> Path:
+    return Path(out_flag or os.environ.get("URWIDTH_OUT") or ".")
+
+
 def _write(out_flag: str | None, files: dict[str, str]) -> Path:
     """Create the output directory and write ``{file name: text}`` into it.
 
     All or nothing: if a write fails, every file written so far gets its
     old bytes back or is removed, and every directory made here is removed.
     """
-    out = Path(out_flag or os.environ.get("URWIDTH_OUT") or ".")
+    out = _out_dir(out_flag)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     old: dict[Path, bytes | None] = {}
     try:
@@ -516,6 +520,21 @@ def _check_config(kind: str, cfg: dict) -> None:
             raise ValueError(f"config field {key!r} must be {name}, got {cfg[key]!r}")
 
 
+def _earlier_artifacts(out: Path) -> list[str]:
+    """Artifact names listed by the manifest an earlier run left in ``out``."""
+    manifest = out / "manifest.json"
+    if not manifest.is_file():
+        return []
+    try:
+        doc = json.loads(manifest.read_text())
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValueError(f"cannot read earlier manifest {manifest}: {exc}") from exc
+    listed = doc.get("artifacts") if isinstance(doc, dict) else None
+    if not isinstance(listed, list) or not all(isinstance(a, str) for a in listed):
+        raise ValueError(f"earlier manifest {manifest} holds no list of artifact names")
+    return listed
+
+
 def cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text()
@@ -532,6 +551,8 @@ def cmd_run(args) -> int:
               f"{sorted(_EXPERIMENTS)}", file=sys.stderr)
         return EXIT_CONFIG
     _check_config(kind, cfg)
+    out_dir = _out_dir(args.out or cfg.get("out"))
+    earlier = _earlier_artifacts(out_dir)  # a bad manifest fails before the work
     started = time.time()
     code, files = _EXPERIMENTS[kind][0](cfg)
     artifacts = sorted(files)
@@ -544,7 +565,12 @@ def cmd_run(args) -> int:
         "artifacts": artifacts,
         "wall_clock_s": round(time.time() - started, 3),
     })
-    out = _write(args.out or cfg.get("out"), files)
+    # an earlier file this run does not rewrite would sit beside a manifest not naming it
+    stale = sorted(a for a in set(earlier) - set(files) if (out_dir / a).exists())
+    if stale:
+        raise ValueError(f"{out_dir} holds artifacts of an earlier run that this run would "
+                         f"not write: {', '.join(stale)}; remove them or choose another --out")
+    out = _write(str(out_dir), files)
     print(f"experiment {kind}: {'pass' if code == EXIT_OK else 'CHECK FAILED'} "
           f"({len(artifacts)} artifacts in {out})")
     return code

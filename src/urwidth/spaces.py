@@ -279,7 +279,7 @@ class WedgeSphereSpace(MetricSpace):
         if len(vec) != self.k + 1:
             raise ValueError(f"direction must have {self.k + 1} components")
         nrm = math.hypot(*vec)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"direction must be unit length, |u| = {nrm}")
         if math.dist(vec, self.pole_dir) == 0.0:
             return self.pole

@@ -1,7 +1,10 @@
 """Brute-force VC dimension and the width/VC separation report.
 
 VC dimension is computed exactly by a depth-first shattering search.
-Each point is a bitmask over hypotheses; a shattered set carries one
+A table's deduplicated hypotheses become one numpy row matrix
+(hypotheses x points), built once; the binary check and the per-point
+columns read from it.  Each point is a bitmask over hypotheses (its
+column packed into a Python int); a shattered set carries one
 nonempty hypothesis mask per +/- pattern on it, and adding a point splits
 every mask by that point's column.  The set stays shattered iff no half
 is empty, and the search only extends shattered sets, in increasing
@@ -16,7 +19,11 @@ Two hypothesis classes are built here:
 * ``patchwise_class`` -- classifiers constant on each of w designated
   safe arcs; w^w assignments, hence the log2-cardinality bound
   w*log2(w).  A one-vs-rest indicator family is emitted for binary
-  shattering questions.
+  shattering questions.  Deduplicated, that family is exactly the 2^w
+  subsets of arcs (only the full set when w = 1): every indicator marks
+  some subset, and for w >= 2 the subset S is label 1's indicator under
+  "1 on S, 2 elsewhere" and, when S misses arc 0, label 2's under
+  "2 on S, 1 elsewhere".  So the subsets are listed directly.
 
 ``separation_report`` puts width brackets (from the coverings module,
 verbatim) next to the VC numbers to exhibit both separation directions.
@@ -25,8 +32,10 @@ verbatim) next to the VC numbers to exhibit both separation directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, product
+from dataclasses import dataclass, field
+from itertools import chain, combinations, product
+
+import numpy as np
 
 from .coverings import WidthBracket, width_bracket
 from .problems import bouquet_problem, interval_union_problem
@@ -46,10 +55,14 @@ GROUND_CAP = 22
 
 @dataclass
 class HypothesisTable:
-    """Finite hypothesis class: ordered ground set and label vectors."""
+    """Finite hypothesis class: ordered ground set and label vectors.
+
+    ``rows`` holds the deduplicated vectors as one matrix (hypotheses x points).
+    """
 
     ground: list
     hypotheses: list[tuple]
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ground) > GROUND_CAP:
@@ -59,24 +72,18 @@ class HypothesisTable:
         self.hypotheses = list(dict.fromkeys(map(tuple, self.hypotheses)))
         if any(len(h) != len(self.ground) for h in self.hypotheses):
             raise ValueError("hypothesis length does not match the ground set")
+        self.rows = np.array(self.hypotheses).reshape(len(self.hypotheses), len(self.ground))
 
     @property
     def binary(self) -> bool:
-        return all(v in (0, 1) for h in self.hypotheses for v in h)
+        return bool(((self.rows == 0) | (self.rows == 1)).all())
 
 
 def _columns(table: HypothesisTable) -> tuple[list[int], int]:
     """Per-point bitmask over hypotheses (bit h set iff h labels the point 1)."""
-    m = len(table.hypotheses)
-    n = len(table.ground)
-    cols_bytes = [bytearray((m + 7) // 8) for _ in range(n)]
-    for hid, vec in enumerate(table.hypotheses):
-        byte, bit = hid >> 3, 1 << (hid & 7)
-        for i, v in enumerate(vec):
-            if v:
-                cols_bytes[i][byte] |= bit
-    cols = [int.from_bytes(b, "little") for b in cols_bytes]
-    return cols, (1 << m) - 1
+    packed = np.packbits(table.rows.T != 0, axis=1, bitorder="little")
+    cols = [int.from_bytes(b.tobytes(), "little") for b in packed]
+    return cols, (1 << len(table.hypotheses)) - 1
 
 
 def vc_dimension(table: HypothesisTable) -> int:
@@ -114,21 +121,19 @@ def intervals_class(n: int, grid: int) -> HypothesisTable:
 
     Enumerated by boundary positions: exactly r runs of ones correspond
     to 2r strictly increasing cut indices among grid+1 gaps, so the class
-    has sum_r C(grid+1, 2r) members.  Needs grid >= 4n + 4 to witness the
-    full 2n shattering.
+    has sum_r C(grid+1, 2r) members; point i is labelled 1 iff an odd
+    number of cuts lie at or below it.  Needs grid >= 4n + 4 to witness
+    the full 2n shattering.
     """
     if grid < 4 * n + 4:
         raise ValueError(f"grid {grid} too small: need at least {4 * n + 4} points")
     ground = [i / (grid - 1) for i in range(grid)]
-    hyps = []
+    blocks = []
     for r in range(n + 1):
-        for cuts in combinations(range(grid + 1), 2 * r):
-            vec = [0] * grid
-            for t in range(r):
-                for i in range(cuts[2 * t], cuts[2 * t + 1]):
-                    vec[i] = 1
-            hyps.append(tuple(vec))
-    return HypothesisTable(ground, hyps)
+        cuts = np.fromiter(chain.from_iterable(combinations(range(grid + 1), 2 * r)),
+                           dtype=np.intp).reshape(math.comb(grid + 1, 2 * r), 2 * r)
+        blocks.append((cuts[:, :, None] <= np.arange(grid)).sum(axis=1) & 1)
+    return HypothesisTable(ground, np.concatenate(blocks).tolist())
 
 
 @dataclass
@@ -145,21 +150,22 @@ def patchwise_class(w: int) -> PatchwiseClass:
     """Assignments of labels [w] to w arcs; indicator table only for small w.
 
     The binary ``one_vs_rest`` family holds the indicator of each label
-    under every assignment, over one representative point per arc.
+    under every assignment, over one representative point per arc, in
+    the order ``product`` first meets it: S first comes from "1 on S, 2
+    elsewhere" (label 1) if it holds arc 0, else from "2 on S, 1
+    elsewhere" (label 2).  So S holding arc 0 comes just before its
+    complement, these pairs ordered by the complement's bits on arcs 1..w-1.
     """
     if w < 1:
         raise ValueError("need at least one arc")
     bound = w * math.log2(w) if w > 1 else 0.0
     if w > 6:
         return PatchwiseClass(w, w**w, bound, None)
-    ground = list(range(w))
-    assignments = list(product(range(1, w + 1), repeat=w))
-    ovr = [
-        tuple(1 if a[i] == lab else 0 for i in range(w))
-        for a in assignments
-        for lab in range(1, w + 1)
-    ]
-    return PatchwiseClass(w, len(assignments), bound, HypothesisTable(ground, ovr))
+    ovr = [row for rest in product((0, 1), repeat=w - 1)
+           for row in ((1, *(1 - b for b in rest)), (0, *rest))]
+    if w == 1:
+        ovr = ovr[:1]  # the only label marks the only arc
+    return PatchwiseClass(w, w**w, bound, HypothesisTable(list(range(w)), ovr))
 
 
 @dataclass
@@ -194,8 +200,13 @@ def separation_report(w: int, n: int) -> SeparationReport:
     its certified width bracket next to the patchwise class's
     log2-cardinality bound w*log2(w).  Rows B: interval problems of 1..n
     intervals, width bracket (1 for D0 >= 1) next to the exact
-    brute-force VC dimension 2n on a grid of 4n + 8 points.
+    brute-force VC dimension 2n on a grid of 4n + 8 points.  Needs
+    1 <= n <= 3: without an interval row the VC direction is missing,
+    and only n <= 3 has a standard instance.
     """
+    if n not in _INTERVAL_INSTANCES:  # keys 1..3, so every row below has one
+        raise ValueError(f"interval count n must be at least 1 and at most "
+                         f"{max(_INTERVAL_INSTANCES)}, got n={n}")
     rows = []
     pb = bouquet_problem(w, 10.0, 1.0, 0.5)
     br: WidthBracket = width_bracket(pb, 4.0)
@@ -212,8 +223,6 @@ def separation_report(w: int, n: int) -> SeparationReport:
         }
     )
     for nn in range(1, n + 1):
-        if nn not in _INTERVAL_INSTANCES:
-            raise ValueError(f"no standard interval instance for n={nn}")
         ip = interval_union_problem(_INTERVAL_INSTANCES[nn], 0.05, 101)
         ibr = width_bracket(ip, 1.0)
         table = intervals_class(nn, 4 * nn + 8)

@@ -632,6 +632,17 @@ def test_machine_stream_file_errors(tmp_path, capsys, case, text, needle):
     assert not (tmp_path / "o").exists()
 
 
+def test_machine_stream_rejects_a_nan_sphere_direction(tmp_path, capsys):
+    stream = tmp_path / "stream.csv"
+    stream.write_text('step,point,label\n0,"[""sphere"", 1, [NaN, 0.0, 0.0]]",1\n')
+    assert main(["machine", "--family", "wedge", "--w", "2", "--n", "16", "--d0", "1",
+                 "--r-construct", "0.5", "--stream", str(stream),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"stream file {stream}, row 1" in err and "unit length" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["space", "--kind", "graph", "--edges", "[[0,1],[1,2]"], "delimiter"),
     (["problem", "--family", "bouquet", "--gamma", "5"], "gamma"),
@@ -640,6 +651,9 @@ def test_machine_stream_file_errors(tmp_path, capsys, case, text, needle):
      "w >= 2"),
     (["nerve", "--arcs", "2"], "at least 3 arcs"),
     (["vc", "--n-intervals", "4"], "n=4"),
+    (["vc", "--n-intervals", "0"], "at least 1 and at most 3, got n=0"),
+    ({"experiment": "vc_separation", **_VALID_CONFIGS["vc_separation"], "n_max": 0},
+     "at least 1 and at most 3, got n=0"),
     ({"experiment": "hierarchy", **_VALID_CONFIGS["hierarchy"], "ws": [2], "d0": 5.0},
      "outside the admissible window"),
     ({"experiment": "machine_run", **_VALID_CONFIGS["machine_run"], "steps": 0},
@@ -650,7 +664,7 @@ def test_machine_stream_file_errors(tmp_path, capsys, case, text, needle):
     ({"experiment": "sample_complexity", **_VALID_CONFIGS["sample_complexity"], "gamma": 5.0},
      "gamma"),
 ], ids=["space_edges", "problem_gamma", "width_d0_nan", "sweep_w1", "nerve_arcs",
-        "vc_n_intervals", "run_hierarchy_d0", "run_machine_steps_0", "run_hierarchy_ws",
+        "vc_n_intervals", "vc_n_intervals_0", "run_vc_n_max_0", "run_hierarchy_d0", "run_machine_steps_0", "run_hierarchy_ws",
         "run_sample_complexity_gamma"])
 def test_refused_command_writes_nothing(tmp_path, capsys, argv, needle):
     if isinstance(argv, dict):
@@ -860,3 +874,60 @@ def test_changing_any_leaf_never_raises(data, name):
     doc, _, _ = _change_leaf(data, name)
     ok, messages = verify_bracket(doc)
     assert ok == (messages == [])
+
+
+def _run_hierarchy_into(tmp_path, out, ws):
+    cfg = tmp_path / f"hier{len(ws)}.cfg"
+    cfg.write_text(format_config({"experiment": "hierarchy", **_VALID_CONFIGS["hierarchy"],
+                                  "ws": ws}))
+    return main(["run", str(cfg), "--out", str(out)])
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_run_refuses_to_leave_an_earlier_runs_files(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert _run_hierarchy_into(tmp_path, out, [1, 2, 3]) == 0
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert _run_hierarchy_into(tmp_path, out, [2]) == 2
+    err = capsys.readouterr().err
+    assert "width_w1.json, width_w3.json" in err and "width_w2.json" not in err, err
+    assert _snapshot(out) == before
+    # once the earlier files are gone, the smaller run goes through
+    (out / "width_w1.json").unlink()
+    (out / "width_w3.json").unlink()
+    assert _run_hierarchy_into(tmp_path, out, [2]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["artifacts"] + ["manifest.json"])
+
+
+def test_run_repeated_into_the_same_directory_is_byte_identical(tmp_path):
+    out = tmp_path / "o"
+    assert _run_hierarchy_into(tmp_path, out, [1, 2]) == 0
+    first = _snapshot(out)
+    assert _run_hierarchy_into(tmp_path, out, [1, 2]) == 0
+    second = _snapshot(out)
+    manifests = [json.loads(s.pop("manifest.json")) for s in (first, second)]
+    assert first == second
+    for m in manifests:
+        del m["wall_clock_s"]
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"artifacts": "hierarchy.csv"}',
+                                  '{"artifacts": [1]}', b"\xff\xfe"],
+                         ids=["syntax", "not_an_object", "not_a_list", "not_names", "not_utf8"])
+def test_run_refuses_an_unreadable_earlier_manifest(tmp_path, capsys, text):
+    out = tmp_path / "o"
+    out.mkdir()
+    manifest = out / "manifest.json"
+    if isinstance(text, bytes):
+        manifest.write_bytes(text)
+    else:
+        manifest.write_text(text)
+    assert _run_hierarchy_into(tmp_path, out, [1]) == 2
+    assert f"earlier manifest {manifest}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]

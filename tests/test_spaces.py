@@ -82,8 +82,9 @@ def test_wedge_circle_matches_bouquet_metric():
 
 def test_wedge_rejects_degenerate_direction():
     sp = wedge_sphere_space(1, 2, 1.0, n=16, seed=0)
-    with pytest.raises(ValueError):
-        sp.point(1, (0.5, 0.5, 0.5))
+    for u in [(0.5, 0.5, 0.5), (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)]:
+        with pytest.raises(ValueError, match="unit length"):
+            sp.point(1, u)
 
 
 def _fill_resolution_oracle(sp):

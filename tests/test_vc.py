@@ -2,14 +2,16 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urwidth.vc import (
+    GROUND_CAP,
     HypothesisTable,
+    _columns,
     intervals_class,
     patchwise_class,
     separation_report,
@@ -37,8 +39,8 @@ def test_full_shatter_of_four_points():
 def test_table_validation():
     with pytest.raises(ValueError):
         HypothesisTable(list(range(23)), [tuple([0] * 23)])
-    with pytest.raises(ValueError):
-        HypothesisTable([0, 1], [(0, 1, 0)])
+    with pytest.raises(ValueError, match="hypothesis length does not match the ground set"):
+        HypothesisTable([0, 1], [(0, 1), (0, 1, 0), (1, 0)])
     t = HypothesisTable([0, 1], [(0, 1), (0, 1), (1, 1)])
     assert len(t.hypotheses) == 2  # deduplicated
 
@@ -172,3 +174,118 @@ def test_separation_report_degenerate_row():
     assert (loops["width_lb"], loops["width_ub"]) == (1, 1)
     assert loops["vc_bound"] == 0.0
     assert (ivl["width_lb"], ivl["width_ub"], ivl["vc"]) == (1, 1, 2)
+
+
+# -- the tuple-loop table code, kept as the reference for the row matrix ---------
+
+
+def _dedup_oracle(ground, hyps):
+    hyps = list(dict.fromkeys(map(tuple, hyps)))
+    if any(len(h) != len(ground) for h in hyps):
+        raise ValueError("hypothesis length does not match the ground set")
+    return hyps
+
+
+def _binary_oracle(hyps):
+    return all(v in (0, 1) for h in hyps for v in h)
+
+
+def _columns_oracle(hyps, n):
+    m = len(hyps)
+    cols_bytes = [bytearray((m + 7) // 8) for _ in range(n)]
+    for hid, vec in enumerate(hyps):
+        byte, bit = hid >> 3, 1 << (hid & 7)
+        for i, v in enumerate(vec):
+            if v:
+                cols_bytes[i][byte] |= bit
+    return [int.from_bytes(b, "little") for b in cols_bytes], (1 << m) - 1
+
+
+def _intervals_oracle(n, grid):
+    hyps = []
+    for r in range(n + 1):
+        for cuts in combinations(range(grid + 1), 2 * r):
+            vec = [0] * grid
+            for t in range(r):
+                for i in range(cuts[2 * t], cuts[2 * t + 1]):
+                    vec[i] = 1
+            hyps.append(tuple(vec))
+    return list(dict.fromkeys(hyps))
+
+
+def _patchwise_oracle(w):
+    ovr = [
+        tuple(1 if a[i] == lab else 0 for i in range(w))
+        for a in product(range(1, w + 1), repeat=w)
+        for lab in range(1, w + 1)
+    ]
+    return list(dict.fromkeys(ovr))
+
+
+def _assert_int_rows(hyps):
+    assert all(type(h) is tuple and all(type(v) is int for v in h) for h in hyps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_matrix_matches_tuple_oracles(data):
+    n = data.draw(st.integers(0, GROUND_CAP))
+    label = st.sampled_from([0, 1, 2, False, True])
+    pool = data.draw(st.lists(st.lists(label, min_size=n, max_size=n), max_size=12))
+    # draws from a small pool repeat rows, so dedup is exercised
+    hyps = data.draw(st.lists(st.sampled_from(pool), max_size=40)) if pool else []
+    if hyps and data.draw(st.booleans()):
+        length = data.draw(st.sampled_from([n - 1, n + 1] if n else [1]))
+        hyps.insert(data.draw(st.integers(0, len(hyps))), tuple([0] * length))
+    ground = list(range(n))
+    try:
+        expect = _dedup_oracle(ground, hyps)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            HypothesisTable(ground, hyps)
+        return
+    t = HypothesisTable(ground, hyps)
+    assert t.hypotheses == expect
+    assert [list(map(type, h)) for h in t.hypotheses] == [list(map(type, h)) for h in expect]
+    assert t.rows.shape == (len(expect), n)
+    assert t.binary == _binary_oracle(expect)
+    assert _columns(t) == _columns_oracle(expect, n)
+
+
+@pytest.mark.parametrize("ground, hyps", [
+    ([0, 1, 2], []),
+    ([0, 1, 2], [(1, 0, 2)]),
+    ([0, 1, 2], [(True, False, True), (1, 0, 1), (0, 0, 1)]),
+    ([], [(), ()]),
+], ids=["no_hypotheses", "one", "bool_equals_int", "empty_ground"])
+def test_row_matrix_small_tables(ground, hyps):
+    t = HypothesisTable(ground, hyps)
+    expect = _dedup_oracle(ground, hyps)
+    assert t.hypotheses == expect
+    assert t.binary == _binary_oracle(expect)
+    assert _columns(t) == _columns_oracle(expect, len(ground))
+    if expect and t.binary:
+        assert vc_dimension(t) == _vc_exhaustive_oracle(t)
+
+
+_SHATTER_INTERVALS = ([(1, g) for g in range(8, 23)] + [(2, g) for g in range(12, 23)]
+                      + [(3, 16), (3, 20)])  # the benchmark's tables and criterion 6's
+
+
+@pytest.mark.parametrize("n,grid", _SHATTER_INTERVALS)
+def test_intervals_class_matches_tuple_builder(n, grid):
+    t = intervals_class(n, grid)
+    expect = _intervals_oracle(n, grid)
+    assert t.hypotheses == expect
+    _assert_int_rows(t.hypotheses)
+    assert t.ground == [i / (grid - 1) for i in range(grid)]
+    assert _columns(t) == _columns_oracle(expect, grid)
+
+
+@pytest.mark.parametrize("w", range(1, 7))
+def test_patchwise_class_matches_tuple_builder(w):
+    pw = patchwise_class(w)
+    assert pw.cardinality == w**w
+    assert pw.one_vs_rest.hypotheses == _patchwise_oracle(w)
+    _assert_int_rows(pw.one_vs_rest.hypotheses)
+    assert pw.one_vs_rest.ground == list(range(w))
