@@ -5,7 +5,10 @@ assignment); it is valid for a margin problem when every support is
 chain-connected and of diameter <= D0, the supports jointly cover every
 sampled safe point, and the assignment agrees with the safe label
 wherever a support meets a safe set.  The width of the problem is the
-minimum number of such triples.
+minimum number of such triples.  ``verify_covering`` reads each support's
+connectivity and diameter from one blocked pass over its distance matrix
+(``support_check``) and each safe label from the problem's cached safe
+sets; both answer exactly as the pairwise scalar checks would.
 
 Certificates come in two independent halves:
 
@@ -37,7 +40,7 @@ import numpy as np
 # Window and parameter_window are re-exported: each family's D0 window is
 # registered with the family in problems.FAMILIES
 from .problems import TOL, MarginProblem, Window, parameter_window, validate_margin
-from .spaces import BLOCK, MetricSpace, is_chain_connected, subset_diameter
+from .spaces import BLOCK, MetricSpace, _step_neighbours, support_check
 
 __all__ = [
     "UrysohnTriple",
@@ -138,8 +141,7 @@ def verify_covering(problem: MarginProblem, cov: UrysohnCovering) -> CoveringRep
     space = problem.space
     checks = []
     for tri in cov.triples:
-        connected = bool(tri.support) and is_chain_connected(space, tri.support, cov.h)
-        diam = subset_diameter(space, tri.support) if tri.support else 0.0
+        connected, diam = support_check(space, tri.support, cov.h) if tri.support else (False, 0.0)
         witness = None
         if diam > cov.d0 + TOL:
             witness = max(
@@ -149,12 +151,9 @@ def verify_covering(problem: MarginProblem, cov: UrysohnCovering) -> CoveringRep
             )
         checks.append(TripleCheck(connected, diam, diam <= cov.d0 + TOL, witness))
 
-    supports = [set(t.support) for t in cov.triples]
-    uncovered = [
-        (problem.regions[j].label, x)
-        for j, x in problem.all_safe_points()
-        if not any(x in s for s in supports)
-    ]
+    supported = {x for t in cov.triples for x in t.support}
+    uncovered = [(problem.regions[j].label, x) for j, x in problem.all_safe_points()
+                 if x not in supported]
 
     violations = []
     for i, tri in enumerate(cov.triples):
@@ -262,7 +261,7 @@ def _candidate_balls(problem, d0):
     for start in range(0, len(pool), BLOCK):
         block = space.dists(pool[start : start + BLOCK], pool)
         far = max(far, float(block.max()))
-        nbrs.extend(np.flatnonzero(row <= h).tolist() for row in block)
+        nbrs.extend(_step_neighbours(block, h))
     step = space.resolution / 2
     top = min(d0 / 2, far)
     radii = [step * i for i in range(1, int(math.floor(top / step + TOL)) + 1)]

@@ -190,6 +190,8 @@ class MarginProblem:
     regions: list[ClassRegion]
     family: FamilyTag
     _safe_cache: dict = field(default_factory=dict, repr=False)
+    # sample point -> first slot whose cached safe set holds it
+    _safe_slot: dict = field(default_factory=dict, repr=False)
 
     @property
     def k(self) -> int:
@@ -215,7 +217,14 @@ class MarginProblem:
         return self.class_dist(j, x) <= self.gamma / 2 + TOL
 
     def safe_label(self, x) -> int | None:
-        """Label of the unique safe region containing ``x``, if any."""
+        """Label of the first safe region containing ``x``, if any.
+
+        Sample points are looked up in the cached safe sets, which agree
+        with ``is_safe`` bit for bit; other points are tested here."""
+        if len(self._safe_cache) < self.k:
+            self.all_safe_points()
+        if x in self._safe_slot:
+            return self.regions[self._safe_slot[x]].label
         for j in range(self.k):
             if self.is_safe(j, x):
                 return self.regions[j].label
@@ -229,6 +238,7 @@ class MarginProblem:
                 [piece_dists(self.space, pc, sample) for pc in self.regions[j].pieces]
             )
             pts = [sample[i] for i in np.flatnonzero(gap <= self.gamma / 2 + TOL)]
+            self._safe_slot.update((x, j) for x in pts if self._safe_slot.get(x, j) >= j)
             have = set(pts)
             for extra in self.regions[j].points:
                 if extra not in have:

@@ -45,6 +45,7 @@ __all__ = [
     "disjoint_union",
     "subset_diameter",
     "is_chain_connected",
+    "support_check",
 ]
 
 
@@ -158,6 +159,7 @@ class BouquetSpace(MetricSpace):
                 BouquetPoint(loop, i * self.resolution)
                 for i in range(1, self.n_per_loop)
             )
+        self._sample_coords = self._coords(pts)  # before sample_set: built, not read
         self.sample_set = pts
 
     def point(self, loop: int, s: float) -> BouquetPoint:
@@ -180,11 +182,15 @@ class BouquetSpace(MetricSpace):
         # cross-loop paths run through the wedge point
         return min(p.s, self.L - p.s) + min(q.s, self.L - q.s)
 
+    def _coords(self, pts: Sequence[BouquetPoint]) -> tuple[np.ndarray, np.ndarray]:
+        """Loop and arc arrays of ``pts``; the sample set's are built once."""
+        if pts is self.sample_set and len(pts) == len(self._sample_coords[0]):
+            return self._sample_coords
+        return (np.array([p.loop for p in pts], dtype=int),
+                np.array([p.s for p in pts], dtype=float))
+
     def dists(self, ps: Sequence[BouquetPoint], qs: Sequence[BouquetPoint]) -> np.ndarray:
-        lp = np.array([p.loop for p in ps], dtype=int)
-        lq = np.array([q.loop for q in qs], dtype=int)
-        sp = np.array([p.s for p in ps], dtype=float)
-        sq = np.array([q.s for q in qs], dtype=float)
+        (lp, sp), (lq, sq) = self._coords(ps), self._coords(qs)
         out = np.abs(sp[:, None] - sq[None, :])
         np.minimum(out, self.L - out, out=out)
         cross = np.minimum(sp, self.L - sp)[:, None] + np.minimum(sq, self.L - sq)[None, :]
@@ -227,16 +233,21 @@ class WedgeSphereSpace(MetricSpace):
         for sphere in range(1, w + 1):
             pts.append(self.antipode(sphere))
             raw = rng.normal(size=(n, k + 1))
-            for row in raw:
-                nrm = float(np.linalg.norm(row))
-                if nrm < 1e-9:  # astronomically unlikely; redraw-free skip
-                    continue
-                u = tuple(float(x) for x in row / nrm)
-                pts.append(self.point(sphere, u))
-        self.sample_set = pts
+            nrm = np.sqrt(np.vecdot(raw, raw))  # np.linalg.norm of each row, bit for bit
+            keep = nrm >= 1e-9  # astronomically unlikely; redraw-free skip
+            dirs = raw[keep] / nrm[keep, None]
+            # ``point``'s checks, one array at a time; NaN fails too
+            dev = np.abs(np.sqrt(np.vecdot(dirs, dirs)) - 1.0)
+            if not (dev <= 1e-12).all():
+                raise ValueError(f"direction must be unit length, ||u| - 1| = {dev.max()}")
+            at_pole = (dirs == self.pole_dir).all(axis=1).tolist()
+            pts.extend(self.pole if pole else SpherePoint(sphere, tuple(u))
+                       for u, pole in zip(dirs.tolist(), at_pole))
         # read-only after construction; a point off the sample set misses
         # and ``_pole_angle`` computes its angle on the spot
         self._pole_angles = {p: _unit_angle(p.u, self.pole_dir) for p in pts}
+        self._sample_coords = self._coords(pts)  # before sample_set: built, not read
+        self.sample_set = pts
         self.resolution = self._fill_resolution()
 
     def _fill_resolution(self) -> float:
@@ -300,12 +311,16 @@ class WedgeSphereSpace(MetricSpace):
         a = self._pole_angles.get(p)
         return _unit_angle(p.u, self.pole_dir) if a is None else a
 
+    def _coords(self, pts: Sequence[SpherePoint]) -> tuple[np.ndarray, np.ndarray]:
+        """Pole angles and sphere tags of ``pts``; the sample set's are built once."""
+        if pts is self.sample_set and len(pts) == len(self._sample_coords[0]):
+            return self._sample_coords
+        return (np.array([self._pole_angle(p) for p in pts], dtype=float),
+                np.array([p.sphere for p in pts], dtype=int))
+
     def dists(self, ps: Sequence[SpherePoint], qs: Sequence[SpherePoint]) -> np.ndarray:
-        ap = np.array([self._pole_angle(p) for p in ps], dtype=float)
-        aq = np.array([self._pole_angle(q) for q in qs], dtype=float)
+        (ap, tp), (aq, tq) = self._coords(ps), self._coords(qs)
         out = self.R * (ap[:, None] + aq[None, :])  # the scalar's two IEEE operations
-        tp = np.array([p.sphere for p in ps], dtype=int)
-        tq = np.array([q.sphere for q in qs], dtype=int)
         ii, jj = np.nonzero(tp[:, None] == tq[None, :])
         out[ii, jj] = [
             self.R * _unit_angle(ps[i].u, qs[j].u) for i, j in zip(ii.tolist(), jj.tolist())
@@ -490,39 +505,53 @@ def disjoint_union(
     return DisjointUnionSpace(left, right, s)
 
 
+def _step_neighbours(block: np.ndarray, h: float) -> list[list[int]]:
+    """``np.flatnonzero(row <= h).tolist()`` of every row, from one scan."""
+    rows, cols = np.nonzero(block <= h)
+    ends = np.bincount(rows, minlength=len(block)).cumsum().tolist()
+    cols = cols.tolist()
+    return [cols[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def support_check(space: MetricSpace, pts: Sequence, h: float) -> tuple[bool, float]:
+    """Chain connectivity at step ``h`` and diameter of a nonempty point list.
+
+    One pass over ``space.dists``, BLOCK rows at a time: the diameter is
+    the largest entry above the diagonal, and each row's entries <= h are
+    that point's neighbours for a BFS.  Both read d(p, q) with p first.
+    """
+    if not h > 0:  # NaN fails too
+        raise ValueError(f"step bound must be positive, got h={h}")
+    if not pts:
+        raise ValueError("support_check of an empty point list")
+    diameter = 0.0
+    nbrs = []
+    for lo in range(0, len(pts), BLOCK):
+        block = space.dists(pts[lo : lo + BLOCK], pts)
+        diameter = max(diameter, float(np.triu(block, lo + 1).max()))
+        nbrs.extend(_step_neighbours(block, h))
+    seen, stack = {0}, [0]
+    while stack:
+        for j in nbrs[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(pts), diameter
+
+
 def subset_diameter(space: MetricSpace, pts: Sequence) -> float:
     """Max pairwise distance over a nonempty point list."""
     if not pts:
         raise ValueError("subset_diameter of an empty point list")
-    best = 0.0
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            d = space.dist(p, q)
-            if d > best:
-                best = d
-    return best
+    # any positive step gives the diameter; the least lists only duplicates
+    return support_check(space, pts, math.ulp(0.0))[1]
 
 
 def is_chain_connected(space: MetricSpace, pts: Sequence, h: float) -> bool:
     """True iff the graph on ``pts`` with edges {d <= h} is connected.
 
-    Finite surrogate for topological connectedness of a sampled patch;
-    single BFS pass, O(n^2) distance queries.
+    Finite surrogate for topological connectedness of a sampled patch.
     """
-    if h <= 0:
-        raise ValueError(f"step bound must be positive, got h={h}")
-    if not pts:
+    if not pts and h > 0:  # a bad step is named first, as support_check does
         raise ValueError("is_chain_connected of an empty point list")
-    n = len(pts)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if not seen[j] and space.dist(pts[i], pts[j]) <= h:
-                seen[j] = True
-                count += 1
-                stack.append(j)
-    return count == n
+    return support_check(space, pts, h)[0]

@@ -827,6 +827,44 @@ def test_single_triple_forgery_with_inflated_scale_fails():
     assert any(m.startswith("covering re-check failed") for m in messages)
 
 
+@pytest.fixture(scope="module")
+def width_cert_text(tmp_path_factory):
+    out = tmp_path_factory.mktemp("width")
+    assert main(["width", "--family", "bouquet", "--w", "3", "--h", "0.25", "--d0", "4",
+                 "--out", str(out)]) == 0
+    return (out / "width_certificate.json").read_text()
+
+
+_RECHECK = "covering re-check failed: "
+
+# a point appended to triple 0's support and assignment, off the sample set
+# (so the safe-label lookup misses) -> (exit code, stdout, stderr)
+_ADDED_POINT = {
+    "safe_right_label": (["loop", 1, 5.1234], 1, 0,
+                         "certificate verified: all stored values reproduced\n", ""),
+    "safe_wrong_label": (["loop", 1, 5.1234], 2, 1, "", _RECHECK + "1 label violations\n"),
+    "unsafe_far": (["loop", 1, 2.1], 1, 1, "", _RECHECK + "a support is not chain-connected\n"),
+    "other_class": (["loop", 2, 5.0], 1, 1, "",
+                    _RECHECK + "a support is not chain-connected\n"
+                    + _RECHECK + "a support exceeds D0\n"
+                    + _RECHECK + "1 label violations\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ADDED_POINT))
+def test_verify_an_added_off_sample_point(tmp_path, capsys, width_cert_text, case):
+    point, label, code, out, err = _ADDED_POINT[case]
+    doc = json.loads(width_cert_text)
+    triple = doc["ub"]["covering"]["triples"][0]
+    triple["support"].append(point)
+    triple["assignment"].append([point, label])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def _leaves(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():

@@ -1,5 +1,6 @@
 """Metric kernel: distances, sampling, and the metric axioms."""
 
+import hashlib
 import math
 import random
 
@@ -131,6 +132,31 @@ def test_wedge_n800_resolution_pinned():
     # the value the all-pairs loop gave; a certificate writes it
     p = wedge_problem(3, 2, 2.0, 0.5, n=800)
     assert p.space.resolution == float.fromhex("0x1.7f76b57b408dcp-2")
+
+
+# sha256 of repr(sample_set) and of repr(resolution) that the row-by-row
+# draw (np.linalg.norm per row, then ``point``) gave; the array draw must
+# reproduce them on whatever BLAS numpy is linked against
+_WEDGE_SAMPLE_DIGESTS = {
+    (2, 1, 16, 5): ("2092cd55e209addf9c910c42cd3de2f3052b5df79d29cf2996e4962f96bfbd14",
+                    "bfcb601f60ac77905c912b150ee1705528335d2b49c3b3390367e5737e2e9f9e"),
+    (3, 2, 300, 7): ("c5971e69ea8c69fc86be41344d837dc7baa9395c6edac6cdeeb37dc85df77e78",
+                     "ffed84c41334483b2b4a49874e81ce0611197bbdd158ed4f2e8ff9c908c597ef"),
+    (4, 2, 150, 123): ("140071e58f084c8749432c1f0432af0b1b219e715f63984bbc4f6332017648e3",
+                       "7b4345a4fafe5e9bc26c41d18e5f99944f700509cf3d8c484edda49b964db72c"),
+    (3, 3, 100, 9): ("034af2b8432d979b41052cf5dbe522949f3dd4a1e0d7a3fec916dc3f7a3d4b64",
+                     "1796138938c8f5b37b02d5ca10413e589b743b38b746562797eba3e49f819440"),
+    (3, 2, 800, 0): ("fbe89c61d07cc1e32226e934490befda56a17bcf87816262e4b09473ea040557",
+                     "9eee04ff9ff1a5dde3028a09c5e0fe31f8b99d1a330619726a6b518c32b50148"),
+}
+
+
+@pytest.mark.parametrize("w, k, n, seed", sorted(_WEDGE_SAMPLE_DIGESTS))
+def test_wedge_sample_set_pinned(w, k, n, seed):
+    sp = wedge_sphere_space(w, k, 2.0, n=n, seed=seed)
+    got = tuple(hashlib.sha256(repr(v).encode()).hexdigest()
+                for v in (sp.sample_set, sp.resolution))
+    assert got == _WEDGE_SAMPLE_DIGESTS[(w, k, n, seed)]
 
 
 def test_interval_space_grid_and_distance():
