@@ -21,7 +21,6 @@ from .coverings import (
     WidthBracket,
     canonical_covering,
     min_ball_cover,
-    parameter_window,
     separation_certificate,
     verify_covering,
     width_bracket,
@@ -39,6 +38,7 @@ from .problems import (
     MarginProblem,
     bouquet_problem,
     interval_union_problem,
+    parameter_window,
     permuted_problem,
     scaled_problem,
     union_problem,
@@ -63,8 +63,6 @@ from .spaces import (
     disjoint_union,
     graph_space,
     interval_space,
-    is_chain_connected,
-    subset_diameter,
     wedge_sphere_space,
 )
 from .topology import (

@@ -27,11 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coverings import parameter_window, width_bracket
+from .coverings import width_bracket
 from .machine import machine_new, run_stream
 from .problems import (
     FAMILIES,
     bouquet_problem,
+    parameter_window,
     scaled_problem,
     union_problem,
     validate_margin,

@@ -37,9 +37,7 @@ from functools import lru_cache
 import networkx as nx
 import numpy as np
 
-# Window and parameter_window are re-exported: each family's D0 window is
-# registered with the family in problems.FAMILIES
-from .problems import TOL, MarginProblem, Window, parameter_window, validate_margin
+from .problems import TOL, MarginProblem, validate_margin
 from .spaces import BLOCK, MetricSpace, _step_neighbours, support_check
 
 __all__ = [
@@ -50,13 +48,11 @@ __all__ = [
     "SeparationCertificate",
     "CoverSearch",
     "WidthBracket",
-    "Window",
     "verify_covering",
     "canonical_covering",
     "separation_certificate",
     "min_ball_cover",
     "width_bracket",
-    "parameter_window",
 ]
 
 EXACT_LIMIT = 24  # most safe samples searched by exact dynamic programming
@@ -94,7 +90,6 @@ class TripleCheck:
     connected: bool
     diameter: float
     diameter_ok: bool
-    witness: tuple | None = None
 
 
 @dataclass
@@ -137,19 +132,18 @@ def default_step(space: MetricSpace) -> float:
 
 
 def verify_covering(problem: MarginProblem, cov: UrysohnCovering) -> CoveringReport:
-    """Re-check all four covering conditions; reports, never raises."""
-    space = problem.space
+    """Re-check all four covering conditions; reports, never raises.
+
+    A step ``h`` that is not positive (NaN included) connects no support;
+    each diameter is still measured.
+    """
+    space, step_ok = problem.space, cov.h > 0
+    # any positive step gives the diameter; the least lists only duplicates
+    h = cov.h if step_ok else math.ulp(0.0)
     checks = []
     for tri in cov.triples:
-        connected, diam = support_check(space, tri.support, cov.h) if tri.support else (False, 0.0)
-        witness = None
-        if diam > cov.d0 + TOL:
-            witness = max(
-                ((p, q) for i, p in enumerate(tri.support) for q in tri.support[i + 1 :]),
-                key=lambda pq: space.dist(*pq),
-                default=None,  # a single point exceeds only a negative D0
-            )
-        checks.append(TripleCheck(connected, diam, diam <= cov.d0 + TOL, witness))
+        connected, diam = support_check(space, tri.support, h) if tri.support else (False, 0.0)
+        checks.append(TripleCheck(connected and step_ok, diam, diam <= cov.d0 + TOL))
 
     supported = {x for t in cov.triples for x in t.support}
     uncovered = [(problem.regions[j].label, x) for j, x in problem.all_safe_points()

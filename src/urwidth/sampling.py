@@ -172,10 +172,11 @@ def regress(xs, ys) -> tuple[float, float, float]:
     return float(b), float(a), r2
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96  # the two-sided 95% normal quantile
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from typing import Any
 
 from .coverings import (
@@ -160,9 +161,11 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
                        f"<= gamma = {problem.gamma}"]
     try:
         d0, method, space = doc["d0"], doc["ub"]["method"], problem.space
-        # float() rejects an int beyond the float range; NaN is not equal to itself
-        if isinstance(d0, bool) or not isinstance(d0, (int, float)) or float(d0) != d0:
-            raise ValueError(f"d0 must be a number, got {d0!r}")
+        # float() rejects an int beyond the float range, the comparison an int
+        # that float() rounds; isfinite rejects NaN and the infinities
+        if (isinstance(d0, bool) or not isinstance(d0, (int, float))
+                or float(d0) != d0 or not math.isfinite(d0)):
+            raise ValueError(f"d0 must be a finite number, got {d0!r}")
         if method not in ("canonical", "exact-dp", "greedy"):
             raise ValueError(f"unknown ub.method {method!r}")
         triples = []

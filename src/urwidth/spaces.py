@@ -43,8 +43,6 @@ __all__ = [
     "interval_space",
     "graph_space",
     "disjoint_union",
-    "subset_diameter",
-    "is_chain_connected",
     "support_check",
 ]
 
@@ -123,10 +121,6 @@ class MetricSpace:
             for j, q in enumerate(qs):
                 out[i, j] = self.dist(p, q)
         return out
-
-    def diameter(self) -> float:
-        """Max pairwise distance over the sample set."""
-        return subset_diameter(self, self.sample_set)
 
     def describe(self) -> dict:
         """Construction parameters, for the structured-text export."""
@@ -537,21 +531,3 @@ def support_check(space: MetricSpace, pts: Sequence, h: float) -> tuple[bool, fl
                 seen.add(j)
                 stack.append(j)
     return len(seen) == len(pts), diameter
-
-
-def subset_diameter(space: MetricSpace, pts: Sequence) -> float:
-    """Max pairwise distance over a nonempty point list."""
-    if not pts:
-        raise ValueError("subset_diameter of an empty point list")
-    # any positive step gives the diameter; the least lists only duplicates
-    return support_check(space, pts, math.ulp(0.0))[1]
-
-
-def is_chain_connected(space: MetricSpace, pts: Sequence, h: float) -> bool:
-    """True iff the graph on ``pts`` with edges {d <= h} is connected.
-
-    Finite surrogate for topological connectedness of a sampled patch.
-    """
-    if not pts and h > 0:  # a bad step is named first, as support_check does
-        raise ValueError("is_chain_connected of an empty point list")
-    return support_check(space, pts, h)[0]

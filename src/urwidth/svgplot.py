@@ -17,26 +17,21 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
         return [lo]
+    n = 5  # ticks per axis
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 
-def line_plot(
-    series,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
-) -> str:
-    """SVG text of a line plot.
+def line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+    """SVG text of a line plot, 640 x 420 pixels.
 
     ``series`` is a list of (label, xs, ys) triples; axes are scaled to
     the joint data range with a small margin.
     """
+    width, height = 640, 420
     margin_l, margin_r, margin_t, margin_b = 64, 16, 32, 48
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

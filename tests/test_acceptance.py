@@ -17,13 +17,18 @@ import pytest
 
 from urwidth.coverings import (
     min_ball_cover,
-    parameter_window,
     separation_certificate,
     verify_covering,
     width_bracket,
 )
 from urwidth.machine import machine_new, replay_log, run_stream
-from urwidth.problems import bouquet_problem, scaled_problem, union_problem, wedge_problem
+from urwidth.problems import (
+    bouquet_problem,
+    parameter_window,
+    scaled_problem,
+    union_problem,
+    wedge_problem,
+)
 from urwidth.sampling import (
     coupon_stats,
     permutation_learner_experiment,

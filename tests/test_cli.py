@@ -771,6 +771,18 @@ def _drop(path):
 
 _TRIPLE0 = ("ub", "covering", "triples", 0)
 
+
+def _infinite_d0(doc):
+    """D0 = inf in both places, with the lower bound re-derived at that D0,
+    so that every other stored value matches its re-emission."""
+    from urwidth.coverings import separation_certificate
+
+    sep = separation_certificate(build_problem(doc["problem"]), math.inf)
+    doc["d0"] = doc["ub"]["covering"]["d0"] = math.inf
+    doc["lb"].update(value=sep.lb, method=sep.method, components=sep.components)
+    doc["exact"] = sep.lb == doc["ub"]["value"]
+
+
 # one case per certificate field: (mutation, how one of the messages must start)
 _TAMPER = {
     "d0_below_diameter": (_set(("d0",), 0.9), "covering re-check failed"),
@@ -794,6 +806,7 @@ _TAMPER = {
     "missing_key": (_drop(("exact",)), "exact:"),
     "d0_not_a_number": (_set(("d0",), "4.0"), "malformed certificate"),
     "d0_nan": (_set(("d0",), math.nan), "malformed certificate"),
+    "d0_inf": (_infinite_d0, "malformed certificate"),
     "triples_not_a_list": (_set(("ub", "covering", "triples"), 7), "malformed certificate"),
 }
 

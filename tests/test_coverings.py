@@ -12,7 +12,6 @@ from urwidth.coverings import (
     canonical_covering,
     default_step,
     min_ball_cover,
-    parameter_window,
     separation_certificate,
     verify_covering,
     width_bracket,
@@ -20,11 +19,12 @@ from urwidth.coverings import (
 from urwidth.problems import (
     bouquet_problem,
     interval_union_problem,
+    parameter_window,
     scaled_problem,
     union_problem,
     wedge_problem,
 )
-from urwidth.spaces import is_chain_connected, subset_diameter
+from urwidth.spaces import support_check
 
 
 def test_canonical_bouquet_covering_passes_all_conditions():
@@ -32,9 +32,7 @@ def test_canonical_bouquet_covering_passes_all_conditions():
     cov = canonical_covering(p, 4.0)
     assert cov.size == 3
     for tri in cov.triples:
-        from urwidth.spaces import subset_diameter
-
-        assert subset_diameter(p.space, tri.support) == pytest.approx(1.5)
+        assert support_check(p.space, tri.support, cov.h) == (True, pytest.approx(1.5))
     rep = verify_covering(p, cov)
     assert rep.passed
 
@@ -71,9 +69,23 @@ def test_overwide_support_fails_diameter_with_witness():
     cov.h = 10.0  # keep connectivity out of the picture
     rep = verify_covering(p, cov)
     assert not rep.triple_checks[0].diameter_ok
-    pair = rep.triple_checks[0].witness
-    assert pair is not None
-    assert p.space.dist(*pair) > 4.0
+    support = cov.triples[0].support
+    # the widest pair, from the scalar metric
+    widest = max(p.space.dist(x, y) for x in support for y in support)
+    assert rep.triple_checks[0].diameter == widest > 4.0
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+def test_step_that_is_not_positive_fails_connectivity_and_keeps_diameters(h):
+    p = bouquet_problem(3, 10.0, 1.0, 0.5)
+    cov = canonical_covering(p, 4.0)
+    measured = [chk.diameter for chk in verify_covering(p, cov).triple_checks]
+    cov.h = h
+    rep = verify_covering(p, cov)
+    assert not rep.passed and not rep.connectivity_ok
+    assert [chk.connected for chk in rep.triple_checks] == [False] * cov.size
+    assert [chk.diameter for chk in rep.triple_checks] == measured
+    assert rep.diameters_ok and rep.coverage_ok and rep.correctness_ok
 
 
 def test_mislabelled_support_point_reported():
@@ -331,9 +343,8 @@ def _scalar_candidate_balls(problem, d0):
                     mask |= 1 << i
             if mask == 0 or mask in seen_masks:
                 continue
-            if subset_diameter(space, support) > d0 + TOL:
-                continue
-            if not is_chain_connected(space, support, h):
+            connected, diameter = support_check(space, support, h)
+            if diameter > d0 + TOL or not connected:
                 continue
             seen_masks.add(mask)
             candidates.append((support, mask))

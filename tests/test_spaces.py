@@ -14,10 +14,14 @@ from urwidth.spaces import (
     disjoint_union,
     graph_space,
     interval_space,
-    is_chain_connected,
-    subset_diameter,
+    support_check,
     wedge_sphere_space,
 )
+
+
+def _diameter(space, pts):
+    """Diameter from ``support_check``; any positive step gives it."""
+    return support_check(space, pts, 1.0)[1]
 
 
 def test_bouquet_same_loop_arc_arithmetic():
@@ -162,7 +166,8 @@ def test_wedge_sample_set_pinned(w, k, n, seed):
 def test_interval_space_grid_and_distance():
     sp = interval_space(11)
     assert sp.dist(0.3, 0.7) == pytest.approx(0.4)
-    assert interval_space(2).diameter() == pytest.approx(1.0)
+    sp = interval_space(2)
+    assert _diameter(sp, sp.sample_set) == pytest.approx(1.0)
     assert interval_space(101).resolution == pytest.approx(0.01)
 
 
@@ -187,7 +192,7 @@ def test_graph_space_k4_diameter_matches_floyd_warshall():
             for j in verts:
                 d[i][j] = min(d[i][j], d[i][k] + d[k][j])
     oracle = max(d[u][v] for u in verts for v in verts)
-    assert sp.diameter() == pytest.approx(oracle) == pytest.approx(1.0)
+    assert _diameter(sp, sp.sample_set) == pytest.approx(oracle) == pytest.approx(1.0)
 
 
 def test_graph_space_rejects_disconnected_with_component_report():
@@ -230,13 +235,13 @@ def test_disjoint_union_minimum_achieved_at_anchors():
 
 def test_subset_diameter_values():
     sp = bouquet_space(2, 10.0, 0.25)
-    assert subset_diameter(sp, [sp.point(1, 3.0)]) == 0.0
+    assert _diameter(sp, [sp.point(1, 3.0)]) == 0.0
     arc = [p for p in sp.sample_set if p.loop == 1 and sp.dist(p, sp.antipode(1)) <= 0.75]
-    assert subset_diameter(sp, arc) == pytest.approx(1.5)
+    assert _diameter(sp, arc) == pytest.approx(1.5)
     loop = [sp.wedge_point] + [p for p in sp.sample_set if p.loop == 1]
-    assert subset_diameter(sp, loop) == pytest.approx(5.0)
+    assert _diameter(sp, loop) == pytest.approx(5.0)
     with pytest.raises(ValueError):
-        subset_diameter(sp, [])
+        _diameter(sp, [])
 
 
 def test_subset_diameter_monotone_under_inclusion():
@@ -245,7 +250,7 @@ def test_subset_diameter_monotone_under_inclusion():
     for _ in range(50):
         pts = rnd.sample(sp.sample_set, 8)
         sub = rnd.sample(pts, 4)
-        assert subset_diameter(sp, sub) <= subset_diameter(sp, pts)
+        assert _diameter(sp, sub) <= _diameter(sp, pts)
 
 
 def _union_find_connected(space, pts, h):
@@ -268,12 +273,12 @@ def _union_find_connected(space, pts, h):
 def test_chain_connectivity_cases():
     sp = bouquet_space(2, 10.0, 0.25)
     far = [sp.point(1, 1.0), sp.point(1, 4.0)]
-    assert not is_chain_connected(sp, far, 1.0)
+    assert not support_check(sp, far, 1.0)[0]
     arc = [sp.point(1, 1.0 + 0.25 * i) for i in range(9)]
-    assert is_chain_connected(sp, arc, 0.25)
+    assert support_check(sp, arc, 0.25)[0]
     # points on two loops, all >= L/4 from the wedge point, step L/8
     split = [p for p in sp.sample_set if p.loop != 0 and min(p.s, 10 - p.s) >= 2.5]
-    assert not is_chain_connected(sp, split, 1.25)
+    assert not support_check(sp, split, 1.25)[0]
     assert _union_find_connected(sp, split, 1.25) is False
 
 
@@ -283,7 +288,7 @@ def test_chain_connectivity_matches_union_find_oracle():
     for _ in range(40):
         pts = rnd.sample(sp.sample_set, rnd.randint(2, 12))
         h = rnd.choice([0.5, 1.0, 2.0, 5.0])
-        assert is_chain_connected(sp, pts, h) == _union_find_connected(sp, pts, h)
+        assert support_check(sp, pts, h)[0] == _union_find_connected(sp, pts, h)
 
 
 @pytest.mark.parametrize(

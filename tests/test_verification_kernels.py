@@ -1,10 +1,10 @@
 """Blocked support checks and the safe-label lookup against scalar oracles.
 
-``support_check`` (and the ``subset_diameter`` / ``is_chain_connected``
-that read it) replaced pairwise loops over the scalar ``dist``, and
-``MarginProblem.safe_label`` answers sample points from the cached safe
-sets.  The oracles below are those loops, kept here verbatim: every
-answer must agree with them exactly, not approximately.
+``support_check``, the one check of a support's chain connectivity and
+diameter, reads blocks of ``dists`` in place of pairwise loops over the
+scalar ``dist``, and ``MarginProblem.safe_label`` answers sample points
+from the cached safe sets.  The oracles below are those loops, kept here
+verbatim: every answer must agree with them exactly, not approximately.
 """
 
 import math
@@ -30,8 +30,6 @@ from urwidth.spaces import (
     BLOCK,
     bouquet_space,
     interval_space,
-    is_chain_connected,
-    subset_diameter,
     support_check,
 )
 
@@ -136,8 +134,6 @@ def test_support_check_matches_scalar_loops(case):
     assert (connected, diameter) == (_connected_oracle(space, pts, h),
                                      _diameter_oracle(space, pts))
     assert type(diameter) is float
-    assert subset_diameter(space, pts) == diameter
-    assert is_chain_connected(space, pts, h) == connected
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,10 +213,11 @@ def test_canonical_reports_match_scalar_loops(name):
 @pytest.mark.parametrize("pts", [[0.5], [0.25, 0.5]])
 def test_nan_step_is_refused(pts):
     space = interval_space(5)
-    for check in (support_check, is_chain_connected):
+    for support in (pts, []):  # a bad step is named before an empty list
         with pytest.raises(ValueError, match="step bound must be positive"):
-            check(space, pts, math.nan)
-    with pytest.raises(ValueError, match="step bound must be positive"):
-        is_chain_connected(space, [], math.nan)
-    with pytest.raises(ValueError, match="is_chain_connected of an empty point list"):
-        is_chain_connected(space, [], 1.0)
+            support_check(space, support, math.nan)
+
+
+def test_empty_support_is_refused():
+    with pytest.raises(ValueError, match="support_check of an empty point list"):
+        support_check(interval_space(5), [], 1.0)
