@@ -353,32 +353,34 @@ def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, 
 
 def _exact_cover(full: int, masks: list[int]) -> list[int]:
     """Exact minimum set cover: memoized recursion over the uncovered mask,
-    branching on the least-covered element."""
-    cover_of: dict[int, list[int]] = {}
-    for e in range(full.bit_length()):
-        cover_of[e] = [i for i, m in enumerate(masks) if (m >> e) & 1]
+    branching on the least-covered element, ties to the lowest index.
+
+    Elements are relabelled once by (cover count, index), so that element
+    is the lowest set bit of the relabelled mask."""
+    cover_of = [[i for i, m in enumerate(masks) if (m >> e) & 1]
+                for e in range(full.bit_length())]
+    order = sorted(range(len(cover_of)), key=lambda e: (len(cover_of[e]), e))
+    cover_of = [cover_of[e] for e in order]
+    relabelled = [0] * len(masks)
+    start = 0
+    for r, e in enumerate(order):
+        for ci in cover_of[r]:
+            relabelled[ci] |= 1 << r
+        if (full >> e) & 1:
+            start |= 1 << r
 
     @lru_cache(maxsize=None)
     def rec(rem: int) -> tuple | None:
         if rem == 0:
             return ()
-        e, n_opts = -1, None
-        r = rem
-        while r:
-            b = r & -r
-            i = b.bit_length() - 1
-            k = len(cover_of[i])
-            if n_opts is None or k < n_opts:
-                e, n_opts = i, k
-            r &= r - 1
         best = None
-        for ci in cover_of[e]:
-            sub = rec(rem & ~masks[ci])
+        for ci in cover_of[(rem & -rem).bit_length() - 1]:
+            sub = rec(rem & ~relabelled[ci])
             if sub is not None and (best is None or len(sub) + 1 < len(best)):
                 best = (ci,) + sub
         return best
 
-    result = rec(full)
+    result = rec(start)
     rec.cache_clear()
     assert result is not None  # feasibility pre-checked by the caller
     return sorted(result)

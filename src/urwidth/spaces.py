@@ -23,6 +23,7 @@ Points are plain hashable values whose shape depends on the space kind
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from numbers import Real
 from typing import Iterable, NamedTuple, Sequence
 
@@ -147,13 +148,17 @@ class BouquetSpace(MetricSpace):
         self.n_per_loop = math.ceil(L / h)
         self.resolution = self.L / self.n_per_loop
         self.wedge_point = BouquetPoint(0, 0.0)
+        # i * resolution for i = 1..n-1, the same IEEE product on every loop
+        arc = np.arange(1, self.n_per_loop) * self.resolution
+        row = arc.tolist()
         pts: list[BouquetPoint] = [self.wedge_point]
         for loop in range(1, w + 1):
-            pts.extend(
-                BouquetPoint(loop, i * self.resolution)
-                for i in range(1, self.n_per_loop)
-            )
-        self._sample_coords = self._coords(pts)  # before sample_set: built, not read
+            # BouquetPoint(loop, s) for each s, skipping its Python-level __new__
+            pts += map(tuple.__new__, repeat(BouquetPoint), zip(repeat(loop), row))
+        self._sample_coords = (
+            np.concatenate(([0], np.repeat(np.arange(1, w + 1), len(row)))),
+            np.concatenate(([0.0], np.tile(arc, w))),
+        )
         self.sample_set = pts
 
     def point(self, loop: int, s: float) -> BouquetPoint:

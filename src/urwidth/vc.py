@@ -4,13 +4,25 @@ VC dimension is computed exactly by a depth-first shattering search.
 A table's deduplicated hypotheses become one numpy row matrix
 (hypotheses x points), built once; the binary check and the per-point
 columns read from it.  Each point is a bitmask over hypotheses (its
-column packed into a Python int); a shattered set carries one
-nonempty hypothesis mask per +/- pattern on it, and adding a point splits
-every mask by that point's column.  The set stays shattered iff no half
-is empty, and the search only extends shattered sets, in increasing
-point order, since every prefix of a shattered set is shattered.  This
-keeps grids of a few tens of points and tens of thousands of hypotheses
-tractable.
+column packed into a Python int); a shattered set S carries one
+nonempty hypothesis mask (cell) per +/- pattern on it, and adding a
+point splits every cell by that point's column.  S + j stays shattered
+iff no half is empty, and the search only extends shattered sets, in
+increasing point order, since every subset of a shattered set is
+shattered.  Two rules prune it without changing the result:
+
+* Bound.  ``best``, the largest shattered set found so far, is shared
+  by the whole search.  Adding point j to S can lead to at most
+  |S| + (n - j) points, so the loop over j stops once that is <= best.
+* Look-ahead.  When |S| + 1 == best, S + j can raise best only through
+  a shattered S + {j, k}, k > j.  Each such k is tested on S's cells
+  directly (all four quadrants of every cell under columns j and k
+  nonempty), and S + j is split and searched only if some k passes.
+
+Both tests try first the cell that failed last (it is swapped to the
+front of the list), since the same cell tends to fail again.  This
+keeps grids of a few tens of points and tens of thousands of
+hypotheses tractable.
 
 Two hypothesis classes are built here:
 
@@ -87,7 +99,8 @@ def _columns(table: HypothesisTable) -> tuple[list[int], int]:
 
 
 def vc_dimension(table: HypothesisTable) -> int:
-    """Exact VC dimension of a binary table by depth-first shattering search."""
+    """Exact VC dimension of a binary table by a pruned depth-first
+    shattering search (see the module docstring)."""
     if not table.hypotheses:
         raise ValueError("empty hypothesis set")
     if not table.binary:
@@ -97,23 +110,44 @@ def vc_dimension(table: HypothesisTable) -> int:
         )
     cols, full = _columns(table)
     n = len(table.ground)
+    best = 0
 
-    def grow(start: int, cells: list[int]) -> int:
-        """Most points >= ``start`` that extend the current shattered set;
-        ``cells`` holds the hypotheses realizing each of its patterns."""
-        best = 0
+    def grow(start: int, depth: int, cells: list[int]) -> None:
+        """Extend the shattered set S (``depth`` points, all below ``start``)
+        by points >= ``start``; ``cells`` holds the hypotheses realizing
+        each pattern on S, the cell that failed last first."""
+        nonlocal best
         for j in range(start, n):
+            if depth + n - j <= best:
+                return  # S, j and every later point cannot beat best
+            cj = cols[j]
+            if depth + 1 == best:
+                for k in range(j + 1, n):
+                    ck = cols[k]
+                    for i, m in enumerate(cells):
+                        a = m & cj
+                        ak = a & ck
+                        mk = m & ck
+                        if not ak or ak == a or ak == mk or a | mk == m:
+                            cells[0], cells[i] = m, cells[0]
+                            break  # m misses a pattern on j, k
+                    else:
+                        break  # S + {j, k} is shattered
+                else:
+                    continue  # S + j cannot beat best
             split = []
-            for m in cells:
-                ones = m & cols[j]
+            for i, m in enumerate(cells):
+                ones = m & cj
                 if ones == 0 or ones == m:
+                    cells[0], cells[i] = m, cells[0]
                     break  # this pattern cannot take both labels on j
                 split += (ones, m ^ ones)
             else:
-                best = max(best, 1 + grow(j + 1, split))
-        return best
+                best = max(best, depth + 1)
+                grow(j + 1, depth + 1, split)
 
-    return grow(0, [full])
+    grow(0, 0, [full])
+    return best
 
 
 def intervals_class(n: int, grid: int) -> HypothesisTable:

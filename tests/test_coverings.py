@@ -5,10 +5,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urwidth.coverings import (
     TOL,
     _candidate_balls,
+    _exact_cover,
     canonical_covering,
     default_step,
     min_ball_cover,
@@ -407,3 +410,54 @@ def test_huge_d0_stops_the_radius_ladder_at_the_pool_diameter(problem):
     huge = _candidate_balls(problem, 1e308)
     assert huge == _candidate_balls(problem, 4 * far)
     assert huge == _scalar_candidate_balls(problem, 4 * far)
+
+
+def _exact_cover_scan_oracle(full, masks):
+    """The cover search that rescans ``rem`` for the least-covered element
+    in every call; the relabelled search must choose exactly as it does."""
+    cover_of = {e: [i for i, m in enumerate(masks) if (m >> e) & 1]
+                for e in range(full.bit_length())}
+    memo = {}
+
+    def rec(rem):
+        if rem == 0:
+            return ()
+        if rem in memo:
+            return memo[rem]
+        e, n_opts = -1, None
+        r = rem
+        while r:
+            i = (r & -r).bit_length() - 1
+            if n_opts is None or len(cover_of[i]) < n_opts:
+                e, n_opts = i, len(cover_of[i])
+            r &= r - 1
+        best = None
+        for ci in cover_of[e]:
+            sub = rec(rem & ~masks[ci])
+            if sub is not None and (best is None or len(sub) + 1 < len(best)):
+                best = (ci,) + sub
+        memo[rem] = best
+        return best
+
+    return sorted(rec(full))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exact_cover_matches_scan_oracle(data):
+    n = data.draw(st.integers(1, 14))
+    full = (1 << n) - 1
+    # sparse masks and repeated masks make many elements tie on cover count,
+    # and give several minimum covers, so the tie-break decides which is chosen
+    sparse = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(
+        lambda bits: sum({1 << b for b in bits}))
+    masks = data.draw(st.lists(st.one_of(sparse, st.integers(1, full)), min_size=1, max_size=14))
+    masks += data.draw(st.lists(st.sampled_from(masks), max_size=3))
+    if data.draw(st.booleans()):
+        full = data.draw(st.integers(1, full))  # a universe with holes
+    covered = 0
+    for m in masks:
+        covered |= m
+    if full & ~covered:
+        masks.insert(data.draw(st.integers(0, len(masks))), full & ~covered)
+    assert _exact_cover(full, masks) == _exact_cover_scan_oracle(full, masks)

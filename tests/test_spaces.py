@@ -4,12 +4,14 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urwidth.problems import wedge_problem
 from urwidth.spaces import (
+    BouquetPoint,
     bouquet_space,
     disjoint_union,
     graph_space,
@@ -44,6 +46,29 @@ def test_bouquet_sampling_includes_shared_wedge_point():
     assert sp.sample_set.count(sp.wedge_point) == 1
     # ceil(L/h) points per loop, wedge point shared
     assert len(sp.sample_set) == 1 + 3 * (sp.n_per_loop - 1)
+
+
+# sha256 of repr(sample_set) that the point-by-point build (i * resolution
+# per point) gave; the array build must reproduce it bit for bit
+_BOUQUET_SAMPLE_DIGESTS = {
+    (1, 10.0, 0.1): "e2ab65eae839d7d4e8f8f2795d82cf8d85f70af45320facef4b2abca3994efde",
+    (3, 10.0, 0.5): "010ab204979093f36fbb6d4f7ffd151ac533c7430ae2853abc7399045540ba94",
+    (5, 13.7, 0.3): "e4ecb44684f3ba35f090677f039fa1eed3a7e356563bfe4a981421747a412722",
+    (16, 10.0, 0.05): "a59805cb3d8478df88056af9276ea496e7eb6c2492d27b9ec8fae579a5e8de86",
+    (7, 9.3, 0.0123): "25efaae96cd0c4ac5e6d0f9afb1b9eac4ebe2bfc8bc9519fc2b64d3ee41b3db3",
+}
+
+
+@pytest.mark.parametrize("w, L, h", sorted(_BOUQUET_SAMPLE_DIGESTS))
+def test_bouquet_sample_set_pinned(w, L, h):
+    sp = bouquet_space(w, L, h)
+    assert hashlib.sha256(repr(sp.sample_set).encode()).hexdigest() == \
+        _BOUQUET_SAMPLE_DIGESTS[(w, L, h)]
+    assert all(type(p) is BouquetPoint for p in sp.sample_set)
+    # the cached arrays equal the ones built from the points themselves
+    cached, built = sp._coords(sp.sample_set), sp._coords(list(sp.sample_set))
+    for a, b in zip(cached, built):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_bouquet_rejects_bad_parameters():

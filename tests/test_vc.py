@@ -3,11 +3,13 @@
 import math
 import random
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urwidth import vc as vc_module
 from urwidth.vc import (
     GROUND_CAP,
     HypothesisTable,
@@ -280,6 +282,7 @@ def test_intervals_class_matches_tuple_builder(n, grid):
     _assert_int_rows(t.hypotheses)
     assert t.ground == [i / (grid - 1) for i in range(grid)]
     assert _columns(t) == _columns_oracle(expect, grid)
+    assert vc_dimension(t) == 2 * n
 
 
 @pytest.mark.parametrize("w", range(1, 7))
@@ -289,3 +292,126 @@ def test_patchwise_class_matches_tuple_builder(w):
     assert pw.one_vs_rest.hypotheses == _patchwise_oracle(w)
     _assert_int_rows(pw.one_vs_rest.hypotheses)
     assert pw.one_vs_rest.ground == list(range(w))
+    # w = 1 has one hypothesis, so nothing is shattered
+    assert vc_dimension(pw.one_vs_rest) == (w if w > 1 else 0)
+
+
+# -- the pruned search against the unpruned one and a pattern-set model -------
+
+
+def _vc_dfs_oracle(table):
+    """The unpruned depth-first search: visits every shattered set."""
+    cols, full = _columns(table)
+    n = len(table.ground)
+
+    def grow(start, cells):
+        best = 0
+        for j in range(start, n):
+            split = []
+            for m in cells:
+                ones = m & cols[j]
+                if ones == 0 or ones == m:
+                    break
+                split += (ones, m ^ ones)
+            else:
+                best = max(best, 1 + grow(j + 1, split))
+        return best
+
+    return grow(0, [full])
+
+
+def _pruned_search_oracle(table):
+    """The pruning rules on pattern sets: the VC dimension, the points
+    whose column the search reads, in order, and how often the look-ahead
+    found a partner k and how often it found none."""
+    n = len(table.ground)
+    best, reads, outcomes = 0, [], [0, 0]
+
+    def grow(start, s):
+        nonlocal best
+        for j in range(start, n):
+            if len(s) + n - j <= best:
+                return
+            reads.append(j)
+            if len(s) + 1 == best:
+                for k in range(j + 1, n):
+                    reads.append(k)
+                    if _shattered_oracle(table, s + (j, k)):
+                        outcomes[0] += 1
+                        break
+                else:
+                    outcomes[1] += 1
+                    continue
+            if _shattered_oracle(table, s + (j,)):
+                best = max(best, len(s) + 1)
+                grow(j + 1, s + (j,))
+
+    grow(0, ())
+    return best, reads, outcomes
+
+
+class _ReadLog(list):
+    """A column list that records every index read from it."""
+
+    def __init__(self, cols):
+        super().__init__(cols)
+        self.reads = []
+
+    def __getitem__(self, j):
+        self.reads.append(j)
+        return super().__getitem__(j)
+
+
+def _vc_with_reads(table):
+    logs = []
+
+    def logged(t):
+        cols, full = _columns(t)
+        logs.append(_ReadLog(cols))
+        return logs[-1], full
+
+    with mock.patch.object(vc_module, "_columns", logged):
+        value = vc_dimension(table)
+    return value, logs[0].reads
+
+
+def _planted_table(rnd, n, m, planted):
+    """m random rows on n points, plus all 2^planted patterns on a random
+    set of ``planted`` points (random elsewhere), so VC >= planted."""
+    rows = [[rnd.randint(0, 1) for _ in range(n)] for _ in range(m)]
+    if planted:
+        pts = rnd.sample(range(n), planted)
+        for pat in range(1 << planted):
+            row = [rnd.randint(0, 1) for _ in range(n)]
+            for b, i in enumerate(pts):
+                row[i] = (pat >> b) & 1
+            rows.append(row)
+    rnd.shuffle(rows)
+    return HypothesisTable(list(range(n)), rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(1, 300), planted=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_pruned_search_matches_oracles(n, m, planted, seed):
+    planted = min(planted, n) if planted >= 3 else 0  # planted sets of 3..6 points
+    t = _planted_table(random.Random(seed), n, max(1, m - (1 << planted)), planted)
+    value, reads = _vc_with_reads(t)
+    assert value == _vc_dfs_oracle(t)
+    assert value >= planted
+    expect, expect_reads, _ = _pruned_search_oracle(t)
+    assert (value, reads) == (expect, expect_reads)
+    if n <= 9:
+        assert value == _vc_exhaustive_oracle(t)
+
+
+def test_look_ahead_takes_both_outcomes():
+    rnd = random.Random(47)
+    found = [0, 0]
+    for _ in range(40):
+        n = rnd.randint(6, 12)
+        t = _planted_table(rnd, n, rnd.randint(10, 120), rnd.randint(3, min(6, n)))
+        value, reads, outcomes = _pruned_search_oracle(t)
+        assert _vc_with_reads(t) == (value, reads)
+        found = [a + b for a, b in zip(found, outcomes)]
+    assert min(found) > 0
