@@ -1,12 +1,16 @@
 """Reproducible experiment driver.
 
-Subcommands: space, problem, width, machine, sample, nerve, vc, run,
-verify.  ``run`` executes a whole experiment described by a structured
-key/value config file and writes CSV tables, JSON certificates, SVG
-plots and a run manifest; ``verify`` re-checks a stored certificate
-without trusting its intermediate values.  A command computes all of its
-files before ``_write`` creates the output directory, so a refused
-command writes nothing.
+Every experiment is a kind in ``_EXPERIMENTS``.  ``run`` reads the config
+of any kind from a structured key/value file and writes its CSV tables,
+JSON certificates and SVG plots plus a run manifest.  Every other
+subcommand except ``verify`` builds the config of one kind from its
+flags, writes the same files and prints a summary: ``space``,
+``problem``, ``width``, ``machine`` and ``nerve`` build the kind of the
+same name, ``sample --experiment E`` the kind E, ``vc`` ``vc_separation``.
+``verify`` re-checks a stored certificate without trusting its
+intermediate values.  A command computes all of its files before
+``_write`` creates the output directory, so a refused command writes
+nothing.
 
 Exit codes: 0 pass, 1 check failed, 2 config error.  The default output
 directory is taken from the URWIDTH_OUT environment variable when set.
@@ -63,14 +67,7 @@ from .serialize import (
 )
 from .spaces import bouquet_space, graph_space, interval_space, wedge_sphere_space
 from .svgplot import line_plot
-from .topology import (
-    betti,
-    betti_bound_check,
-    cyclic_arc_cover,
-    max_adjacency,
-    nerve,
-    systole,
-)
+from .topology import betti, betti_bound_check, cyclic_arc_cover, max_adjacency, nerve, systole
 from .vc import separation_report
 
 EXIT_OK = 0
@@ -116,91 +113,12 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _problem_from_args(args) -> object:
-    family = "interval_union" if args.family == "interval" else args.family
-    flags = dict(vars(args), L=args.length, R=args.radius)
-    params = {key: flags[key] for key in FAMILIES[family].params}
-    if "intervals" in params:
-        params["intervals"] = json.loads(params["intervals"])
-    sigma = [int(x) for x in args.sigma.split(",")] if args.sigma else None
-    return build_problem({"family": family, "params": params, "sigma": sigma})
-
-
-def _add_problem_flags(sub) -> None:
-    sub.add_argument("--family", required=True,
-                     choices=["bouquet", "scaled", "wedge", "interval"])
-    sub.add_argument("--w", type=int, default=3)
-    sub.add_argument("--m", type=int, default=1)
-    sub.add_argument("-L", "--length", type=float, default=10.0)
-    sub.add_argument("--gamma", type=float, default=1.0)
-    sub.add_argument("--h", type=float, default=0.25)
-    sub.add_argument("--k", type=int, default=2)
-    sub.add_argument("-R", "--radius", type=float, default=2.0)
-    sub.add_argument("--n", type=int, default=64)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--intervals", default='[[0.2, 0.4]]',
-                     help="JSON list of [lo, hi] pairs (interval family)")
-    sub.add_argument("--n-pts", type=int, default=101)
-    sub.add_argument("--sigma", default="", help="comma-separated label permutation")
-    sub.add_argument("--out", default=None)
-
-
-def cmd_space(args) -> int:
-    if args.kind == "bouquet":
-        sp = bouquet_space(args.w, args.length, args.h)
-    elif args.kind == "wedge":
-        sp = wedge_sphere_space(args.w, args.k, args.radius, n=args.n, seed=args.seed)
-    elif args.kind == "interval":
-        sp = interval_space(args.n)
-    elif args.kind == "graph":
-        edges = json.loads(args.edges)
-        if not isinstance(edges, list):
-            raise ValueError(f"--edges must be a JSON list of edges, got {args.edges!r}")
-        sp = graph_space(edges)
-    else:
-        raise ValueError(f"unknown space kind {args.kind!r}")
-    desc = sp.describe()
-    desc["resolution"] = sp.resolution
-    out = _write(args.out, {"space.txt": format_config(desc),
-                            "samples.csv": csv_text(["id", "point"], samples_csv_rows(sp))})
-    print(f"wrote {out / 'space.txt'} and {out / 'samples.csv'} "
-          f"({len(sp.sample_set)} sample points)")
-    return EXIT_OK
-
-
-def cmd_problem(args) -> int:
-    p = _problem_from_args(args)
-    rep = validate_margin(p)
-    doc = {
-        "problem": family_doc(p),
-        "k": p.k,
-        "min_pair_distance": rep.min_pair if p.k > 1 else None,
-        "strict_pass": rep.strict_pass,
-        "safe_disjoint": rep.safe_disjoint,
-        "worst_pair": list(rep.worst_pair) if rep.worst_pair else None,
-        "notes": rep.notes,
-    }
-    _write(args.out, {
-        "problem.txt": problem_text(p),
-        "validation.json": _json(doc),
-        "safe_region.csv": csv_text(["point", "label"], safe_region_csv_rows(p)),
-    })
-    print(f"margin validation: {'pass' if rep.strict_pass else 'FAIL'} "
-          f"(min pairwise distance {rep.min_pair}, gamma {p.gamma})")
-    return EXIT_OK if rep.strict_pass else EXIT_CHECK_FAILED
-
-
-def cmd_width(args) -> int:
-    p = _problem_from_args(args)
-    br = width_bracket(p, args.d0)
-    _write(args.out, {"width_certificate.json": _json(bracket_doc(p, br)),
-                      "covering.txt": covering_text(p.space, br.covering)})
-    sep = br.separation
-    print(f"width bracket: [{br.lb}, {br.ub}]" + (" exact" if br.exact else ""))
-    print(f"  lb {br.lb} via {sep.method}: delta* = {sep.delta_star:.6g} vs D0 = {br.d0}")
-    print(f"  ub {br.ub} via {br.ub_method}: {br.covering.size} triples, "
-          f"verification {'pass' if br.report.passed else 'FAIL'}")
-    return EXIT_OK if br.report.passed else EXIT_CHECK_FAILED
+def _decode(source, parse, text: str):
+    """``parse(text)``; JSON nested too deeply to decode is a ValueError naming ``source``."""
+    try:
+        return parse(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply to decode") from None
 
 
 def _read_stream(path: Path, space):
@@ -213,8 +131,8 @@ def _read_stream(path: Path, space):
     out = []
     for n, r in enumerate(rows, 1):
         try:
-            point = decode_point(space, json.loads(r["point"]))
-            out.append((int(r["step"]), point, json.loads(r["label"])))
+            point = decode_point(space, _decode(path, json.loads, r["point"]))
+            out.append((int(r["step"]), point, _decode(path, json.loads, r["label"])))
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise ValueError(f"stream file {path}, row {n}: {exc!r}") from exc
     if not out:
@@ -222,50 +140,110 @@ def _read_stream(path: Path, space):
     return [(point, label) for _, point, label in sorted(out, key=lambda row: row[0])]
 
 
-def _seeded_stream(p, seed: int, steps: int) -> list:
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got steps={steps}")
-    rng = np.random.default_rng(seed)
-    dist = sampling_distribution(p)
-    return [sample_safe(dist, rng) for _ in range(steps)]
+# -- experiment runners: a checked config in, (exit code, files, summary) out --------
 
 
-def _machine_run(p, stream, seed, tau, d0, r_construct):
-    """The trace, its JSON document and the ``size_curve.svg`` text."""
-    state = machine_new(p.space, tau, d0, r_construct, labels=tuple(p.labels))
+def _check_window(family: str, cfg: dict) -> None:
+    window = parameter_window(family, **cfg)
+    if not window.contains(cfg["d0"]):  # an empty window's note names its requirement
+        raise ValueError(window.note or (
+            f"D0 = {cfg['d0']} outside the admissible window [{window.lo}, {window.hi})"))
+
+
+def _problem(cfg):
+    try:
+        return build_problem(cfg["problem"])
+    except (LookupError, TypeError) as exc:
+        raise ValueError(f"config field 'problem' is not a family document: {exc!r}") from exc
+
+
+# space kind -> (constructor, its parameters, each a field of the ``space`` experiment)
+_SPACES = {
+    "bouquet": (bouquet_space, ("w", "L", "h")),
+    "wedge": (wedge_sphere_space, ("w", "k", "R", "n", "seed")),
+    "interval": (interval_space, ("n",)),
+    "graph": (graph_space, ("edges",)),
+}
+
+
+def _run_space(cfg):
+    if cfg["kind"] not in _SPACES:
+        raise ValueError(f"unknown space kind {cfg['kind']!r}; expected one of {list(_SPACES)}")
+    build, params = _SPACES[cfg["kind"]]
+    wrong = sorted(set(params) ^ (set(cfg) & set(_EXPERIMENTS["space"][2])))
+    if wrong:
+        raise ValueError(f"space kind {cfg['kind']!r} takes the fields {list(params)}, so "
+                         f"{wrong[0]!r} is {'missing' if wrong[0] in params else 'not one'}")
+    sp = build(**{key: cfg[key] for key in params})
+    desc = sp.describe()
+    desc["resolution"] = sp.resolution
+    out = _out_dir(cfg.get("out"))
+    summary = (f"wrote {out / 'space.txt'} and {out / 'samples.csv'} "
+               f"({len(sp.sample_set)} sample points)")
+    return EXIT_OK, {"space.txt": format_config(desc),
+                     "samples.csv": csv_text(["id", "point"], samples_csv_rows(sp))}, summary
+
+
+def _run_problem(cfg):
+    p = _problem(cfg)
+    rep = validate_margin(p)
+    doc = {"problem": family_doc(p), "k": p.k,
+           "min_pair_distance": rep.min_pair if p.k > 1 else None,
+           "strict_pass": rep.strict_pass, "safe_disjoint": rep.safe_disjoint,
+           "worst_pair": list(rep.worst_pair) if rep.worst_pair else None, "notes": rep.notes}
+    summary = (f"margin validation: {'pass' if rep.strict_pass else 'FAIL'} "
+               f"(min pairwise distance {rep.min_pair}, gamma {p.gamma})")
+    return (EXIT_OK if rep.strict_pass else EXIT_CHECK_FAILED), {
+        "problem.txt": problem_text(p),
+        "validation.json": _json(doc),
+        "safe_region.csv": csv_text(["point", "label"], safe_region_csv_rows(p)),
+    }, summary
+
+
+def _run_width(cfg):
+    p = _problem(cfg)
+    br = width_bracket(p, cfg["d0"])
+    sep = br.separation
+    summary = (f"width bracket: [{br.lb}, {br.ub}]{' exact' if br.exact else ''}\n"
+               f"  lb {br.lb} via {sep.method}: delta* = {sep.delta_star:.6g} vs D0 = {br.d0}\n"
+               f"  ub {br.ub} via {br.ub_method}: {br.covering.size} triples, "
+               f"verification {'pass' if br.report.passed else 'FAIL'}")
+    return (EXIT_OK if br.report.passed else EXIT_CHECK_FAILED), {
+        "width_certificate.json": _json(bracket_doc(p, br)),
+        "covering.txt": covering_text(p.space, br.covering)}, summary
+
+
+def _machine_run(p, cfg):
+    """The stream (``cfg["stream"]``'s file, else ``steps`` seeded draws), its trace,
+    the trace's JSON document and the ``size_curve.svg`` text."""
+    if "stream" in cfg:
+        stream = _read_stream(Path(cfg["stream"]), p.space)
+    elif cfg["steps"] < 1:
+        raise ValueError(f"steps must be at least 1, got steps={cfg['steps']}")
+    else:
+        rng, dist = np.random.default_rng(cfg["seed"]), sampling_distribution(p)
+        stream = [sample_safe(dist, rng) for _ in range(cfg["steps"])]
+    state = machine_new(p.space, cfg["tau"], cfg["d0"], cfg["r_construct"], labels=tuple(p.labels))
     trace = run_stream(state, stream)
     svg = line_plot([("library size", list(range(1, len(trace.size_curve) + 1)),
                       [float(s) for s in trace.size_curve])],
                     title="metric library growth", xlabel="step", ylabel="entries")
-    return trace, {
-        "problem": family_doc(p),
-        "final_library_size": state.library_size,
-        "errors": trace.errors,
-        "size_curve": trace.size_curve,
-        "seed": seed,
-    }, svg
+    return stream, trace, {"problem": family_doc(p), "final_library_size": state.library_size,
+                           "errors": trace.errors, "size_curve": trace.size_curve,
+                           "seed": cfg["seed"]}, svg
 
 
-def cmd_machine(args) -> int:
-    p = _problem_from_args(args)
-    stream = (_read_stream(Path(args.stream), p.space) if args.stream
-              else _seeded_stream(p, args.seed, args.steps))
-    trace, doc, svg = _machine_run(p, stream, args.seed, args.tau, args.d0, args.r_construct)
-    doc.update(tau=args.tau, d0=args.d0, r_construct=args.r_construct)
-    doc["events"] = [
-        {
-            "index": r.index,
-            "kind": r.kind,
-            "point": encode_point(p.space, r.point),
-            "label": r.label,
-            "residue": None if math.isinf(r.residue) else r.residue,
-            "entry": r.entry,
-            "predicted": r.predicted,
-            "correct": r.correct,
-        }
-        for r in trace.records
-    ]
-    _write(args.out, {
+def _run_machine(cfg):
+    if ("steps" in cfg) == ("stream" in cfg):
+        raise ValueError("a machine config takes exactly one of the fields 'steps' and 'stream'")
+    p = _problem(cfg)
+    stream, trace, doc, svg = _machine_run(p, cfg)
+    doc.update(tau=cfg["tau"], d0=cfg["d0"], r_construct=cfg["r_construct"])
+    doc["events"] = [{"index": r.index, "kind": r.kind, "point": encode_point(p.space, r.point),
+                      "label": r.label, "residue": None if math.isinf(r.residue) else r.residue,
+                      "entry": r.entry, "predicted": r.predicted, "correct": r.correct}
+                     for r in trace.records]
+    return EXIT_OK, {
         "size_curve.svg": svg,
         "trace.json": _json(doc),
         "trace.csv": csv_text(
@@ -274,19 +252,17 @@ def cmd_machine(args) -> int:
               r.predicted, r.correct, size]
              for r, size in zip(trace.records, trace.size_curve)),
         ),
-    })
-    print(f"final library size {doc['final_library_size']}, "
-          f"{trace.errors} prediction errors over {len(stream)} steps")
-    return EXIT_OK
+    }, (f"final library size {doc['final_library_size']}, "
+        f"{trace.errors} prediction errors over {len(stream)} steps")
 
 
-def _sweep(ws, ratios, trials: int, seed: int):
-    stats = threshold_sweep(ws, ratios, trials, seed)
+def _run_sweep(cfg):
+    stats = threshold_sweep(cfg["ws"], cfg["ratios"], cfg["trials"], cfg["seed"])
     series = []
-    for w in ws:
+    for w in cfg["ws"]:
         pts = [(r.ratio, r.rate) for r in stats.rows if r.w == w]
         series.append((f"w={w}", [x for x, _ in pts], [y for _, y in pts]))
-    return stats.crossings, {
+    return EXIT_OK, {
         "sweep.csv": csv_text(
             ["w", "n", "ratio", "trials", "successes", "rate", "wilson_lo",
              "wilson_hi", "p_all_seen", "p_one_missed", "p_multi_missed", "seed"],
@@ -297,103 +273,66 @@ def _sweep(ws, ratios, trials: int, seed: int):
         "success_vs_ratio.svg": line_plot(series, title="learner success vs n/(w ln w)",
                                           xlabel="n / (w ln w)", ylabel="success rate"),
         "crossings.json": _json({str(w): r for w, r in stats.crossings.items()}),
-    }
+    }, f"2/3-success crossings: {stats.crossings}"
 
 
-def _coupon(ws, L: float, gamma: float, h: float, trials: int, seed: int):
-    rows = coupon_stats({w: bouquet_problem(w, L, gamma, h) for w in ws}, trials, seed)
+def _coupon(cfg):
+    problems = {w: bouquet_problem(w, cfg["L"], cfg["gamma"], cfg["h"]) for w in cfg["ws"]}
+    rows = coupon_stats(problems, cfg["trials"], cfg["seed"])
     return rows, {"coupon.csv": csv_text(
         ["w", "trials", "mean", "median", "analytic_mean", "seed"],
-        ([r.w, r.trials, r.mean, r.median, r.analytic_mean, r.seed] for r in rows),
-    )}
+        ([r.w, r.trials, r.mean, r.median, r.analytic_mean, r.seed] for r in rows))}
 
 
-def cmd_sample(args) -> int:
-    ws = [int(x) for x in args.ws.split(",")]
-    if args.experiment == "coupon":
-        rows, files = _coupon(ws, args.length, args.gamma, args.h, args.trials, args.seed)
-        _write(args.out, files)
-        slope, intercept, r2 = regress(
-            [r.analytic_mean for r in rows], [r.mean for r in rows]
-        )
-        print(f"coupon means vs analytic law: slope {slope:.4f}, R^2 {r2:.5f}")
-        return EXIT_OK
-    if args.experiment == "permutation":
-        rng = np.random.default_rng(args.seed)
-        res = permutation_learner_experiment(ws[0], args.budget, args.trials, rng)
-        _write(args.out, {"permutation.json": _json(res.__dict__)})
-        print(f"w={res.w} n={res.n}: success rate {res.rate:.4f} "
-              f"(95% Wilson [{res.wilson_lo:.4f}, {res.wilson_hi:.4f}])")
-        return EXIT_OK
-    if args.experiment == "sweep":
-        ratios = [float(x) for x in args.ratios.split(",")]
-        crossings, files = _sweep(ws, ratios, args.trials, args.seed)
-        _write(args.out, files)
-        print(f"2/3-success crossings: {crossings}")
-        return EXIT_OK
-    raise ValueError(f"unknown experiment {args.experiment!r}")
+def _run_coupon(cfg):
+    rows, files = _coupon(cfg)
+    slope, _, r2 = regress([r.analytic_mean for r in rows], [r.mean for r in rows])
+    return EXIT_OK, files, f"coupon means vs analytic law: slope {slope:.4f}, R^2 {r2:.5f}"
 
 
-def _nerve_betti(w: int, L: float, h: float, arcs: int):
-    space = bouquet_space(w, L, h)
-    cov = cyclic_arc_cover(space, arcs)
+def _run_permutation(cfg):
+    rng = np.random.default_rng(cfg["seed"])
+    res = permutation_learner_experiment(cfg["w"], cfg["budget"], cfg["trials"], rng)
+    summary = (f"w={res.w} n={res.n}: success rate {res.rate:.4f} "
+               f"(95% Wilson [{res.wilson_lo:.4f}, {res.wilson_hi:.4f}])")
+    return EXIT_OK, {"permutation.json": _json(res.__dict__)}, summary
+
+
+def _nerve_betti(cfg):
+    space = bouquet_space(cfg["w"], cfg["L"], cfg["h"])
+    cov = cyclic_arc_cover(space, cfg["arcs"])
     cx = nerve(cov)
     b0, b1 = betti(cx)
     delta0 = max_adjacency(cx)
     check = betti_bound_check(len(cov.triples), b1, delta0)
-    return space, cx, {
-        "n_patches": len(cov.triples), "beta0": b0, "beta1": b1,
-        "delta0": delta0, "bound": check.bound, "bound_pass": check.passed,
-        "slack": check.slack,
-    }
+    return space, cx, {"n_patches": len(cov.triples), "beta0": b0, "beta1": b1,
+                       "delta0": delta0, "bound": check.bound, "bound_pass": check.passed,
+                       "slack": check.slack}
 
 
-def cmd_nerve(args) -> int:
-    space, cx, doc = _nerve_betti(args.w, args.length, args.h, args.arcs)
+def _run_nerve(cfg):
+    space, cx, doc = _nerve_betti(cfg)
     lines = ["# nerve face list"]
     lines += [f"v {v}" for v in cx.vertices]
     lines += [f"e {a} {b}" for a, b in cx.edges]
     lines += [f"t {a} {b} {c}" for a, b, c in cx.triangles]
-    doc.update(arcs_per_loop=args.arcs, w=args.w, systole=systole(space))
-    _write(args.out, {"nerve_faces.txt": "\n".join(lines) + "\n", "betti.json": _json(doc)})
-    print(f"nerve: beta0={doc['beta0']} beta1={doc['beta1']} Delta0={doc['delta0']}; "
-          f"bound N >= {doc['bound']:.3g}: {'pass' if doc['bound_pass'] else 'FAIL'}")
-    return EXIT_OK if doc["bound_pass"] else EXIT_CHECK_FAILED
+    doc.update(arcs_per_loop=cfg["arcs"], w=cfg["w"], systole=systole(space))
+    summary = (f"nerve: beta0={doc['beta0']} beta1={doc['beta1']} Delta0={doc['delta0']}; "
+               f"bound N >= {doc['bound']:.3g}: {'pass' if doc['bound_pass'] else 'FAIL'}")
+    return (EXIT_OK if doc["bound_pass"] else EXIT_CHECK_FAILED), {
+        "nerve_faces.txt": "\n".join(lines) + "\n", "betti.json": _json(doc)}, summary
 
 
-def cmd_vc(args) -> int:
-    code, files = _run_vc_separation({"w": args.w, "n_max": args.n_intervals})
-    _write(args.out, files)
-    print(files["vc_separation.txt"], end="")
-    return code
+def _run_vc_separation(cfg):
+    rep = separation_report(cfg["w"], cfg["n_max"])
+    ok = all(r["vc"] == 2 * int(r["instance"].split("=")[1])
+             for r in rep.rows if r["family"] == "intervals")
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), {
+        "vc_separation.json": _json({"rows": rep.rows}),
+        "vc_separation.txt": rep.as_text() + "\n"}, rep.as_text()
 
 
-def cmd_verify(args) -> int:
-    try:
-        doc = json.loads(Path(args.certificate).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read certificate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    ok, messages = verify_bracket(doc)
-    if ok:
-        print("certificate verified: all stored values reproduced")
-        return EXIT_OK
-    for msg in messages:
-        print(msg, file=sys.stderr)
-    return EXIT_CHECK_FAILED
-
-
-# -- experiment driver --------------------------------------------------------
-
-
-def _check_window(family: str, cfg: dict) -> None:
-    window = parameter_window(family, **cfg)
-    if not window.contains(cfg["d0"]):  # an empty window's note names its requirement
-        raise ValueError(window.note or (
-            f"D0 = {cfg['d0']} outside the admissible window [{window.lo}, {window.hi})"))
-
-
-def _run_hierarchy(cfg) -> tuple[int, dict[str, str]]:
+def _run_hierarchy(cfg):
     _check_window("bouquet", cfg)
     rows = []
     files = {}
@@ -410,10 +349,10 @@ def _run_hierarchy(cfg) -> tuple[int, dict[str, str]]:
         xlabel="w", ylabel="width",
     )
     bad = [r for r in rows if not (r[1] == r[2] == r[0])]
-    return (EXIT_OK if not bad else EXIT_CHECK_FAILED), files
+    return (EXIT_OK if not bad else EXIT_CHECK_FAILED), files, ""
 
 
-def _run_scaling(cfg) -> tuple[int, dict[str, str]]:
+def _run_scaling(cfg):
     _check_window("scaled", cfg)
     p = scaled_problem(cfg["w"], cfg["m"], cfg["L"], cfg["gamma"], cfg["h"])
     br = width_bracket(p, cfg["d0"])
@@ -423,44 +362,28 @@ def _run_scaling(cfg) -> tuple[int, dict[str, str]]:
         "width_scaled.json": _json(bracket_doc(p, br)),
         "scaling.csv": csv_text(["w", "m", "lb", "ub", "exact"],
                                 [[cfg["w"], cfg["m"], br.lb, br.ub, br.exact]]),
-    }
+    }, ""
 
 
-def _run_vc_separation(cfg) -> tuple[int, dict[str, str]]:
-    rep = separation_report(cfg["w"], cfg["n_max"])
-    ok = all(
-        r["vc"] == 2 * int(r["instance"].split("=")[1])
-        for r in rep.rows
-        if r["family"] == "intervals"
-    )
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), {
-        "vc_separation.json": _json({"rows": rep.rows}),
-        "vc_separation.txt": rep.as_text() + "\n",
-    }
+def _run_sample_complexity(cfg):
+    _, files, _ = _run_sweep(cfg)
+    _, coupon_files = _coupon({"L": 10.0, "gamma": 1.0, "h": 0.5, **cfg,
+                               "trials": cfg.get("coupon_trials", cfg["trials"])})
+    return EXIT_OK, {**files, **coupon_files}, ""
 
 
-def _run_sample_complexity(cfg) -> tuple[int, dict[str, str]]:
-    _, files = _sweep(cfg["ws"], cfg["ratios"], cfg["trials"], cfg["seed"])
-    _, coupon_files = _coupon(cfg["ws"], cfg.get("L", 10.0), cfg.get("gamma", 1.0),
-                              cfg.get("h", 0.5), cfg.get("coupon_trials", cfg["trials"]),
-                              cfg["seed"])
-    return EXIT_OK, {**files, **coupon_files}
-
-
-def _run_nerve_betti(cfg) -> tuple[int, dict[str, str]]:
-    _, _, doc = _nerve_betti(cfg["w"], cfg["L"], cfg["h"], cfg["arcs"])
+def _run_nerve_betti(cfg):
+    _, _, doc = _nerve_betti(cfg)
     return (EXIT_OK if doc["bound_pass"] and doc["beta1"] == cfg["w"]
-            else EXIT_CHECK_FAILED), {"betti.json": _json(doc)}
+            else EXIT_CHECK_FAILED), {"betti.json": _json(doc)}, ""
 
 
-def _run_machine(cfg) -> tuple[int, dict[str, str]]:
-    p = bouquet_problem(cfg["w"], cfg["L"], cfg["gamma"], cfg["h"])
-    stream = _seeded_stream(p, cfg["seed"], cfg["steps"])
-    _, doc, svg = _machine_run(p, stream, cfg["seed"], cfg["tau"], cfg["d0"], cfg["r_construct"])
-    return EXIT_OK, {"machine.json": _json(doc), "size_curve.svg": svg}
+def _run_machine_run(cfg):
+    _, _, doc, svg = _machine_run(bouquet_problem(cfg["w"], cfg["L"], cfg["gamma"], cfg["h"]), cfg)
+    return EXIT_OK, {"machine.json": _json(doc), "size_curve.svg": svg}, ""
 
 
-def _run_additivity(cfg) -> tuple[int, dict[str, str]]:
+def _run_additivity(cfg):
     _check_window("bouquet", cfg)  # both sides are bouquets
     if cfg["separation"] <= cfg["d0"]:
         raise ValueError("separation must exceed D0 for the additivity law")
@@ -473,17 +396,28 @@ def _run_additivity(cfg) -> tuple[int, dict[str, str]]:
     files = {f"width_{name}.json": _json(bracket_doc(p, br))
              for name, p, br in (("left", a, br_a), ("right", b, br_b), ("union", u, br_u))}
     ok = (br_u.lb, br_u.ub) == (br_a.lb + br_b.lb, br_a.ub + br_b.ub)
-    files["additivity.json"] = _json({
-        "left": [br_a.lb, br_a.ub], "right": [br_b.lb, br_b.ub],
-        "union": [br_u.lb, br_u.ub], "additive": ok,
-    })
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), files
+    files["additivity.json"] = _json({"left": [br_a.lb, br_a.ub], "right": [br_b.lb, br_b.ub],
+                                      "union": [br_u.lb, br_u.ub], "additive": ok})
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), files, ""
 
 
-# kind -> (runner, required fields, optional fields); a runner maps a checked config
-# to (exit code, {file name: text}) and writes nothing.  Each field maps to its
-# type, where [t] is a nonempty list of t; every kind also takes an optional "out".
+# kind -> (runner, required fields, optional fields).  A runner maps a checked config
+# to (exit code, {file name: text}, summary) and writes nothing; the summary is what
+# the subcommand building the kind prints ("" where only ``run`` reaches the kind).
+# Each field maps to its type, where [t] is a nonempty list of t; every kind also
+# takes an optional "out".
 _EXPERIMENTS = {
+    "space": (_run_space, {"kind": str}, {"w": int, "L": float, "h": float, "k": int,
+                                          "R": float, "n": int, "seed": int, "edges": list}),
+    "problem": (_run_problem, {"problem": dict}, {}),
+    "width": (_run_width, {"problem": dict, "d0": float}, {}),
+    "machine": (_run_machine, {"problem": dict, "tau": float, "d0": float, "r_construct": float,
+                               "seed": int}, {"steps": int, "stream": str}),
+    "coupon": (_run_coupon, {"ws": [int], "L": float, "gamma": float, "h": float,
+                             "trials": int, "seed": int}, {}),
+    "permutation": (_run_permutation, {"w": int, "budget": int, "trials": int, "seed": int}, {}),
+    "sweep": (_run_sweep, {"ws": [int], "ratios": [float], "trials": int, "seed": int}, {}),
+    "nerve": (_run_nerve, {"w": int, "L": float, "h": float, "arcs": int}, {}),
     "hierarchy": (_run_hierarchy, {"ws": [int], "L": float, "gamma": float,
                                    "d0": float, "h": float}, {}),
     "scaling": (_run_scaling, {"w": int, "m": int, "L": float, "gamma": float,
@@ -493,12 +427,11 @@ _EXPERIMENTS = {
                           {"ws": [int], "ratios": [float], "trials": int, "seed": int},
                           {"coupon_trials": int, "L": float, "gamma": float, "h": float}),
     "nerve_betti": (_run_nerve_betti, {"w": int, "L": float, "h": float, "arcs": int}, {}),
-    "machine_run": (_run_machine, {"w": int, "L": float, "gamma": float, "h": float,
-                                   "tau": float, "d0": float, "r_construct": float,
-                                   "seed": int, "steps": int}, {}),
-    "additivity": (_run_additivity, {"w_left": int, "w_right": int, "L": float,
-                                     "gamma": float, "d0": float, "h": float,
-                                     "separation": float}, {}),
+    "machine_run": (_run_machine_run, {"w": int, "L": float, "gamma": float, "h": float,
+                                       "tau": float, "d0": float, "r_construct": float,
+                                       "seed": int, "steps": int}, {}),
+    "additivity": (_run_additivity, {"w_left": int, "w_right": int, "L": float, "gamma": float,
+                                     "d0": float, "h": float, "separation": float}, {}),
 }
 
 
@@ -510,15 +443,73 @@ def _has_type(value, typ) -> bool:
     return isinstance(value, accepted) and not isinstance(value, bool)
 
 
-def _check_config(kind: str, cfg: dict) -> None:
+def _check_config(cfg: dict) -> None:
+    """Refuse a missing, unknown or mistyped field of the config's experiment kind."""
+    kind = cfg["experiment"]
     _, required, optional = _EXPERIMENTS[kind]
     for key in required:
         if key not in cfg:
             raise ValueError(f"config missing required field {key!r}")
-    for key, typ in {**required, **optional, "out": str}.items():
-        if key in cfg and not _has_type(cfg[key], typ):
+    fields = {**required, **optional, "experiment": str, "out": str}
+    for key, value in cfg.items():
+        if key not in fields:
+            raise ValueError(f"config field {key!r} is not a field of experiment {kind!r}")
+        typ = fields[key]
+        if not _has_type(value, typ):
             name = f"nonempty list of {typ[0].__name__}" if isinstance(typ, list) else typ.__name__
-            raise ValueError(f"config field {key!r} must be {name}, got {cfg[key]!r}")
+            raise ValueError(f"config field {key!r} must be {name}, got {value!r}")
+
+
+# -- flag front ends: a subcommand's ``build`` names its kind and the flags --------
+
+
+def _flag_config(args) -> dict:
+    """The config that a subcommand's flags build: each field of its kind, and
+    ``out``, is the flag of the same name, left out where that flag is None."""
+    kind, flags = args.build(args)
+    _, required, optional = _EXPERIMENTS[kind]
+    return {"experiment": kind, **{key: flags[key] for key in (*required, *optional, "out")
+                                   if flags.get(key) is not None}}
+
+
+def _space_flags(a) -> tuple[str, dict]:
+    flags = vars(a)
+    if a.kind == "graph":
+        flags = dict(flags, edges=_decode("--edges", json.loads, a.edges))
+    return "space", {key: flags[key] for key in ("kind", "out", *_SPACES[a.kind][1])}
+
+
+def _family_doc(a) -> dict:
+    """The family document of the problem flags, as ``build_problem`` reads it."""
+    family = "interval_union" if a.family == "interval" else a.family
+    params = {key: vars(a)[key] for key in FAMILIES[family].params}
+    if "intervals" in params:
+        params["intervals"] = _decode("--intervals", json.loads, params["intervals"])
+    sigma = [int(x) for x in a.sigma.split(",")] if a.sigma else None
+    return {"family": family, "params": params, "sigma": sigma}
+
+
+def _sample_flags(a) -> tuple[str, dict]:
+    ws = [int(x) for x in a.ws.split(",")]
+    if a.experiment == "permutation" and len(ws) > 1:
+        raise ValueError(f"--ws takes a single w for the permutation experiment, got {a.ws!r}")
+    ratios = [float(x) for x in a.ratios.split(",")] if a.experiment == "sweep" else None
+    return a.experiment, dict(vars(a), ws=ws, w=ws[0], ratios=ratios)
+
+
+def cmd_verify(args) -> int:
+    try:
+        doc = _decode(args.certificate, json.loads, Path(args.certificate).read_text())
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError included
+        print(f"cannot read certificate: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    ok, messages = verify_bracket(doc)
+    if ok:
+        print("certificate verified: all stored values reproduced")
+        return EXIT_OK
+    for msg in messages:
+        print(msg, file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 def _earlier_artifacts(out: Path) -> list[str]:
@@ -527,7 +518,7 @@ def _earlier_artifacts(out: Path) -> list[str]:
     if not manifest.is_file():
         return []
     try:
-        doc = json.loads(manifest.read_text())
+        doc = _decode(manifest, json.loads, manifest.read_text())
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"cannot read earlier manifest {manifest}: {exc}") from exc
     listed = doc.get("artifacts") if isinstance(doc, dict) else None
@@ -542,7 +533,7 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = parse_config_text(text)
+    cfg = _decode(args.config, parse_config_text, text)
     if "experiment" not in cfg:
         print("config missing required field 'experiment'", file=sys.stderr)
         return EXIT_CONFIG
@@ -551,11 +542,11 @@ def cmd_run(args) -> int:
         print(f"unknown experiment kind {kind!r}; expected one of "
               f"{sorted(_EXPERIMENTS)}", file=sys.stderr)
         return EXIT_CONFIG
-    _check_config(kind, cfg)
+    _check_config(cfg)
     out_dir = _out_dir(args.out or cfg.get("out"))
     earlier = _earlier_artifacts(out_dir)  # a bad manifest fails before the work
     started = time.time()
-    code, files = _EXPERIMENTS[kind][0](cfg)
+    code, files, _ = _EXPERIMENTS[kind][0](cfg)
     artifacts = sorted(files)
     files["manifest.json"] = _json({
         "experiment": kind,
@@ -578,77 +569,79 @@ def cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="urwidth",
-        description="local width laboratory: spaces, problems, certificates, "
-                    "machine simulation, sampling experiments",
-    )
+    parser = argparse.ArgumentParser(prog="urwidth", description=(
+        "local width laboratory: spaces, problems, certificates, machine simulation, "
+        "sampling experiments"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("space", help="build a space, export description and samples")
-    sp.add_argument("--kind", required=True,
-                    choices=["bouquet", "wedge", "interval", "graph"])
-    sp.add_argument("--w", type=int, default=3)
-    sp.add_argument("-L", "--length", type=float, default=10.0)
-    sp.add_argument("--h", type=float, default=0.25)
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("-R", "--radius", type=float, default=2.0)
-    sp.add_argument("--n", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    space = argparse.ArgumentParser(add_help=False, parents=[out])
+    space.add_argument("--w", type=int, default=3)
+    space.add_argument("-L", "--length", dest="L", type=float, default=10.0)
+    space.add_argument("--h", type=float, default=0.25)
+    space.add_argument("--k", type=int, default=2)
+    space.add_argument("-R", "--radius", dest="R", type=float, default=2.0)
+    space.add_argument("--n", type=int, default=64)
+    space.add_argument("--seed", type=int, default=0)
+    problem = argparse.ArgumentParser(add_help=False, parents=[space])
+    problem.add_argument("--family", required=True,
+                         choices=["bouquet", "scaled", "wedge", "interval"])
+    problem.add_argument("--m", type=int, default=1)
+    problem.add_argument("--gamma", type=float, default=1.0)
+    problem.add_argument("--intervals", default='[[0.2, 0.4]]',
+                         help="JSON list of [lo, hi] pairs (interval family)")
+    problem.add_argument("--n-pts", type=int, default=101)
+    problem.add_argument("--sigma", default="", help="comma-separated label permutation")
+
+    sp = sub.add_parser("space", parents=[space],
+                        help="build a space, export description and samples")
+    sp.add_argument("--kind", required=True, choices=list(_SPACES))
     sp.add_argument("--edges", default="[]", help="JSON edge list (graph kind)")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_space)
+    sp.set_defaults(build=_space_flags)
 
-    pr = sub.add_parser("problem", help="build and validate a margin problem")
-    _add_problem_flags(pr)
-    pr.set_defaults(func=cmd_problem)
+    pr = sub.add_parser("problem", parents=[problem], help="build and validate a margin problem")
+    pr.set_defaults(build=lambda a: ("problem", dict(vars(a), problem=_family_doc(a))))
 
-    wd = sub.add_parser("width", help="certify a width bracket")
-    _add_problem_flags(wd)
+    wd = sub.add_parser("width", parents=[problem], help="certify a width bracket")
     wd.add_argument("--d0", type=float, required=True)
-    wd.set_defaults(func=cmd_width)
+    wd.set_defaults(build=lambda a: ("width", dict(vars(a), problem=_family_doc(a))))
 
-    mc = sub.add_parser("machine", help="run the streaming machine")
-    _add_problem_flags(mc)
+    mc = sub.add_parser("machine", parents=[problem], help="run the streaming machine")
     mc.add_argument("--tau", type=float, default=0.0)
     mc.add_argument("--d0", type=float, required=True)
     mc.add_argument("--r-construct", type=float, required=True)
     mc.add_argument("--steps", type=int, default=60)
-    mc.add_argument("--stream", default=None,
-                    help="CSV stream file (step, point, label)")
-    mc.set_defaults(func=cmd_machine)
+    mc.add_argument("--stream", default=None, help="CSV stream file (step, point, label)")
+    mc.set_defaults(build=lambda a: ("machine", dict(vars(a), problem=_family_doc(a),
+                                                     steps=None if a.stream else a.steps)))
 
-    sm = sub.add_parser("sample", help="sampling experiments")
-    sm.add_argument("--experiment", required=True,
-                    choices=["coupon", "permutation", "sweep"])
+    sm = sub.add_parser("sample", parents=[out], help="sampling experiments")
+    sm.add_argument("--experiment", required=True, choices=["coupon", "permutation", "sweep"])
     sm.add_argument("--ws", default="4,8,16")
     sm.add_argument("--ratios", default="0.6,0.8,1.0,1.2,1.4,1.6")
     sm.add_argument("--trials", type=int, default=1000)
     sm.add_argument("--budget", type=int, default=56)
     sm.add_argument("--seed", type=int, default=0)
-    sm.add_argument("-L", "--length", type=float, default=10.0)
+    sm.add_argument("-L", "--length", dest="L", type=float, default=10.0)
     sm.add_argument("--gamma", type=float, default=1.0)
     sm.add_argument("--h", type=float, default=0.5)
-    sm.add_argument("--out", default=None)
-    sm.set_defaults(func=cmd_sample)
+    sm.set_defaults(build=_sample_flags)
 
-    nv = sub.add_parser("nerve", help="nerve of a cyclic arc cover")
+    nv = sub.add_parser("nerve", parents=[out], help="nerve of a cyclic arc cover")
     nv.add_argument("--w", type=int, default=3)
-    nv.add_argument("-L", "--length", type=float, default=12.0)
+    nv.add_argument("-L", "--length", dest="L", type=float, default=12.0)
     nv.add_argument("--h", type=float, default=0.25)
     nv.add_argument("--arcs", type=int, default=6)
-    nv.add_argument("--out", default=None)
-    nv.set_defaults(func=cmd_nerve)
+    nv.set_defaults(build=lambda a: ("nerve", vars(a)))
 
-    vc = sub.add_parser("vc", help="width / VC separation report")
+    vc = sub.add_parser("vc", parents=[out], help="width / VC separation report")
     vc.add_argument("--w", type=int, default=5)
     vc.add_argument("--n-intervals", type=int, default=2)
-    vc.add_argument("--out", default=None)
-    vc.set_defaults(func=cmd_vc)
+    vc.set_defaults(build=lambda a: ("vc_separation", dict(vars(a), n_max=a.n_intervals)))
 
-    rn = sub.add_parser("run", help="run an experiment from a config file")
+    rn = sub.add_parser("run", parents=[out], help="run an experiment from a config file")
     rn.add_argument("config")
-    rn.add_argument("--out", default=None)
     rn.set_defaults(func=cmd_run)
 
     vf = sub.add_parser("verify", help="re-check a stored certificate")
@@ -659,10 +652,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "func" in args:  # run and verify
+            return args.func(args)
+        cfg = _flag_config(args)
+        _check_config(cfg)
+        code, files, summary = _EXPERIMENTS[cfg["experiment"]][0](cfg)
+        _write(cfg.get("out"), files)
+        print(summary)
+        return code
     except ValueError as exc:  # json.JSONDecodeError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,9 @@ import sys
 
 import pytest
 
+from urwidth import cli
 from urwidth.cli import main
+from urwidth.serialize import format_config
 
 # run kind -> config text
 _RUNS = {
@@ -177,3 +179,19 @@ def test_artifacts_match_pinned_digests(tmp_path, case):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert _digests(out) == _GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(case for case, (_, config) in _CASES.items()
+                                        if config is None))
+def test_run_reproduces_each_subcommand(tmp_path, case):
+    """The config a subcommand's flags build, run through ``run``, writes the
+    subcommand's pinned files plus a manifest that lists them."""
+    argv, _ = _CASES[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(format_config(cli._flag_config(cli.build_parser().parse_args(argv))))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    digests = _digests(out)
+    assert digests.pop("manifest.json")
+    assert digests == _GOLDEN[case]
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == sorted(_GOLDEN[case])

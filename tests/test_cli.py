@@ -357,6 +357,9 @@ def test_subcommands_share_run_writers(tmp_path):
     assert (tmp_path / "vc" / name).read_bytes() == (tmp_path / "vc_run" / name).read_bytes()
 
 
+_BOUQUET2 = {"family": "bouquet", "params": {"w": 2, "L": 10.0, "gamma": 1.0, "h": 0.5},
+             "sigma": None}
+
 # one valid config per experiment kind; integers stand in for floats
 _VALID_CONFIGS = {
     "hierarchy": {"ws": [1], "L": 10, "gamma": 1, "d0": 4, "h": 0.5},
@@ -369,6 +372,15 @@ _VALID_CONFIGS = {
                     "r_construct": 2, "seed": 4, "steps": 10},
     "additivity": {"w_left": 1, "w_right": 1, "L": 10, "gamma": 1, "d0": 4, "h": 1,
                    "separation": 100},
+    "space": {"kind": "bouquet", "w": 2, "L": 10, "h": 0.5},
+    "problem": {"problem": _BOUQUET2},
+    "width": {"problem": _BOUQUET2, "d0": 4},
+    "machine": {"problem": _BOUQUET2, "tau": 0, "d0": 4, "r_construct": 2, "seed": 4,
+                "steps": 10},
+    "coupon": {"ws": [4, 8], "L": 10, "gamma": 1, "h": 0.5, "trials": 20, "seed": 1},
+    "permutation": {"w": 4, "budget": 20, "trials": 20, "seed": 1},
+    "sweep": {"ws": [4], "ratios": [1], "trials": 20, "seed": 1},
+    "nerve": {"w": 1, "L": 12, "h": 0.5, "arcs": 6},
 }
 
 
@@ -377,15 +389,24 @@ _VALID_CONFIGS = {
     ("scaling", "m", [("w", 2.5)]),
     ("vc_separation", "n_max", [("n_max", True)]),
     ("sample_complexity", "seed", [("coupon_trials", "many"), ("ratios", [1.0, True]),
-                                   ("ratios", [])]),
+                                   ("ratios", []), ("coupon_trails", 7)]),
     ("nerve_betti", "arcs", [("arcs", "six")]),
     ("machine_run", "r_construct", [("seed", 4.0)]),
     ("additivity", "separation", [("L", None)]),
+    # a parameter of the space kind is missing, or belongs to another space kind
+    ("space", "w", [("kind", 3), ("k", 2)]),
+    ("problem", "problem", [("problem", "bouquet"), ("problem", {"family": "bouquet"})]),
+    ("width", "d0", [("d0", "4")]),
+    ("machine", "r_construct", [("problem", [1]), ("steps", 2.0), ("stream", "s.csv")]),
+    ("coupon", "h", [("ws", [4.0])]),
+    ("permutation", "budget", [("w", [4])]),
+    ("sweep", "ratios", [("ratios", 1.0)]),
+    ("nerve", "arcs", [("L", "12")]),
 ])
 def test_run_rejects_missing_or_mistyped_field(tmp_path, capsys, kind, missing, wrong):
     base = {"experiment": kind, **_VALID_CONFIGS[kind]}
     cases = [(missing, {k: v for k, v in base.items() if k != missing})]
-    cases += [(key, {**base, key: value}) for key, value in wrong]
+    cases += [(key, {**base, key: value}) for key, value in wrong + [("bogus_field", 1)]]
     for i, (key, cfg) in enumerate(cases):
         path = tmp_path / f"bad{i}.cfg"
         path.write_text(format_config(cfg))
@@ -432,6 +453,14 @@ def test_run_rejects_d0_outside_window(tmp_path):
         "d0 = 5.0\nh = 0.5\n"  # window is [1.5, 4.25)
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_permutation_refuses_more_than_one_w(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["sample", "--experiment", "permutation", "--ws", "4,8", "--budget", "20",
+                 "--trials", "10", "--out", str(out)]) == 2
+    assert "--ws" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_coupon_and_permutation_commands(tmp_path):
@@ -630,6 +659,26 @@ def test_machine_stream_file_errors(tmp_path, capsys, case, text, needle):
     err = capsys.readouterr().err
     assert str(stream) in err and needle in err, err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["run_config", "certificate", "stream_point"])
+def test_json_nested_too_deeply_in_a_file_is_a_named_config_error(tmp_path, capsys, case):
+    path = tmp_path / "input.txt"
+    out = tmp_path / "o"
+    if case == "run_config":
+        path.write_text('experiment = "hierarchy"\nws = ' + "[" * 200_000 + "\n")
+        argv = ["run", str(path), "--out", str(out)]
+    elif case == "certificate":
+        path.write_text("[" * 200_000)
+        argv = ["verify", str(path)]
+    else:
+        path.write_text('step,point,label\n0,"' + "[" * 100_000 + '",1\n')
+        argv = ["machine", "--family", "bouquet", "--w", "2", "--d0", "4", "--r-construct", "2",
+                "--stream", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: JSON nested too deeply to decode" in err, err[:300]
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_machine_stream_rejects_a_nan_sphere_direction(tmp_path, capsys):
