@@ -189,7 +189,7 @@ def _run_problem(cfg):
     rep = validate_margin(p)
     doc = {"problem": family_doc(p), "k": p.k,
            "min_pair_distance": rep.min_pair if p.k > 1 else None,
-           "strict_pass": rep.strict_pass, "safe_disjoint": rep.safe_disjoint,
+           "strict_pass": rep.strict_pass, "safe_disjoint": rep.strict_pass,
            "worst_pair": list(rep.worst_pair) if rep.worst_pair else None, "notes": rep.notes}
     summary = (f"margin validation: {'pass' if rep.strict_pass else 'FAIL'} "
                f"(min pairwise distance {rep.min_pair}, gamma {p.gamma})")
@@ -443,14 +443,16 @@ def _has_type(value, typ) -> bool:
     return isinstance(value, accepted) and not isinstance(value, bool)
 
 
-def _check_config(cfg: dict) -> None:
-    """Refuse a missing, unknown or mistyped field of the config's experiment kind."""
+def _check_config(cfg: dict) -> dict:
+    """Refuse a missing, unknown or mistyped field of the config's experiment kind; return
+    the config with float fields as floats, so no artifact depends on a number's spelling."""
     kind = cfg["experiment"]
     _, required, optional = _EXPERIMENTS[kind]
     for key in required:
         if key not in cfg:
             raise ValueError(f"config missing required field {key!r}")
     fields = {**required, **optional, "experiment": str, "out": str}
+    checked = {}
     for key, value in cfg.items():
         if key not in fields:
             raise ValueError(f"config field {key!r} is not a field of experiment {kind!r}")
@@ -458,6 +460,12 @@ def _check_config(cfg: dict) -> None:
         if not _has_type(value, typ):
             name = f"nonempty list of {typ[0].__name__}" if isinstance(typ, list) else typ.__name__
             raise ValueError(f"config field {key!r} must be {name}, got {value!r}")
+        try:
+            checked[key] = (float(value) if typ is float
+                            else [float(v) for v in value] if typ == [float] else value)
+        except OverflowError:
+            raise ValueError(f"config field {key!r} does not fit a float, got {value!r}") from None
+    return checked
 
 
 # -- flag front ends: a subcommand's ``build`` names its kind and the flags --------
@@ -542,7 +550,7 @@ def cmd_run(args) -> int:
         print(f"unknown experiment kind {kind!r}; expected one of "
               f"{sorted(_EXPERIMENTS)}", file=sys.stderr)
         return EXIT_CONFIG
-    _check_config(cfg)
+    cfg = _check_config(cfg)
     out_dir = _out_dir(args.out or cfg.get("out"))
     earlier = _earlier_artifacts(out_dir)  # a bad manifest fails before the work
     started = time.time()
@@ -656,8 +664,7 @@ def main(argv=None) -> int:
     try:
         if "func" in args:  # run and verify
             return args.func(args)
-        cfg = _flag_config(args)
-        _check_config(cfg)
+        cfg = _check_config(_flag_config(args))
         code, files, summary = _EXPERIMENTS[cfg["experiment"]][0](cfg)
         _write(cfg.get("out"), files)
         print(summary)

@@ -38,7 +38,7 @@ import networkx as nx
 import numpy as np
 
 from .problems import TOL, MarginProblem, validate_margin
-from .spaces import BLOCK, MetricSpace, _step_neighbours, support_check
+from .spaces import BLOCK, MetricSpace, _step_graph, support_check
 
 __all__ = [
     "UrysohnTriple",
@@ -235,8 +235,9 @@ def _candidate_balls(problem, d0):
     be chain-connected at the default step and of diameter <= D0.  A
     centre's balls are the prefixes of its pool points sorted by distance,
     so each radius adds only its new points to the coverage mask and to a
-    union-find over the step graph.  Supports list their points in pool
-    order.
+    union-find over the step graph.  The step graph and the largest pool
+    distance come from one ``_step_graph`` pass, the one ``support_check``
+    makes.  Supports list their points in pool order.
     """
     space = problem.space
     h = default_step(space)
@@ -249,13 +250,7 @@ def _candidate_balls(problem, d0):
             known.add(x)
     bit = {x: i for i, (_, x) in enumerate(universe)}
     pool_bits = [1 << bit[x] if x in bit else 0 for x in pool]
-    # the step graph is undirected: every metric here is symmetric bit for bit
-    nbrs = []
-    far = 0.0  # largest pool distance: every ball past it is the whole pool
-    for start in range(0, len(pool), BLOCK):
-        block = space.dists(pool[start : start + BLOCK], pool)
-        far = max(far, float(block.max()))
-        nbrs.extend(_step_neighbours(block, h))
+    nbrs, far = _step_graph(space, pool, h)  # every ball past ``far`` is the whole pool
     step = space.resolution / 2
     top = min(d0 / 2, far)
     radii = [step * i for i in range(1, int(math.floor(top / step + TOL)) + 1)]

@@ -259,8 +259,6 @@ class MarginReport:
     min_pair: float
     strict_pass: bool
     worst_pair: tuple | None
-    safe_gaps: dict
-    safe_disjoint: bool
     notes: list[str]
 
 
@@ -430,20 +428,19 @@ def interval_union_problem(
 def validate_margin(problem: MarginProblem) -> MarginReport:
     """Check the strict margin condition; reports, never raises.
 
-    The report carries the full analytic pairwise-distance table, the
-    strict-pass flag (min pairwise distance > gamma), and the induced
-    gaps between gamma/2 safe neighbourhoods (positive gap = disjoint).
+    The report carries the full analytic pairwise-distance table and the
+    strict-pass flag (min pairwise distance > gamma).  The gamma/2 safe
+    neighbourhoods are pairwise disjoint exactly when it holds: on finite
+    floats d - gamma > 0 iff d > gamma.
     """
     gamma = problem.gamma
     table: dict = {}
-    gaps: dict = {}
     worst = None
     min_pair = math.inf
     for i in range(problem.k):
         for j in range(i + 1, problem.k):
             d = problem.pair_dist(i, j)
             table[(i, j)] = d
-            gaps[(i, j)] = d - gamma
             if d < min_pair:
                 min_pair = d
                 worst = (i, j)
@@ -463,8 +460,6 @@ def validate_margin(problem: MarginProblem) -> MarginReport:
         min_pair=min_pair,
         strict_pass=min_pair > gamma,
         worst_pair=worst,
-        safe_gaps=gaps,
-        safe_disjoint=all(g > 0 for g in gaps.values()),
         notes=notes,
     )
 

@@ -210,20 +210,25 @@ def _fields(doc: dict) -> dict:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines; values are JSON fragments when they
-    parse, bare strings otherwise.  '#' starts a comment."""
+    """Parse ``key = value`` lines; '#' outside a JSON string starts a comment.
+
+    A value is the JSON fragment it starts with when only blanks or a
+    comment follow, else the text before the first '#' as a bare string."""
     out: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        head = raw.split("#", 1)[0]
+        if not head.strip():
             continue
-        if "=" not in line:
+        if "=" not in head:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = (part.strip() for part in raw.split("=", 1))
         try:
-            out[key] = json.loads(value)
+            obj, end = json.JSONDecoder().raw_decode(value)
         except json.JSONDecodeError:
-            out[key] = value
+            end = None
+        if end is None or value[end:].lstrip()[:1] not in ("", "#"):
+            obj = value.split("#", 1)[0].strip()
+        out[key] = obj
     return out
 
 

@@ -388,7 +388,9 @@ class GraphSpace(MetricSpace):
         self.graph = g
         self.sample_set = sorted(g.nodes, key=str)
         self.resolution = max(d["weight"] for _, _, d in g.edges(data=True))
-        self._d = dict(nx.all_pairs_dijkstra_path_length(g, weight="weight"))
+        # Dijkstra sums a path from its own end, so keep the smaller of d(p, q), d(q, p)
+        d = dict(nx.all_pairs_dijkstra_path_length(g, weight="weight"))
+        self._d = {p: {q: min(x, d[q][p]) for q, x in row.items()} for p, row in d.items()}
 
     @staticmethod
     def _vertex(v):
@@ -504,31 +506,33 @@ def disjoint_union(
     return DisjointUnionSpace(left, right, s)
 
 
-def _step_neighbours(block: np.ndarray, h: float) -> list[list[int]]:
-    """``np.flatnonzero(row <= h).tolist()`` of every row, from one scan."""
-    rows, cols = np.nonzero(block <= h)
-    ends = np.bincount(rows, minlength=len(block)).cumsum().tolist()
-    cols = cols.tolist()
-    return [cols[start:end] for start, end in zip([0] + ends, ends)]
+def _step_graph(space: MetricSpace, pts: Sequence, h: float) -> tuple[list[list[int]], float]:
+    """Each point's step neighbours at step ``h`` and the largest distance.
+
+    One pass over ``space.dists``, BLOCK rows at a time: row i's indices
+    with d <= h are point i's neighbours.  Every metric here is symmetric
+    bit for bit with d(p, p) = 0, so the graph is undirected and the
+    largest entry is the diameter of ``pts``.
+    """
+    nbrs, far = [], 0.0
+    for lo in range(0, len(pts), BLOCK):
+        block = space.dists(pts[lo : lo + BLOCK], pts)
+        far = max(far, float(block.max()))
+        rows, cols = np.nonzero(block <= h)
+        ends = np.bincount(rows, minlength=len(block)).cumsum().tolist()
+        cols = cols.tolist()
+        nbrs.extend(cols[start:end] for start, end in zip([0] + ends, ends))
+    return nbrs, far
 
 
 def support_check(space: MetricSpace, pts: Sequence, h: float) -> tuple[bool, float]:
-    """Chain connectivity at step ``h`` and diameter of a nonempty point list.
-
-    One pass over ``space.dists``, BLOCK rows at a time: the diameter is
-    the largest entry above the diagonal, and each row's entries <= h are
-    that point's neighbours for a BFS.  Both read d(p, q) with p first.
-    """
+    """Chain connectivity at step ``h`` (a BFS over the step graph) and
+    diameter of a nonempty point list, from one ``_step_graph`` pass."""
     if not h > 0:  # NaN fails too
         raise ValueError(f"step bound must be positive, got h={h}")
     if not pts:
         raise ValueError("support_check of an empty point list")
-    diameter = 0.0
-    nbrs = []
-    for lo in range(0, len(pts), BLOCK):
-        block = space.dists(pts[lo : lo + BLOCK], pts)
-        diameter = max(diameter, float(np.triu(block, lo + 1).max()))
-        nbrs.extend(_step_neighbours(block, h))
+    nbrs, diameter = _step_graph(space, pts, h)
     seen, stack = {0}, [0]
     while stack:
         for j in nbrs[stack.pop()]:

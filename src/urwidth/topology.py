@@ -1,9 +1,13 @@
 """Nerve complexes, Betti numbers over the two-element field, systole.
 
 The nerve of a covering has one vertex per triple, an edge for every
-pair of supports that intersect, and a triangle for every mutually
-intersecting trio; dimension 2 suffices because the first Betti number
-only involves the boundary maps out of edges and triangles.  Homology is
+pair of supports that share a point, and a triangle for every trio that
+shares one; dimension 2 suffices because the first Betti number only
+involves the boundary maps out of edges and triangles.  The nerve is
+built in one pass that maps each support point to the supports holding
+it, so it costs the total support size plus, summed over points,
+C(m, 2) + C(m, 3) for the m supports holding the point, not a scan of
+all pairs and trios of supports.  Homology is
 computed over F2 (rank by elimination on bit rows), which avoids
 orientation bookkeeping and gives the same Betti ranks for the spaces
 handled here.
@@ -16,6 +20,7 @@ analytic systole of a bouquet, the cycle-rank formula beta1 = |E| - |V|
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,46 +45,32 @@ __all__ = [
 
 @dataclass
 class SimplicialComplex:
-    """A 2-complex: nerve vertices, edges and triangles with witnesses.
-
-    Each witness is a point lying in all supports of the face.
-    """
+    """A 2-complex: nerve vertices, sorted edges and sorted triangles."""
 
     vertices: list[int]
     edges: list[tuple[int, int]]
     triangles: list[tuple[int, int, int]]
-    witnesses: dict
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 def nerve(cov: UrysohnCovering) -> SimplicialComplex:
     """Nerve of a covering up to dimension 2.
 
     Supports intersect iff they share a sample point; this is the
-    certificate's declared overlap semantics.
+    certificate's declared overlap semantics.  One pass over the supports
+    lists, for each point, the ids of the supports holding it, in
+    increasing order; every pair in a list is an edge and every trio a
+    triangle.  The cost is the total support size plus the sum over
+    points of C(m, 2) + C(m, 3), where m supports hold the point.
     """
-    n = len(cov.triples)
-    sets = [set(t.support) for t in cov.triples]
-    witnesses: dict = {}
-    edges = []
-    for i, j in combinations(range(n), 2):
-        common = sets[i] & sets[j]
-        if common:
-            edges.append((i, j))
-            witnesses[(i, j)] = min(common, key=repr)
-
-    edge_set = set(edges)
-    triangles = []
-    for i, j, k in combinations(range(n), 3):
-        if (i, j) not in edge_set or (i, k) not in edge_set or (j, k) not in edge_set:
-            continue
-        common = sets[i] & sets[j] & sets[k]
-        if common:
-            triangles.append((i, j, k))
-            witnesses[(i, j, k)] = min(common, key=repr)
-    return SimplicialComplex(list(range(n)), edges, triangles, witnesses)
+    holders: dict = {}
+    for i, t in enumerate(cov.triples):
+        for x in dict.fromkeys(t.support):  # a point listed twice counts once
+            holders.setdefault(x, []).append(i)
+    edges, triangles = set(), set()
+    for ids in holders.values():
+        edges.update(combinations(ids, 2))
+        triangles.update(combinations(ids, 3))
+    return SimplicialComplex(list(range(len(cov.triples))), sorted(edges), sorted(triangles))
 
 
 def _f2_rank(rows: list[int]) -> int:
@@ -127,9 +118,7 @@ def betti(cx: SimplicialComplex) -> tuple[int, int]:
 
 def max_adjacency(cx: SimplicialComplex) -> int:
     """Delta0: maximum vertex degree of the nerve's 1-skeleton."""
-    if not cx.vertices:
-        return 0
-    return max(cx.degree(v) for v in cx.vertices)
+    return max(Counter(v for e in cx.edges for v in e).values(), default=0)
 
 
 @dataclass
@@ -182,15 +171,13 @@ def systole(space: MetricSpace) -> float:
         raise ValueError(f"systole defined for graph or bouquet spaces, not {space.kind}")
     g = space.graph
     best = math.inf
-    for u, v, data in list(g.edges(data=True)):
-        g.remove_edge(u, v)
-        try:
-            alt = nx.dijkstra_path_length(g, u, v, weight="weight")
-            best = min(best, data["weight"] + alt)
+    for u, v, weight in g.edges(data="weight"):
+        try:  # a read-only view without the edge: the space stays untouched
+            alt = nx.dijkstra_path_length(nx.restricted_view(g, [], [(u, v)]), u, v,
+                                          weight="weight")
         except nx.NetworkXNoPath:
-            pass
-        finally:
-            g.add_edge(u, v, **data)
+            continue
+        best = min(best, weight + alt)
     return best
 
 

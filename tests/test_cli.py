@@ -101,6 +101,46 @@ def test_config_text_roundtrip():
         parse_config_text("no equals sign here")
 
 
+def test_config_hash_sign_inside_a_json_string_is_kept(tmp_path, monkeypatch):
+    assert parse_config_text('out = "dir#one"  # a comment\nw = 2 # loops\nx = a#b\n') == {
+        "out": "dir#one", "w": 2, "x": "a"}
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n.cfg").write_text('experiment = "nerve_betti"\nw = 2\nL = 12.0\nh = 0.25\n'
+                                    'arcs = 6\nout = "dir#one"\n')
+    assert main(["run", "n.cfg"]) == 0
+    assert (tmp_path / "dir#one" / "manifest.json").is_file()
+
+
+_SPELLINGS = {
+    "hierarchy": ('experiment = "hierarchy"\nws = [2]\nL = {L}\ngamma = {g}\nd0 = {d}\nh = 0.5\n',
+                  ("width_w2.json", "hierarchy.csv", "hierarchy.svg")),
+    "sweep": ('experiment = "sweep"\nws = [4]\nratios = [{d}, {g}]\ntrials = 20\nseed = 1\n',
+              ("sweep.csv", "success_vs_ratio.svg")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPELLINGS))
+def test_run_artifacts_do_not_depend_on_number_spelling(tmp_path, kind):
+    text, artifacts = _SPELLINGS[kind]
+    manifests = []
+    for name, numbers in (("int", (10, 1, 4)), ("float", (10.0, 1.0, 4.0))):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text.format(L=numbers[0], g=numbers[1], d=numbers[2]))
+        assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    for art in artifacts:
+        assert (tmp_path / "int" / art).read_bytes() == (tmp_path / "float" / art).read_bytes()
+    assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
+
+
+def test_run_refuses_a_float_field_too_large_for_a_float(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f'experiment = "nerve_betti"\nw = 2\nL = {10 ** 400}\nh = 0.25\narcs = 6\n')
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "does not fit a float" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_space_and_problem_commands(tmp_path):
     out = str(tmp_path / "sp")
     assert main(["space", "--kind", "bouquet", "--w", "2", "-L", "10",

@@ -85,8 +85,8 @@ def test_scaled_margin_report():
     p = scaled_problem(2, 3, 60.0, 1.0, 0.5)
     rep = validate_margin(p)
     assert rep.min_pair == pytest.approx(9.5)  # 10 - gamma/2 same-loop
-    assert min(rep.safe_gaps.values()) == pytest.approx(8.5)
-    assert rep.safe_disjoint
+    assert min(rep.pair_table.values()) - rep.gamma == pytest.approx(8.5)
+    assert rep.strict_pass
     assert any("L/(2m)" in note for note in rep.notes)
 
 

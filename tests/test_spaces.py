@@ -225,6 +225,24 @@ def test_graph_space_rejects_disconnected_with_component_report():
         graph_space([("a", "b"), ("c", "d")])
 
 
+def test_graph_distances_are_bit_symmetric():
+    # Dijkstra from p and from q can sum one shortest path in two orders
+    rnd = random.Random(23)
+    for _ in range(200):
+        edges = [(v, rnd.randrange(v), rnd.uniform(0.05, 1.0)) for v in range(1, 8)]
+        edges += [(u, v, rnd.uniform(0.05, 1.0)) for u in range(8) for v in range(u)
+                  if rnd.random() < 0.3]
+        sp = graph_space(edges)
+        for p in sp.sample_set:
+            for q in sp.sample_set:
+                assert sp.dist(p, q) == sp.dist(q, p)
+
+
+def test_support_check_ignores_point_order_on_graphs():
+    g = graph_space([("a", "b", 0.1), ("b", "c", 0.2), ("c", "d", 0.3)])
+    assert support_check(g, ["a", "d"], 0.6) == support_check(g, ["d", "a"], 0.6) == (True, 0.6)
+
+
 def test_disjoint_union_separation_and_identity():
     a = bouquet_space(2, 10.0, 0.5)
     b = bouquet_space(2, 10.0, 0.5)

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urwidth.coverings import UrysohnCovering, UrysohnTriple, canonical_covering
 from urwidth.problems import bouquet_problem
@@ -90,8 +92,33 @@ def test_nerve_triangle_from_three_way_overlap():
     cx = nerve(UrysohnCovering(triples, 7.0, 0.5))
     assert len(cx.triangles) == 1
     assert betti(cx) == (1, 0)  # the filled triangle kills the cycle
-    w = cx.witnesses[(0, 1, 2)]
-    assert all(w in set(t.support) for t in triples)
+
+
+def _nerve_oracle(cov):
+    """Brute-force nerve: scan every pair and every trio of supports."""
+    sets = [set(t.support) for t in cov.triples]
+    edges = [(i, j) for i, j in combinations(range(len(sets)), 2) if sets[i] & sets[j]]
+    tris = [(i, j, k) for i, j, k in combinations(range(len(sets)), 3)
+            if sets[i] & sets[j] & sets[k]]
+    return edges, tris
+
+
+# a ground set of eight points: supports overlap heavily, may be empty and
+# may list a point twice
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 7), max_size=10), max_size=9))
+def test_nerve_matches_pair_and_trio_scan(supports):
+    cov = UrysohnCovering([UrysohnTriple(s, (1,), {x: 1 for x in s}) for s in supports], 1.0, 0.5)
+    cx = nerve(cov)
+    assert cx.vertices == list(range(len(supports)))
+    assert (cx.edges, cx.triangles) == _nerve_oracle(cov)
+
+
+def test_nerve_of_512_patch_cover():
+    cx = nerve(cyclic_arc_cover(bouquet_space(64, 12.0, 0.25), 8))
+    assert len(cx.vertices) == 512
+    assert betti(cx) == (64, 64)
+    assert max_adjacency(cx) == 2
 
 
 def test_betti_matches_naive_oracle_on_random_complexes():
@@ -108,7 +135,7 @@ def test_betti_matches_naive_oracle_on_random_complexes():
         ]
         from urwidth.topology import SimplicialComplex
 
-        cx = SimplicialComplex(list(range(n)), edges, tris, {})
+        cx = SimplicialComplex(list(range(n)), edges, tris)
         assert betti(cx) == _betti_oracle(cx)
 
 
@@ -126,7 +153,7 @@ def test_euler_characteristic_consistency():
             if rnd.random() < 0.4
             and all(tuple(sorted(pair)) in edge_set for pair in combinations(t, 2))
         ]
-        cx = SimplicialComplex(list(range(n)), edges, tris, {})
+        cx = SimplicialComplex(list(range(n)), edges, tris)
         b0, b1 = betti(cx)
         # b2 = dim ker d2, the top homology of the truncated complex
         b2 = len(cx.triangles) - _naive_f2_rank(_d2_oracle(cx), max(1, len(cx.edges)))
@@ -137,7 +164,7 @@ def test_euler_characteristic_consistency():
 def test_max_adjacency_star():
     from urwidth.topology import SimplicialComplex
 
-    star = SimplicialComplex(list(range(6)), [(0, i) for i in range(1, 6)], [], {})
+    star = SimplicialComplex(list(range(6)), [(0, i) for i in range(1, 6)], [])
     assert max_adjacency(star) == 5
 
 
@@ -192,6 +219,15 @@ def test_systole_values():
     assert systole(two_cycles) == pytest.approx(4.0, abs=1e-6)
     tree = graph_space([(0, 1), (1, 2)])
     assert systole(tree) == math.inf
+
+
+def test_systole_leaves_the_space_untouched():
+    gs = graph_space([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)])
+    adjacency = {u: list(gs.graph[u]) for u in gs.graph}
+    supports = [t.support for t in vertex_star_cover(gs).triples]
+    assert systole(gs) == 3.0
+    assert {u: list(gs.graph[u]) for u in gs.graph} == adjacency
+    assert [t.support for t in vertex_star_cover(gs).triples] == supports
 
 
 def _girth_oracle(g):
