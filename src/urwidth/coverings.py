@@ -7,8 +7,9 @@ sampled safe point, and the assignment agrees with the safe label
 wherever a support meets a safe set.  The width of the problem is the
 minimum number of such triples.  ``verify_covering`` reads each support's
 connectivity and diameter from one blocked pass over its distance matrix
-(``support_check``) and each safe label from the problem's cached safe
-sets; both answer exactly as the pairwise scalar checks would.
+(``support_check``) and the safe labels of all support points from one
+``safe_labels`` call; both answer exactly as the pairwise scalar checks
+would.
 
 Certificates come in two independent halves:
 
@@ -69,9 +70,6 @@ class UrysohnTriple:
     support: list
     labels: tuple
     assignment: dict
-
-    def label_at(self, x):
-        return self.assignment.get(x)
 
 
 @dataclass
@@ -149,14 +147,12 @@ def verify_covering(problem: MarginProblem, cov: UrysohnCovering) -> CoveringRep
     uncovered = [(problem.regions[j].label, x) for j, x in problem.all_safe_points()
                  if x not in supported]
 
+    wanted = iter(problem.safe_labels([x for t in cov.triples for x in t.support]))
     violations = []
     for i, tri in enumerate(cov.triples):
-        for x in tri.support:
-            want = problem.safe_label(x)
-            if want is None:
-                continue
-            got = tri.label_at(x)
-            if got != want:
+        for x, want in zip(tri.support, wanted):
+            got = tri.assignment.get(x)
+            if want is not None and got != want:
                 violations.append((i, x, want, got))
     return CoveringReport(cov.d0, cov.h, checks, uncovered, violations)
 
@@ -306,7 +302,8 @@ def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, 
     most ``EXACT_LIMIT``; deterministic greedy beyond, with
     the method recorded on the certificate.  Labels are assigned per
     point from safe membership, which is always consistent because safe
-    sets are pairwise disjoint.
+    sets are pairwise disjoint; an unsafe filler point takes its nearest
+    class, ties to the lowest slot.
     """
     universe, candidates = _candidate_balls(problem, d0)
     n = len(universe)
@@ -328,19 +325,18 @@ def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, 
         chosen = _greedy_cover(full, masks)
         method = "greedy"
 
-    labels = tuple(problem.labels)
-    triples = []
-    for ci in chosen:
-        support = candidates[ci][0]
-        assignment = {}
-        for x in support:
-            lab = problem.safe_label(x)
-            if lab is None:
-                # unsafe filler points: nearest class, ties to the lowest slot
-                j = min(range(problem.k), key=lambda j: (problem.class_dist(j, x), j))
-                lab = problem.regions[j].label
-            assignment[x] = lab
-        triples.append(UrysohnTriple(list(support), labels, assignment))
+    supports = [candidates[ci][0] for ci in chosen]
+    flat = [x for support in supports for x in support]
+    wanted = problem.safe_labels(flat)
+    filler = [i for i, lab in enumerate(wanted) if lab is None]
+    if filler:
+        # unsafe filler points: nearest class, ties to the lowest slot
+        nearest = problem.class_gaps([flat[i] for i in filler]).argmin(axis=0)
+        for i, j in zip(filler, nearest.tolist()):
+            wanted[i] = problem.regions[j].label
+    labels, wanted = tuple(problem.labels), iter(wanted)
+    triples = [UrysohnTriple(list(support), labels, {x: next(wanted) for x in support})
+               for support in supports]
     cov = UrysohnCovering(triples, d0, default_step(problem.space))
     info = CoverSearch(method, len(chosen), n, len(candidates), list(chosen))
     return cov, info

@@ -5,8 +5,13 @@ margin gamma: every pair of classes sits at distance strictly greater
 than gamma, which makes the closed gamma/2 safe neighbourhoods pairwise
 disjoint.  Classes are described analytically (balls around centers, or
 unions of closed segments on the unit interval) plus a finite sample
-list; membership and pairwise-distance queries always use the analytic
-description, so sampling resolution never degrades a certificate.
+list.  Every point-to-class distance comes from one kernel,
+``piece_dists``, over a batch of points: ``class_gaps`` stacks it per
+class, ``safe_points`` filters the sample set with it and
+``safe_labels`` labels any batch of points.  Membership and pairwise
+class distances use the analytic description, so the separation lower
+bound does not depend on the sampling resolution; a covering, and so
+the upper bound, covers only the sampled safe points.
 
 Families:
 
@@ -94,31 +99,17 @@ class SegmentPiece:
 
 @dataclass(frozen=True)
 class LiftedPiece:
-    """A piece living on one side of a disjoint union."""
+    """A piece living on one side of a disjoint union, with its distance
+    from that side's anchor, the one point every path to the other side
+    passes through."""
 
     side: int
     piece: object
-
-
-def piece_point_dist(space: MetricSpace, piece, x) -> float:
-    """Analytic distance from point ``x`` to a class piece."""
-    if isinstance(piece, LiftedPiece):
-        side, inner = x
-        comp = (space.left, space.right)[piece.side]
-        if side == piece.side:
-            return piece_point_dist(comp, piece.piece, inner)
-        own = (space.left, space.right)[side]
-        bridge = space.s + own.dist(inner, space.anchors[side])
-        return bridge + piece_point_dist(comp, piece.piece, space.anchors[piece.side])
-    if isinstance(piece, BallPiece):
-        return max(0.0, space.dist(piece.center, x) - piece.radius)
-    if isinstance(piece, SegmentPiece):
-        return max(piece.lo - x, x - piece.hi, 0.0)
-    raise TypeError(f"unknown piece type {type(piece).__name__}")
+    anchor_gap: float
 
 
 def piece_dists(space: MetricSpace, piece, pts: Sequence) -> np.ndarray:
-    """``piece_point_dist`` for every point of ``pts``, bit for bit."""
+    """Analytic distance from every point of ``pts`` to a class piece."""
     if isinstance(piece, LiftedPiece):
         comp = (space.left, space.right)[piece.side]
         sides = np.array([side for side, _ in pts], dtype=int)
@@ -130,7 +121,7 @@ def piece_dists(space: MetricSpace, piece, pts: Sequence) -> np.ndarray:
                 out[idx] = piece_dists(comp, piece.piece, inner)
             else:
                 bridge = space.s + own.dists(inner, [space.anchors[side]])[:, 0]
-                out[idx] = bridge + piece_point_dist(comp, piece.piece, space.anchors[piece.side])
+                out[idx] = bridge + piece.anchor_gap
         return out
     if isinstance(piece, BallPiece):
         return np.maximum(0.0, space.dists([piece.center], pts)[0] - piece.radius)
@@ -151,13 +142,7 @@ def piece_pair_dist(space: MetricSpace, a, b) -> float:
         if a.side == b.side:
             comp = (space.left, space.right)[a.side]
             return piece_pair_dist(comp, a.piece, b.piece)
-        ca = (space.left, space.right)[a.side]
-        cb = (space.left, space.right)[b.side]
-        return (
-            space.s
-            + piece_point_dist(ca, a.piece, space.anchors[a.side])
-            + piece_point_dist(cb, b.piece, space.anchors[b.side])
-        )
+        return space.s + a.anchor_gap + b.anchor_gap
     if isinstance(a, BallPiece) and isinstance(b, BallPiece):
         return max(0.0, space.dist(a.center, b.center) - a.radius - b.radius)
     if isinstance(a, SegmentPiece) and isinstance(b, SegmentPiece):
@@ -201,10 +186,6 @@ class MarginProblem:
     def labels(self) -> list[int]:
         return [r.label for r in self.regions]
 
-    def class_dist(self, j: int, x) -> float:
-        """Distance from ``x`` to class slot ``j`` (0-based geometric index)."""
-        return min(piece_point_dist(self.space, pc, x) for pc in self.regions[j].pieces)
-
     def pair_dist(self, i: int, j: int) -> float:
         """Analytic distance between class slots ``i`` and ``j``."""
         return min(
@@ -213,30 +194,34 @@ class MarginProblem:
             for pb in self.regions[j].pieces
         )
 
-    def is_safe(self, j: int, x) -> bool:
-        return self.class_dist(j, x) <= self.gamma / 2 + TOL
+    def _gap(self, j: int, pts: Sequence) -> np.ndarray:
+        return np.minimum.reduce([piece_dists(self.space, pc, pts)
+                                  for pc in self.regions[j].pieces])
 
-    def safe_label(self, x) -> int | None:
-        """Label of the first safe region containing ``x``, if any.
+    def class_gaps(self, pts: Sequence) -> np.ndarray:
+        """(K, len(pts)) array: row j holds each point's distance to class slot j."""
+        return np.array([self._gap(j, pts) for j in range(self.k)])
 
-        Sample points are looked up in the cached safe sets, which agree
-        with ``is_safe`` bit for bit; other points are tested here."""
+    def safe_labels(self, pts: Sequence) -> list:
+        """Label of the first safe region containing each point, or None.
+
+        Sample points are looked up in the cached safe sets; all other
+        points share one ``class_gaps`` call."""
         if len(self._safe_cache) < self.k:
             self.all_safe_points()
-        if x in self._safe_slot:
-            return self.regions[self._safe_slot[x]].label
-        for j in range(self.k):
-            if self.is_safe(j, x):
-                return self.regions[j].label
-        return None
+        slots = [self._safe_slot.get(x) for x in pts]
+        rest = [i for i, j in enumerate(slots) if j is None]
+        if rest:
+            safe = self.class_gaps([pts[i] for i in rest]) <= self.gamma / 2 + TOL
+            for i, col in zip(rest, safe.T.tolist()):
+                slots[i] = col.index(True) if True in col else None
+        return [None if j is None else self.regions[j].label for j in slots]
 
     def safe_points(self, j: int) -> list:
         """Sampled safe set of class slot ``j``; class samples always included."""
         if j not in self._safe_cache:
             sample = self.space.sample_set
-            gap = np.minimum.reduce(
-                [piece_dists(self.space, pc, sample) for pc in self.regions[j].pieces]
-            )
+            gap = self._gap(j, sample)
             pts = [sample[i] for i in np.flatnonzero(gap <= self.gamma / 2 + TOL)]
             self._safe_slot.update((x, j) for x in pts if self._safe_slot.get(x, j) >= j)
             have = set(pts)
@@ -497,14 +482,13 @@ def union_problem(
     space = disjoint_union(left.space, right.space, s)
     regions = []
     for side, src, offset in ((0, left, 0), (1, right, left.k)):
+        anchor = [space.anchors[side]]
         for r in src.regions:
-            regions.append(
-                ClassRegion(
-                    r.label + offset,
-                    tuple(LiftedPiece(side, pc) for pc in r.pieces),
-                    [(side, p) for p in r.points],
-                )
+            pieces = tuple(
+                LiftedPiece(side, pc, float(piece_dists(src.space, pc, anchor)[0]))
+                for pc in r.pieces
             )
+            regions.append(ClassRegion(r.label + offset, pieces, [(side, p) for p in r.points]))
     tag = FamilyTag(
         "union",
         {"s": s, "left": left.family.__dict__, "right": right.family.__dict__},

@@ -194,9 +194,12 @@ def cyclic_arc_cover(space: BouquetSpace, arcs_per_loop: int) -> UrysohnCovering
     L = space.L
     step = L / arcs_per_loop
     overlap = space.resolution
+    by_loop = {loop: [] for loop in range(1, space.w + 1)}
+    for p in space.sample_set:
+        if p.loop in by_loop:
+            by_loop[p.loop].append(p)
     triples = []
-    for loop in range(1, space.w + 1):
-        loop_pts = [p for p in space.sample_set if p.loop == loop]
+    for loop, loop_pts in by_loop.items():
         for i in range(arcs_per_loop):
             lo = i * step - overlap
             hi = (i + 1) * step + overlap

@@ -20,6 +20,10 @@ from urwidth.coverings import (
     width_bracket,
 )
 from urwidth.problems import (
+    ClassRegion,
+    FamilyTag,
+    MarginProblem,
+    SegmentPiece,
     bouquet_problem,
     interval_union_problem,
     parameter_window,
@@ -27,7 +31,7 @@ from urwidth.problems import (
     union_problem,
     wedge_problem,
 )
-from urwidth.spaces import support_check
+from urwidth.spaces import interval_space, support_check
 
 
 def test_canonical_bouquet_covering_passes_all_conditions():
@@ -209,6 +213,22 @@ def test_width_bracket_additivity_on_separated_union():
     u = union_problem(a, b, 100.0)
     br_u = width_bracket(u, 4.0)
     assert (br_u.lb, br_u.ub) == (br_a.lb + br_b.lb, br_a.ub + br_b.ub) == (5, 5)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_unsafe_filler_at_a_tie_takes_the_lower_slot(order):
+    # dyadic ends on the 5-point grid: 0.5 is exactly 0.25 from both classes
+    regions = [ClassRegion(2, (SegmentPiece(0.0, 0.25),), [0.0, 0.25]),
+               ClassRegion(1, (SegmentPiece(0.75, 1.0),), [0.75, 1.0])][::order]
+    p = MarginProblem(interval_space(5), 0.25, regions, FamilyTag("interval_union", {}))
+    assert p.class_gaps([0.5]).tolist() == [[0.25], [0.25]]
+    assert p.safe_labels([0.5]) == [None]
+    cov, info = min_ball_cover(p, 1.0)
+    assert (info.method, info.size) == ("exact-dp", 1)
+    (tri,) = cov.triples
+    assert tri.support == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert tri.assignment == {0.0: 2, 0.25: 2, 0.5: regions[0].label, 0.75: 1, 1.0: 1}
+    assert verify_covering(p, cov).passed
 
 
 def test_width_bracket_interval_problem_is_one():

@@ -1,6 +1,7 @@
 """Margin problems: construction, validation, safe regions, permutations."""
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urwidth.coverings import width_bracket
 from urwidth.problems import (
     FAMILIES,
     TOL,
@@ -19,12 +21,12 @@ from urwidth.problems import (
     parameter_window,
     permuted_problem,
     piece_dists,
-    piece_point_dist,
     scaled_problem,
     union_problem,
     validate_margin,
     wedge_problem,
 )
+from urwidth.serialize import bracket_doc, verify_bracket
 
 
 def test_bouquet_pairwise_class_distance():
@@ -263,13 +265,29 @@ def _piece_and_points(name):
                      st.lists(st.sampled_from(pool), max_size=12))
 
 
+def _scalar_piece_dist(space, piece, x):
+    # the analytic distance of one point, written out: a lifted piece seen
+    # from the other side is the bridge plus its inner distance to the anchor
+    if isinstance(piece, LiftedPiece):
+        side, inner = x
+        comp = (space.left, space.right)[piece.side]
+        if side == piece.side:
+            return _scalar_piece_dist(comp, piece.piece, inner)
+        own = (space.left, space.right)[side]
+        bridge = space.s + own.dist(inner, space.anchors[side])
+        return bridge + _scalar_piece_dist(comp, piece.piece, space.anchors[piece.side])
+    if isinstance(piece, BallPiece):
+        return max(0.0, space.dist(piece.center, x) - piece.radius)
+    return max(piece.lo - x, x - piece.hi, 0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(_MEMBERSHIP_PROBLEMS)).flatmap(_piece_and_points))
 def test_piece_dists_equal_scalar_piece_point_dist(case):
     name, piece, pts = case
     space = _MEMBERSHIP_PROBLEMS[name].space
     got = piece_dists(space, piece, pts)
-    want = np.array([piece_point_dist(space, piece, x) for x in pts], dtype=float)
+    want = np.array([_scalar_piece_dist(space, piece, x) for x in pts], dtype=float)
     assert got.shape == (len(pts),)
     assert got.tobytes() == want.tobytes()  # bit for bit, not approximately
 
@@ -280,8 +298,11 @@ def test_lifted_pieces_seen_from_both_sides():
         (piece,) = r.pieces
         assert isinstance(piece, LiftedPiece)
         got = piece_dists(p.space, piece, p.space.sample_set)
-        want = [piece_point_dist(p.space, piece, x) for x in p.space.sample_set]
+        want = [_scalar_piece_dist(p.space, piece, x) for x in p.space.sample_set]
         assert got.tolist() == want
+        comp = (p.space.left, p.space.right)[piece.side]
+        anchor = p.space.anchors[piece.side]
+        assert piece.anchor_gap == _scalar_piece_dist(comp, piece.piece, anchor)
         other = [d for x, d in zip(p.space.sample_set, want) if x[0] != piece.side]
         assert other and min(other) >= p.space.s
 
@@ -298,10 +319,10 @@ def _scalar_members(space, pieces):
     # the scalar filter: grid members of the pieces, then the representative
     # of each piece that has no grid member
     pts = [x for x in space.sample_set
-           if min(piece_point_dist(space, pc, x) for pc in pieces) <= TOL]
+           if min(_scalar_piece_dist(space, pc, x) for pc in pieces) <= TOL]
     for pc in pieces:
         rep = _scalar_rep(pc)
-        if all(piece_point_dist(space, pc, x) > TOL for x in pts) and rep not in pts:
+        if all(_scalar_piece_dist(space, pc, x) > TOL for x in pts) and rep not in pts:
             pts.append(rep)
     return pts
 
@@ -311,8 +332,38 @@ def test_safe_sets_and_class_points_equal_scalar_filter(name):
     p = _MEMBERSHIP_PROBLEMS[name]
     for j, r in enumerate(p.regions):
         assert r.points == _scalar_members(p.space, r.pieces)
-        want = [x for x in p.space.sample_set if p.is_safe(j, x)]
+        want = [x for x in p.space.sample_set
+                if min(_scalar_piece_dist(p.space, pc, x) for pc in r.pieces)
+                <= p.gamma / 2 + TOL]
         want += [x for x in r.points if x not in want]
         assert p.safe_points(j) == want
     if name == "interval_union":
         assert 0.1015 in p.regions[0].points  # the appended representative
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_nested_union_keeps_the_inner_union(side):
+    inner = union_problem(bouquet_problem(2, 10.0, 0.5, 0.5),
+                          wedge_problem(1, 1, 1.5, 0.5, n=24, seed=2), 6.0)
+    other = bouquet_problem(1, 10.0, 0.5, 0.5)
+    outer = union_problem(*((inner, other) if side == 0 else (other, inner)), 4.0)
+    off = 0 if side == 0 else other.k
+    table, inner_table = validate_margin(outer).pair_table, validate_margin(inner).pair_table
+    for (i, j), d in inner_table.items():
+        assert table[(i + off, j + off)] == d
+    space = outer.space
+    comps = (space.left, space.right)
+
+    def to_anchor(slot):  # every class here is one piece
+        (pc,) = outer.regions[slot].pieces
+        return _scalar_piece_dist(comps[pc.side], pc.piece, space.anchors[pc.side])
+
+    for (i, j), d in table.items():
+        if outer.regions[i].pieces[0].side != outer.regions[j].pieces[0].side:
+            assert d == space.s + to_anchor(i) + to_anchor(j)
+    for j in range(inner.k):
+        assert outer.safe_points(j + off) == [(side, x) for x in inner.safe_points(j)]
+    br = width_bracket(outer, 1.0)
+    assert (br.lb, br.ub) == (4, 4) and br.report.passed
+    doc = json.loads(json.dumps(bracket_doc(outer, br)))
+    assert verify_bracket(doc) == (True, [])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urwidth.problems import bouquet_problem
+from urwidth.problems import TOL, bouquet_problem
 from urwidth.sampling import (
     coupon_stats,
     coupon_time,
@@ -34,12 +34,13 @@ def test_weight_band_enforced():
 
 def test_sample_safe_single_region():
     p = bouquet_problem(1, 10.0, 1.0, 0.5)
+    (ball,) = p.regions[0].pieces
     dist = sampling_distribution(p)
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, lab = sample_safe(dist, rng)
         assert lab == 1
-        assert p.is_safe(0, x)
+        assert max(0.0, p.space.dist(ball.center, x) - ball.radius) <= p.gamma / 2 + TOL
 
 
 def test_sample_safe_frequencies_within_three_sigma():

@@ -2,9 +2,11 @@
 
 ``support_check``, the one check of a support's chain connectivity and
 diameter, reads blocks of ``dists`` in place of pairwise loops over the
-scalar ``dist``, and ``MarginProblem.safe_label`` answers sample points
-from the cached safe sets.  The oracles below are those loops, kept here
-verbatim: every answer must agree with them exactly, not approximately.
+scalar ``dist``, and ``MarginProblem.safe_labels`` answers sample points
+from the cached safe sets and every other point from one ``class_gaps``
+call.  The oracles below are the scalar loops, with the analytic piece
+distances written out: every answer must agree with them exactly, not
+approximately.
 """
 
 import math
@@ -15,8 +17,11 @@ from hypothesis import strategies as st
 
 from urwidth.coverings import canonical_covering, verify_covering
 from urwidth.problems import (
+    TOL,
+    BallPiece,
     ClassRegion,
     FamilyTag,
+    LiftedPiece,
     MarginProblem,
     SegmentPiece,
     bouquet_problem,
@@ -60,10 +65,24 @@ def _connected_oracle(space, pts, h):
     return count == n
 
 
+def _piece_dist_oracle(space, piece, x):
+    if isinstance(piece, LiftedPiece):
+        side, inner = x
+        comp = (space.left, space.right)[piece.side]
+        if side == piece.side:
+            return _piece_dist_oracle(comp, piece.piece, inner)
+        own = (space.left, space.right)[side]
+        bridge = space.s + own.dist(inner, space.anchors[side])
+        return bridge + _piece_dist_oracle(comp, piece.piece, space.anchors[piece.side])
+    if isinstance(piece, BallPiece):
+        return max(0.0, space.dist(piece.center, x) - piece.radius)
+    return max(piece.lo - x, x - piece.hi, 0.0)
+
+
 def _safe_label_oracle(problem, x):
-    for j in range(problem.k):
-        if problem.is_safe(j, x):
-            return problem.regions[j].label
+    for r in problem.regions:
+        if min(_piece_dist_oracle(problem.space, pc, x) for pc in r.pieces) <= problem.gamma / 2 + TOL:
+            return r.label
     return None
 
 
@@ -136,14 +155,20 @@ def test_support_check_matches_scalar_loops(case):
     assert type(diameter) is float
 
 
+def _batch(name):
+    pts = st.lists(_points(_PROBLEMS[name]), max_size=12)
+    # a repeated point must get the same answer every time
+    return st.tuples(st.just(name), st.one_of(pts, pts.map(lambda p: p + p[::2])))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_PROBLEMS)).flatmap(
-    lambda name: st.tuples(st.just(name), st.lists(_points(_PROBLEMS[name]), max_size=12))))
+@given(st.sampled_from(sorted(_PROBLEMS)).flatmap(_batch))
 def test_safe_label_matches_analytic_loop(case):
     name, pts = case
     problem = _PROBLEMS[name]
-    for x in pts:
-        assert problem.safe_label(x) == _safe_label_oracle(problem, x)
+    want = [_safe_label_oracle(problem, x) for x in pts]
+    assert problem.safe_labels(pts) == want
+    assert [problem.safe_labels([x])[0] for x in pts] == want
 
 
 @pytest.mark.parametrize("name", sorted(_PROBLEMS))
@@ -151,7 +176,7 @@ def test_safe_label_on_every_sample_point_from_a_fresh_problem(name):
     problem = _PROBLEMS[name]
     fresh = MarginProblem(problem.space, problem.gamma, problem.regions, problem.family)
     pts = list(problem.space.sample_set) + [x for r in problem.regions for x in r.points]
-    assert [fresh.safe_label(x) for x in pts] == [_safe_label_oracle(problem, x) for x in pts]
+    assert fresh.safe_labels(pts) == [_safe_label_oracle(problem, x) for x in pts]
 
 
 def test_support_longer_than_a_block_crosses_block_edges():
@@ -177,10 +202,9 @@ def test_overlapping_safe_sets_label_from_the_first_slot():
     for first in (0, 1):  # the later slot's safe set cached first, or not
         problem = MarginProblem(space, 0.1, regions, FamilyTag("interval_union", {}))
         problem.safe_points(first)
-        labels = [problem.safe_label(x) for x in pts]
-        assert labels == [_safe_label_oracle(problem, x) for x in pts]
-        assert problem.safe_label(0.45) == 7  # safe for both classes
-        assert problem.safe_label(0.85) == 3 and problem.safe_label(0.0) is None
+        assert problem.safe_labels(pts) == [_safe_label_oracle(problem, x) for x in pts]
+        assert problem.safe_labels([0.45]) == [7]  # safe for both classes
+        assert problem.safe_labels([0.85, 0.0, 0.45, 0.85]) == [3, None, 7, 3]
 
 
 @pytest.mark.parametrize("name", sorted(_PROBLEMS))
