@@ -35,6 +35,7 @@ from .coverings import width_bracket
 from .machine import machine_new, run_stream
 from .problems import (
     FAMILIES,
+    _float_params,
     bouquet_problem,
     parameter_window,
     scaled_problem,
@@ -445,7 +446,8 @@ def _has_type(value, typ) -> bool:
 
 def _check_config(cfg: dict) -> dict:
     """Refuse a missing, unknown or mistyped field of the config's experiment kind; return
-    the config with float fields as floats, so no artifact depends on a number's spelling."""
+    the config with float fields as floats, and the float parameters of a ``problem``
+    family document too, so no artifact depends on a number's spelling."""
     kind = cfg["experiment"]
     _, required, optional = _EXPERIMENTS[kind]
     for key in required:
@@ -460,6 +462,8 @@ def _check_config(cfg: dict) -> dict:
         if not _has_type(value, typ):
             name = f"nonempty list of {typ[0].__name__}" if isinstance(typ, list) else typ.__name__
             raise ValueError(f"config field {key!r} must be {name}, got {value!r}")
+        if key == "problem" and "params" in value:
+            value = {**value, "params": _float_params(value.get("family"), value["params"])}
         try:
             checked[key] = (float(value) if typ is float
                             else [float(v) for v in value] if typ == [float] else value)

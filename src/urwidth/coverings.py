@@ -327,14 +327,14 @@ def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, 
 
     supports = [candidates[ci][0] for ci in chosen]
     flat = [x for support in supports for x in support]
-    wanted = problem.safe_labels(flat)
-    filler = [i for i, lab in enumerate(wanted) if lab is None]
-    if filler:
-        # unsafe filler points: nearest class, ties to the lowest slot
-        nearest = problem.class_gaps([flat[i] for i in filler]).argmin(axis=0)
-        for i, j in zip(filler, nearest.tolist()):
-            wanted[i] = problem.regions[j].label
-    labels, wanted = tuple(problem.labels), iter(wanted)
+    slots, rest, gaps = problem._safe_slots(flat)
+    # unsafe filler points: nearest class, ties to the lowest slot, from the
+    # class gaps that the safe lookup already took
+    for i, j in zip(rest, gaps.argmin(axis=0).tolist()):
+        if slots[i] is None:
+            slots[i] = j
+    labels = tuple(problem.labels)
+    wanted = (labels[j] for j in slots)
     triples = [UrysohnTriple(list(support), labels, {x: next(wanted) for x in support})
                for support in supports]
     cov = UrysohnCovering(triples, d0, default_step(problem.space))

@@ -42,7 +42,7 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -207,15 +207,19 @@ class MarginProblem:
 
         Sample points are looked up in the cached safe sets; all other
         points share one ``class_gaps`` call."""
+        return [None if j is None else self.regions[j].label for j in self._safe_slots(pts)[0]]
+
+    def _safe_slots(self, pts: Sequence) -> tuple[list, list[int], np.ndarray]:
+        """First safe slot of each point or None, the indices ``rest`` of the
+        points that missed the cached safe sets, and their ``class_gaps``."""
         if len(self._safe_cache) < self.k:
             self.all_safe_points()
         slots = [self._safe_slot.get(x) for x in pts]
         rest = [i for i, j in enumerate(slots) if j is None]
-        if rest:
-            safe = self.class_gaps([pts[i] for i in rest]) <= self.gamma / 2 + TOL
-            for i, col in zip(rest, safe.T.tolist()):
-                slots[i] = col.index(True) if True in col else None
-        return [None if j is None else self.regions[j].label for j in slots]
+        gaps = self.class_gaps([pts[i] for i in rest]) if rest else np.empty((self.k, 0))
+        for i, col in zip(rest, (gaps <= self.gamma / 2 + TOL).T.tolist()):
+            slots[i] = col.index(True) if True in col else None
+        return slots, rest, gaps
 
     def safe_points(self, j: int) -> list:
         """Sampled safe set of class slot ``j``; class samples always included."""
@@ -547,6 +551,36 @@ FAMILIES = {
 }
 
 
+# each family's float parameters: the ones its constructor annotates as float
+_FLOAT_PARAMS = {
+    name: {key for key, typ in get_type_hints(fam.build).items() if typ is float}
+    for name, fam in FAMILIES.items()
+}
+
+
+def _float_params(name, params):
+    """``params`` with an int given for a float parameter of family ``name``
+    as that float, and the params of a union's side tags alike, so a family
+    tag, and every artifact written from it, is the same whichever way a
+    number is spelled; anything else is left for ``make_problem`` to refuse."""
+    floats = _FLOAT_PARAMS.get(name) if isinstance(name, str) else None
+    if floats is None or not isinstance(params, dict):
+        return params
+    out = dict(params)
+    for key in floats & out.keys():
+        if type(out[key]) is int:
+            try:
+                out[key] = float(out[key])
+            except OverflowError:
+                raise ValueError(f"family {name!r} parameter {key!r} does not fit a float, "
+                                 f"got {out[key]!r}") from None
+    for key in ("left", "right") if name == "union" else ():
+        tag = out.get(key)
+        if isinstance(tag, dict) and "params" in tag:
+            out[key] = {**tag, "params": _float_params(tag.get("name"), tag["params"])}
+    return out
+
+
 def parameter_window(family: str, /, **params) -> Window:
     """Admissible D0 interval [lo, hi) for a problem family.
 
@@ -573,7 +607,8 @@ def make_problem(name: str, params: dict, sigma: Sequence[int] | None = None) ->
     ``params`` must hold exactly the registered parameters of ``name``;
     ``union`` takes ``s`` plus ``left`` and ``right`` tags (name, params,
     sigma) and rebuilds both sides first.  A nonempty ``sigma`` relabels
-    the result.  Raises ValueError on anything it cannot rebuild exactly.
+    the result.  An int given for a float parameter is read as that float.
+    Raises ValueError on anything it cannot rebuild exactly.
     """
     if name not in FAMILIES:
         raise ValueError(f"unknown problem family {name!r}")
@@ -581,5 +616,5 @@ def make_problem(name: str, params: dict, sigma: Sequence[int] | None = None) ->
     if not isinstance(params, dict) or set(params) != set(names):
         got = sorted(params) if isinstance(params, dict) else type(params).__name__
         raise ValueError(f"family {name!r} takes parameters {sorted(names)}, got {got}")
-    p = FAMILIES[name].build(**params)
+    p = FAMILIES[name].build(**_float_params(name, params))
     return permuted_problem(p, sigma) if sigma else p

@@ -23,7 +23,7 @@ Points are plain hashable values whose shape depends on the space kind
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from numbers import Real
 from typing import Iterable, NamedTuple, Sequence
 
@@ -70,14 +70,17 @@ class SpherePoint(NamedTuple):
     u: tuple
 
 
-# Screening slack, in radians, of ``WedgeSphereSpace._fill_resolution``.
-# Its numpy angles and the scalar ``_unit_angle`` both err from the true
-# angle by a few ulps of pi, about 1e-15; a column whose numpy angle lies
-# more than 1e-9 above its row's minimum cannot be the scalar nearest
-# neighbour, and a row whose numpy nearest-neighbour angle lies more than
-# 1e-9 below the largest one cannot hold the scalar maximum.  Rows are
-# screened BLOCK at a time, so the temporaries hold BLOCK x group x (k + 1)
-# floats, not group^2 x (k + 1).
+# Screening slack, in cosine units, of ``WedgeSphereSpace._fill_resolution``.
+# The screen ranks pairs by the Gram entry u . v = cos(angle).  The cosine
+# falls as the angle grows and |d cos| <= |d angle|, so a pair at least as
+# near as another by the scalar ``_unit_angle`` has a cosine no further below
+# the other's than their angle errors.  Gram entries and scalar angles each
+# err by about 1e-15 (1e-12 with the unit-length tolerance of ``point``), far
+# below 1e-9, whatever BLAS computes the product: a column whose cosine lies
+# more than 1e-9 below its row's largest cannot be the scalar nearest
+# neighbour, and a row whose nearest-neighbour cosine lies more than 1e-9
+# above the smallest cannot hold the scalar maximum.  Rows are screened
+# BLOCK at a time, so the Gram temporaries hold BLOCK x group floats.
 SCREEN_SLACK = 1e-9
 # Rows per block wherever a distance matrix or screen is built block by
 # block: peak memory is BLOCK x columns floats, not rows x columns.
@@ -114,8 +117,10 @@ class MetricSpace:
 
         This base version loops over the scalar ``dist``.  Bouquet and
         interval override it with array arithmetic in the same order; the
-        wedge of spheres sums cached per-point pole angles with numpy and
-        keeps the scalar formula for same-sphere entries.
+        wedge of spheres fills cross-sphere entries and same-sphere entries
+        between an antipode and a sample point from per-point angles cached
+        at construction, and keeps the scalar formula for the other
+        same-sphere entries.
         """
         out = np.empty((len(ps), len(qs)))
         for i, p in enumerate(ps):
@@ -203,11 +208,13 @@ class BouquetSpace(MetricSpace):
 class WedgeSphereSpace(MetricSpace):
     """Wedge of round k-spheres glued at a common pole.
 
-    Each sample point's pole angle is computed once, with the scalar
-    ``_unit_angle``, at construction.  A cross-sphere distance is R times
-    the sum of two such angles, so ``dists`` fills the matrix with numpy
-    and equals ``dist`` bit for bit; only same-sphere entries stay on the
-    scalar great-circle formula.
+    Each sample point's angles to the pole and to the antipode of its
+    sphere are computed once at construction, from the two chords that the
+    scalar ``_unit_angle`` takes.  A cross-sphere distance is R times the
+    sum of two pole angles, and a same-sphere distance between an antipode
+    and a sample point is R times the sample's antipode angle, so ``dists``
+    fills those entries with numpy and equals ``dist`` bit for bit; the
+    other same-sphere entries stay on the scalar great-circle formula.
     """
 
     kind = "wedge_spheres"
@@ -239,12 +246,25 @@ class WedgeSphereSpace(MetricSpace):
             dev = np.abs(np.sqrt(np.vecdot(dirs, dirs)) - 1.0)
             if not (dev <= 1e-12).all():
                 raise ValueError(f"direction must be unit length, ||u| - 1| = {dev.max()}")
-            at_pole = (dirs == self.pole_dir).all(axis=1).tolist()
-            pts.extend(self.pole if pole else SpherePoint(sphere, tuple(u))
-                       for u, pole in zip(dirs.tolist(), at_pole))
-        # read-only after construction; a point off the sample set misses
-        # and ``_pole_angle`` computes its angle on the spot
-        self._pole_angles = {p: _unit_angle(p.u, self.pole_dir) for p in pts}
+            start = len(pts)
+            # SpherePoint(sphere, u) for each row, skipping its Python-level __new__
+            pts += map(tuple.__new__, repeat(SpherePoint),
+                       zip(repeat(sphere), map(tuple, dirs.tolist())))
+            for i in np.flatnonzero((dirs == self.pole_dir).all(axis=1)).tolist():
+                pts[start + i] = self.pole
+        # each sample's chords dm to the pole and dp to its negation, taken
+        # once: 2*atan2(dm, dp) is ``_unit_angle(u, pole_dir)`` and 2*atan2(dp,
+        # dm) is ``_unit_angle`` of u and the antipode either way round, bit
+        # for bit, since ``math.dist`` takes |a_i - b_i| coordinatewise and
+        # negation is exact; dp == 0 exactly when u is the antipode.  Each
+        # value is the point's ``_coords`` row; read-only after construction,
+        # and a point off the sample set misses it
+        neg = [-x for x in self.pole_dir]
+        self._angles = {}
+        for p in pts:
+            dm, dp = math.dist(p.u, self.pole_dir), math.dist(p.u, neg)
+            self._angles[p] = (2.0 * math.atan2(dm, dp), 2.0 * math.atan2(dp, dm),
+                               float(p.sphere), float(dp == 0.0))
         self._sample_coords = self._coords(pts)  # before sample_set: built, not read
         self.sample_set = pts
         self.resolution = self._fill_resolution()
@@ -252,36 +272,36 @@ class WedgeSphereSpace(MetricSpace):
     def _fill_resolution(self) -> float:
         # max nearest-neighbour spacing within any one sphere's samples;
         # chain connectivity at 2x this step links every sampled patch.
-        # Numpy angles screen the rows that can hold the maximum and, in
-        # each such row, the columns near its minimum; the scalar ``dist``
-        # picks the winner among them, so the value equals the all-pairs
-        # loop over ``q != p`` bit for bit.
+        # Gram rows (cosines) screen the rows that can hold the maximum and,
+        # in each such row, the columns near its largest cosine; the scalar
+        # ``dist`` picks the winner among them, so the value equals the
+        # all-pairs loop over ``q != p`` bit for bit.
+        pts = self.sample_set
+        dirs = np.array([p.u for p in pts])
+        tags = np.array([p.sphere for p in pts])
+        copies = len(set(pts)) < len(pts)
         worst = 0.0
         for sphere in range(1, self.w + 1):
-            group = [p for p in self.sample_set if p.sphere in (0, sphere)]
-            tags = np.array([p.sphere for p in group])
-            dirs = np.array([p.u for p in group]).T.copy()  # one contiguous row per axis
+            group = np.flatnonzero((tags == 0) | (tags == sphere))
+            sub, sub_tags = dirs[group], tags[group]
 
-            def angles(rows):
-                u, v = dirs[:, rows, None], dirs[:, None, :]
-                angle = 2.0 * np.arctan2(
-                    np.sqrt(((u - v) ** 2).sum(axis=0)), np.sqrt(((u + v) ** 2).sum(axis=0))
-                )
-                same = (tags[rows, None] == tags) & (u == v).all(axis=0)
-                angle[same] = np.inf  # every q == p, not only the diagonal
-                return angle
+            def gram(rows):
+                cos = sub[rows] @ sub.T
+                cos[np.arange(len(rows)), rows] = -np.inf  # the diagonal
+                if copies:  # every q == p, not only the diagonal
+                    same = (sub_tags[rows, None] == sub_tags) & (sub[rows, None] == sub).all(axis=2)
+                    cos[same] = -np.inf
+                return cos
 
-            nn = np.concatenate(
-                [angles(slice(lo, lo + BLOCK)).min(axis=1) for lo in range(0, len(group), BLOCK)]
-            )
-            rows = np.flatnonzero(nn >= nn.max() - SCREEN_SLACK)
+            nn = np.concatenate([gram(np.arange(lo, min(lo + BLOCK, len(group)))).max(axis=1)
+                                 for lo in range(0, len(group), BLOCK)])
+            rows = np.flatnonzero(nn <= nn.min() + SCREEN_SLACK)
             for lo in range(0, len(rows), BLOCK):
                 block = rows[lo : lo + BLOCK]
-                angle = angles(block)
-                near = angle <= angle.min(axis=1, keepdims=True) + SCREEN_SLACK
-                for i, row in zip(block, near):
-                    cols = np.flatnonzero(row)
-                    worst = max(worst, min(self.dist(group[i], group[j]) for j in cols))
+                cos = gram(block)
+                near = cos >= cos.max(axis=1, keepdims=True) - SCREEN_SLACK
+                for i, row in zip(group[block].tolist(), near):
+                    worst = max(worst, min(self.dist(pts[i], pts[j]) for j in group[row].tolist()))
         return worst
 
     def point(self, sphere: int, u: Sequence[float]) -> SpherePoint:
@@ -307,20 +327,30 @@ class WedgeSphereSpace(MetricSpace):
         return self.R * (self._pole_angle(p) + self._pole_angle(q))
 
     def _pole_angle(self, p: SpherePoint) -> float:
-        a = self._pole_angles.get(p)
-        return _unit_angle(p.u, self.pole_dir) if a is None else a
+        row = self._angles.get(p)
+        return _unit_angle(p.u, self.pole_dir) if row is None else row[0]
 
-    def _coords(self, pts: Sequence[SpherePoint]) -> tuple[np.ndarray, np.ndarray]:
-        """Pole angles and sphere tags of ``pts``; the sample set's are built once."""
+    def _coords(self, pts: Sequence[SpherePoint]) -> tuple[np.ndarray, ...]:
+        """Pole angles, antipode angles (NaN off the sample set), sphere tags
+        and is-antipode flags of ``pts``; the sample set's are built once."""
         if pts is self.sample_set and len(pts) == len(self._sample_coords[0]):
             return self._sample_coords
-        return (np.array([self._pole_angle(p) for p in pts], dtype=float),
-                np.array([p.sphere for p in pts], dtype=int))
+        rows = (self._angles.get(p) or (_unit_angle(p.u, self.pole_dir), math.nan, p.sphere, 0.0)
+                for p in pts)
+        flat = np.fromiter(chain.from_iterable(rows), float, 4 * len(pts))
+        pole, anti, tags, flags = flat.reshape(-1, 4).T
+        return pole, anti, tags, flags != 0.0
 
     def dists(self, ps: Sequence[SpherePoint], qs: Sequence[SpherePoint]) -> np.ndarray:
-        (ap, tp), (aq, tq) = self._coords(ps), self._coords(qs)
+        (ap, bp, tp, fp), (aq, bq, tq, fq) = self._coords(ps), self._coords(qs)
         out = self.R * (ap[:, None] + aq[None, :])  # the scalar's two IEEE operations
-        ii, jj = np.nonzero(tp[:, None] == tq[None, :])
+        same = tp[:, None] == tq[None, :]
+        # an antipode against a sample point: R times the sample's antipode angle
+        p_anti = fp[:, None] & ~np.isnan(bq)
+        q_anti = ~np.isnan(bp)[:, None] & fq
+        np.copyto(out, self.R * bq, where=same & p_anti)
+        np.copyto(out, (self.R * bp)[:, None], where=same & q_anti)
+        ii, jj = np.nonzero(same & ~(p_anti | q_anti))
         out[ii, jj] = [
             self.R * _unit_angle(ps[i].u, qs[j].u) for i, j in zip(ii.tolist(), jj.tolist())
         ]

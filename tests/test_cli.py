@@ -116,6 +116,16 @@ _SPELLINGS = {
                   ("width_w2.json", "hierarchy.csv", "hierarchy.svg")),
     "sweep": ('experiment = "sweep"\nws = [4]\nratios = [{d}, {g}]\ntrials = 20\nseed = 1\n',
               ("sweep.csv", "success_vs_ratio.svg")),
+    # a nested family document, and the side tags of a union inside one
+    "width": ('experiment = "width"\nproblem = {{"family": "bouquet", "params": {{"w": 2, '
+              '"L": {L}, "gamma": {g}, "h": 0.5}}, "sigma": null}}\nd0 = {d}\n',
+              ("width_certificate.json", "covering.txt")),
+    "width_union": ('experiment = "width"\nproblem = {{"family": "union", "params": {{"s": {L}, '
+                    '"left": {{"name": "bouquet", "params": {{"w": 1, "L": {L}, "gamma": {g}, '
+                    '"h": 0.5}}, "sigma": null}}, "right": {{"name": "bouquet", "params": {{'
+                    '"w": 2, "L": {L}, "gamma": {g}, "h": 0.5}}, "sigma": [2, 1]}}}}, '
+                    '"sigma": null}}\nd0 = {d}\n',
+                    ("width_certificate.json", "covering.txt")),
 }
 
 
@@ -133,11 +143,30 @@ def test_run_artifacts_do_not_depend_on_number_spelling(tmp_path, kind):
     assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
 
 
+def test_build_problem_reads_an_int_float_parameter_as_that_float():
+    def doc(L, g):
+        side = {"name": "bouquet", "params": {"w": 1, "L": L, "gamma": g, "h": 0.5}, "sigma": None}
+        return [{"family": "bouquet", "params": {"w": 2, "L": L, "gamma": g, "h": 0.5}},
+                {"family": "wedge", "params": {"w": 2, "k": 2, "R": L // 5, "gamma": g,
+                                               "n": 16, "seed": 3}},
+                {"family": "union", "params": {"s": L, "left": side, "right": side}}]
+
+    for spelt_int, spelt_float in zip(doc(10, 1), doc(10.0, 1.0)):
+        text = json.dumps(family_doc(build_problem(spelt_int)))
+        assert text == json.dumps(family_doc(build_problem(spelt_float)))
+
+
 def test_run_refuses_a_float_field_too_large_for_a_float(tmp_path, capsys):
     cfg = tmp_path / "big.cfg"
     cfg.write_text(f'experiment = "nerve_betti"\nw = 2\nL = {10 ** 400}\nh = 0.25\narcs = 6\n')
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "does not fit a float" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a float parameter of a nested family document too
+    cfg.write_text('experiment = "width"\nproblem = {"family": "bouquet", "params": {"w": 2, '
+                   f'"L": {10 ** 400}, "gamma": 1, "h": 0.5}}, "sigma": null}}\nd0 = 2\n')
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "parameter 'L' does not fit a float" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

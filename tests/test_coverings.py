@@ -231,6 +231,22 @@ def test_unsafe_filler_at_a_tie_takes_the_lower_slot(order):
     assert verify_covering(p, cov).passed
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_min_ball_cover_takes_one_class_gaps_pass(monkeypatch, order):
+    # the class gaps that find the filler points unsafe also pick their
+    # labels: 0.375 lies nearer the left class, 0.5 nearer the right one
+    regions = [ClassRegion(2, (SegmentPiece(0.0, 0.25),), [0.0, 0.125, 0.25]),
+               ClassRegion(1, (SegmentPiece(0.625, 1.0),), [0.625, 0.75, 0.875, 1.0])][::order]
+    p = MarginProblem(interval_space(9), 0.125, regions, FamilyTag("interval_union", {}))
+    calls, class_gaps = [], MarginProblem.class_gaps
+    monkeypatch.setattr(MarginProblem, "class_gaps",
+                        lambda self, pts: calls.append(list(pts)) or class_gaps(self, pts))
+    cov, _ = min_ball_cover(p, 1.0)
+    assert calls == [[0.375, 0.5]]
+    (tri,) = cov.triples
+    assert (tri.assignment[0.375], tri.assignment[0.5]) == (2, 1)
+
+
 def test_width_bracket_interval_problem_is_one():
     p = interval_union_problem([(0.1, 0.3)], 0.1, 51)
     br = width_bracket(p, 1.0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from urwidth.problems import wedge_problem
 from urwidth.spaces import (
+    BLOCK,
     BouquetPoint,
     bouquet_space,
     disjoint_union,
@@ -155,6 +156,53 @@ def test_wedge_resolution_skips_every_copy_of_a_duplicated_sample(copied):
                               if q != p and q.sphere in (0, p.sphere))))
     got = sp._fill_resolution()
     assert got.hex() == _fill_resolution_oracle(sp).hex() == sp.resolution.hex()
+
+
+def _turned(u, t):
+    """The unit vector at angle ``t`` from ``u``, towards the axis ``u`` is least along."""
+    m = min(range(len(u)), key=lambda i: abs(u[i]))
+    w = [(i == m) - u[m] * x for i, x in enumerate(u)]
+    nw = math.hypot(*w)
+    v = [math.cos(t) * x + math.sin(t) * y / nw for x, y in zip(u, w)]
+    nv = math.hypot(*v)
+    return [x / nv for x in v]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wedge_resolution_with_two_samples_under_1e8_rad_apart(k):
+    # a twin 5e-9 rad from the worst-spaced sample: their Gram entry is 1.0
+    # to within an ulp, as the masked diagonal's would be, yet each is the
+    # other's nearest neighbour, so the resolution drops to the next-worst
+    # spacing
+    sp = wedge_sphere_space(2, k, 2.0, n=40, seed=k)
+    worst = max(sp.sample_set[1:], key=lambda p: min(
+        sp.dist(p, q) for q in sp.sample_set if q != p and q.sphere in (0, p.sphere)))
+    twin = sp.point(worst.sphere, _turned(worst.u, 5e-9))
+    assert 0 < sp.dist(worst, twin) < 1e-8 * sp.R
+    assert abs((np.array([worst.u]) @ np.array([twin.u]).T)[0, 0] - 1.0) <= 2.0**-52
+    sp.sample_set.append(twin)
+    got = sp._fill_resolution()
+    assert got.hex() == _fill_resolution_oracle(sp).hex()
+    assert got < sp.resolution
+
+
+def test_wedge_resolution_reads_every_kept_row():
+    # a group of 2 * BLOCK + 48 samples, whose evenly spaced ones tie within
+    # SCREEN_SLACK, so more than BLOCK rows pass the row screen; moving both
+    # neighbours of sample i 1e-9 rad away makes i the widest-spaced sample,
+    # for each i in turn
+    m = 2 * BLOCK + 30
+    for i in range(m):
+        sp = wedge_sphere_space(1, 1, 1.0, n=16, seed=2)
+        ts = [2 * math.pi * (j + 0.5) / m + 1e-9 * ((j == i + 1) - (j == i - 1))
+              for j in range(m)]
+        sp.sample_set.extend(sp.point(1, (math.cos(t), math.sin(t))) for t in ts)
+        # on a circle each sample's nearest neighbour is next to it by angle
+        ring = sorted(sp.sample_set, key=lambda p: math.atan2(p.u[1], p.u[0]))
+        want = max(min(sp.dist(p, ring[j - 1]), sp.dist(p, ring[(j + 1) % len(ring)]))
+                   for j, p in enumerate(ring))
+        assert sp._fill_resolution().hex() == want.hex()
+    assert want.hex() == _fill_resolution_oracle(sp).hex()
 
 
 def test_wedge_n800_resolution_pinned():
@@ -422,11 +470,25 @@ def _kernel_points(name):
     return st.lists(pt, max_size=8)
 
 
+def _antipode_examples(test):
+    """Each antipode's row against the whole sample set, and the transpose,
+    on every sphere of every wedge: the entries read from cached angles."""
+    for name in ("wedge", "wedge_k1", "wedge_k3"):
+        sp = _KERNEL_SPACES[name]
+        for j in range(1, sp.w + 1):
+            test = example((name, [sp.antipode(j)], sp.sample_set))(test)
+            test = example((name, sp.sample_set, [sp.antipode(j)]))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(_KERNEL_SPACES)).flatmap(
     lambda name: st.tuples(st.just(name), _kernel_points(name), _kernel_points(name))))
 @example(("union", [], [(1, _KERNEL_SPACES["union"].right.wedge_point)]))
 @example(("wedge", _KERNEL_SPACES["wedge"].sample_set[:2], []))
+@example(("wedge", [_KERNEL_SPACES["wedge"].point(1, (-1.0, -0.0, 0.0))],
+          _KERNEL_SPACES["wedge"].sample_set))
+@_antipode_examples
 def test_dists_matrix_equals_scalar_dist(case):
     name, ps, qs = case
     sp = _KERNEL_SPACES[name]
