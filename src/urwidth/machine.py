@@ -1,20 +1,22 @@
 """The streaming Evaluate-Detect-Construct machine.
 
-State is a frozen, growing library of local classifiers: each entry is a
+State is a growing library of local classifiers: each entry is a frozen
 geodesic ball around the point whose arrival raised the alarm, carrying
 the constant label observed there.  Detection computes the
 prediction residue min_i max(0, d(x, center_i) - radius_i); at residue
 above the tolerance the machine constructs a new entry, otherwise it
-evaluates with the best-matching entry.  Entries are append-only: no
-record is ever modified after insertion, and replaying the event log
-reproduces the library bit-exactly.
+evaluates with the best-matching entry.  Every step appends one
+immutable ``StepRecord`` (a named tuple) to the log.  Entries and
+records are append-only: none is modified after insertion, and replaying
+the event log reproduces the library bit-exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +47,10 @@ class LibraryEntry:
     step_index: int
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One logged step: an immutable named tuple (indexable, unpackable,
+    equal to a plain tuple of the same values)."""
+
     index: int
     kind: str  # "evaluate" or "construct"
     point: object
@@ -195,15 +199,9 @@ def run_stream(state: MachineState, stream) -> Trace:
     """
     size = state.library_size
     records = _fold(state, stream)
-    curve = []
-    errors = 0
-    for rec in records:
-        if rec.kind == "construct":
-            size += 1
-        elif not rec.correct:
-            errors += 1
-        curve.append(size)
-    return Trace(records, curve or [size], errors)
+    curve = list(accumulate((r.kind == "construct" for r in records), initial=size))
+    errors = sum(not r.correct for r in records if r.kind == "evaluate")
+    return Trace(records, curve[1:] or curve, errors)
 
 
 def replay_log(

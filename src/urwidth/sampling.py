@@ -49,7 +49,7 @@ class SamplingDistribution:
     weights: tuple
     c1: float
     c2: float
-    # normalised CDF of ``weights``, built as ``Generator.choice`` builds it
+    # cumsum of ``weights`` over its last entry: the CDF ``Generator.choice`` searches
     cdf: list[float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -88,8 +88,8 @@ def sampling_distribution(
 def sample_safe(dist: SamplingDistribution, rng: np.random.Generator):
     """One labelled draw: region by weight, point uniform in its safe set.
 
-    The region index is the one ``rng.choice(dist.k, p=dist.weights)``
-    would give, drawn from the same random bits.
+    The region is the first whose CDF entry exceeds one uniform double:
+    ``rng.choice(dist.k, p=dist.weights)``'s index from the same bits.
     """
     j = bisect_right(dist.cdf, rng.random())
     pts = dist.problem.safe_points(j)
@@ -98,23 +98,21 @@ def sample_safe(dist: SamplingDistribution, rng: np.random.Generator):
 
 
 def coupon_time(dist: SamplingDistribution, rng: np.random.Generator) -> int:
-    """Number of draws until every region has been seen at least once."""
+    """Number of draws until every region has been seen at least once; regions
+    are drawn a chunk at a time as in ``sample_safe`` (``rng.choice``'s stream)."""
     k = dist.k
     if k == 1:
         return 1
-    weights = np.asarray(dist.weights)
-    seen = np.zeros(k, dtype=bool)
-    remaining = k
+    cdf = np.asarray(dist.cdf)
+    seen = set()
     t = 0
     chunk = max(32, 2 * k)
     while True:
-        draws = rng.choice(k, size=chunk, p=weights)
-        regions, first = np.unique(draws, return_index=True)
-        fresh = ~seen[regions]
-        remaining -= int(fresh.sum())
-        if remaining == 0:  # the last new region's first draw ends the wait
-            return t + int(first[fresh].max()) + 1
-        seen[regions] = True
+        for i, j in enumerate(cdf.searchsorted(rng.random(chunk), side="right").tolist(), t + 1):
+            if j not in seen:
+                seen.add(j)
+                if len(seen) == k:  # the last new region's first draw ends the wait
+                    return i
         t += chunk
 
 
@@ -216,13 +214,14 @@ def permutation_learner_experiment(
         raise ValueError("need at least one region")
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
-    # choice without p draws a different random stream; keep the explicit p
-    q = np.full(w, 1.0 / w)
+    # rng.choice(w, p=uniform)'s draws from its CDF (choice without p draws integers)
+    cdf = np.full(w, 1.0 / w).cumsum()
+    cdf /= cdf[-1]
     successes = 0
     n_all = n_one = n_multi = succ_multi = 0
     for _ in range(trials):
         sigma = rng.permutation(w)
-        draws = rng.choice(w, size=n, p=q)
+        draws = cdf.searchsorted(rng.random(n), side="right")
         seen = np.zeros(w, dtype=bool)
         seen[draws] = True
         missed = np.flatnonzero(~seen)
@@ -240,19 +239,8 @@ def permutation_learner_experiment(
             succ_multi += ok
         successes += ok
     lo, hi = wilson_interval(successes, trials)
-    return PermutationResult(
-        w,
-        n,
-        trials,
-        successes,
-        successes / trials,
-        lo,
-        hi,
-        n_all,
-        n_one,
-        n_multi,
-        succ_multi,
-    )
+    return PermutationResult(w, n, trials, successes, successes / trials, lo, hi,
+                             n_all, n_one, n_multi, succ_multi)
 
 
 @dataclass

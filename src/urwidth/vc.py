@@ -69,7 +69,9 @@ GROUND_CAP = 22
 class HypothesisTable:
     """Finite hypothesis class: ordered ground set and label vectors.
 
-    ``rows`` holds the deduplicated vectors as one matrix (hypotheses x points).
+    ``rows`` holds the deduplicated vectors as one matrix (hypotheses x points),
+    in first-occurrence order.  An array of rows may be passed as is; the table
+    keeps it as ``rows`` when its rows are distinct.
     """
 
     ground: list
@@ -81,10 +83,22 @@ class HypothesisTable:
             raise ValueError(
                 f"ground set of size {len(self.ground)} exceeds the cap {GROUND_CAP}"
             )
-        self.hypotheses = list(dict.fromkeys(map(tuple, self.hypotheses)))
-        if any(len(h) != len(self.ground) for h in self.hypotheses):
+        n, given = len(self.ground), self.hypotheses
+        matrix = isinstance(given, np.ndarray)
+        # an array's rows as tuples of Python scalars, built column-wise: faster and
+        # smaller at peak than tuples of ``tolist()`` rows (no columns: empty rows)
+        hyps = ((list(zip(*given.T.tolist())) or [()] * len(given)) if matrix
+                else list(map(tuple, given)))
+        if any(len(h) != n for h in hyps):
             raise ValueError("hypothesis length does not match the ground set")
-        self.rows = np.array(self.hypotheses).reshape(len(self.hypotheses), len(self.ground))
+        # each distinct row's first index: earlier indices overwrite later ones
+        first = sorted(dict(zip(reversed(hyps), range(len(hyps) - 1, -1, -1))).values())
+        self.hypotheses = [hyps[i] for i in first]
+        if not matrix:
+            given = np.array(self.hypotheses)
+        elif len(first) < len(given):  # an array of distinct rows is kept, not copied
+            given = given[first]
+        self.rows = given.reshape(len(first), n)
 
     @property
     def binary(self) -> bool:
@@ -167,7 +181,7 @@ def intervals_class(n: int, grid: int) -> HypothesisTable:
         cuts = np.fromiter(chain.from_iterable(combinations(range(grid + 1), 2 * r)),
                            dtype=np.intp).reshape(math.comb(grid + 1, 2 * r), 2 * r)
         blocks.append((cuts[:, :, None] <= np.arange(grid)).sum(axis=1) & 1)
-    return HypothesisTable(ground, np.concatenate(blocks).tolist())
+    return HypothesisTable(ground, np.concatenate(blocks))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Evaluate-Detect-Construct machine: alarms, growth, replay."""
 
 import math
+from dataclasses import field, make_dataclass
 
 import numpy as np
 import pytest
@@ -294,3 +295,68 @@ def test_bad_sample_applies_exactly_the_prefix(k, bad, match):
         run_stream(got, stream)
     assert len(got.log) == k
     assert got.log == ref.log and got.entries == ref.entries
+
+
+# -- step records: immutable named tuples, printed as the dataclass was -----
+
+_FIELDS = ("index", "kind", "point", "label", "residue", "entry", "predicted", "correct")
+
+# the frozen dataclass StepRecord used to be, for its repr
+_DataclassRecord = make_dataclass(
+    "StepRecord",
+    [(f, object) for f in _FIELDS[:6]] + [(f, object, field(default=None)) for f in _FIELDS[6:]],
+    frozen=True,
+)
+
+
+def _mixed_run():
+    p = bouquet_problem(3, 10.0, 1.0, 0.25)
+    dist = sampling_distribution(p)
+    rng = np.random.default_rng(11)
+    st = machine_new(p.space, 0.0, 4.0, 2.0, labels=p.labels)
+    trace = run_stream(st, [sample_safe(dist, rng) for _ in range(30)])
+    return st, trace
+
+
+def test_step_record_fields_are_read_only():
+    assert StepRecord._fields == _FIELDS
+    rec = StepRecord(0, "construct", 0.5, 1, math.inf, 0)
+    assert (rec.predicted, rec.correct) == (None, None)
+    for name in _FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 1)
+    with pytest.raises(AttributeError):
+        rec.extra = 1  # no instance dict either
+    assert rec == StepRecord(0, "construct", 0.5, 1, math.inf, 0)
+
+
+def test_step_record_repr_matches_the_dataclass_form():
+    st, trace = _mixed_run()
+    kinds = {r.kind for r in trace.records}
+    assert kinds == {"construct", "evaluate"}
+    for rec in trace.records:
+        assert repr(rec) == repr(_DataclassRecord(*rec))
+    assert repr(StepRecord(2, "construct", 0.5, 1, math.inf, 0)) == (
+        "StepRecord(index=2, kind='construct', point=0.5, label=1, residue=inf, "
+        "entry=0, predicted=None, correct=None)")
+
+
+def test_step_record_is_a_tuple():
+    rec = StepRecord(4, "evaluate", 0.5, 2, 0.0, 1, 2, True)
+    index, kind, *_ = rec
+    assert (index, kind, rec[5], rec[-1]) == (4, "evaluate", 1, True)
+    assert rec == (4, "evaluate", 0.5, 2, 0.0, 1, 2, True)
+
+
+def test_replayed_log_equals_the_log_after_mid_block_constructs():
+    space = _SPACES["interval"]
+    rng = np.random.default_rng(5)
+    stream = [(x, 1 + int(rng.integers(3))) for x in space.sample_set for _ in range(7)]
+    st = machine_new(space, 0.0, 0.1, 0.05)
+    run_stream(st, stream)
+    mid = [r.index for r in st.log if r.kind == "construct" and r.index % 64 not in (0, 63)]
+    assert any(i > 64 for i in mid)
+    replayed = replay_log(space, 0.0, 0.1, 0.05, st.log)
+    assert replayed.log == st.log
+    assert all(type(r) is StepRecord for r in replayed.log)
+    assert replayed.entries == st.entries

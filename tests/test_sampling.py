@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urwidth.problems import TOL, bouquet_problem
@@ -221,3 +221,99 @@ def test_coupon_time_matches_per_draw_loop(k):
     for _ in range(30):  # one shared rng: the state after each call must match too
         assert coupon_time(dist, got_rng) == _coupon_time_oracle(dist, ref_rng)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# -- the CDF-search draws against the Generator.choice code they replaced -----
+
+
+def _coupon_time_choice_oracle(dist, rng):
+    """coupon_time as it was: choice draws per chunk, np.unique for first sightings."""
+    k = dist.k
+    if k == 1:
+        return 1
+    weights = np.asarray(dist.weights)
+    seen = np.zeros(k, dtype=bool)
+    remaining = k
+    t = 0
+    chunk = max(32, 2 * k)
+    while True:
+        draws = rng.choice(k, size=chunk, p=weights)
+        regions, first = np.unique(draws, return_index=True)
+        fresh = ~seen[regions]
+        remaining -= int(fresh.sum())
+        if remaining == 0:
+            return t + int(first[fresh].max()) + 1
+        seen[regions] = True
+        t += chunk
+
+
+def _permutation_choice_oracle(w, n, trials, rng):
+    """The permutation learner's trial loop as it was, drawing with choice."""
+    q = np.full(w, 1.0 / w)
+    successes = n_all = n_one = n_multi = succ_multi = 0
+    for _ in range(trials):
+        sigma = rng.permutation(w)
+        draws = rng.choice(w, size=n, p=q)
+        seen = np.zeros(w, dtype=bool)
+        seen[draws] = True
+        missed = np.flatnonzero(~seen)
+        m = missed.size
+        if m == 0:
+            n_all += 1
+            ok = True
+        elif m == 1:
+            n_one += 1
+            ok = True
+        else:
+            n_multi += 1
+            guess = rng.permutation(sigma[missed])
+            ok = bool(np.array_equal(guess, sigma[missed]))
+            succ_multi += ok
+        successes += ok
+    return successes, n_all, n_one, n_multi, succ_multi
+
+
+@st.composite
+def _banded_distributions(draw):
+    """Uniform weights, or raw weights in [1, c] normalised: every q_j lies
+    in the band [1/(cK), c/K], so c1 = c2 = c > 1 admits them."""
+    k = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return sampling_distribution(_bouquet(k))
+    c = draw(st.sampled_from([1.25, 2.0, 4.0]))
+    raw = draw(st.lists(st.floats(1.0, c), min_size=k, max_size=k))
+    total = math.fsum(raw)
+    try:
+        return sampling_distribution(_bouquet(k), [r / total for r in raw], c1=c, c2=c)
+    except ValueError:  # the normalised sum missed 1 by more than 1e-12
+        return sampling_distribution(_bouquet(k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dist=_banded_distributions(), seed=st.integers(0, 2**32 - 1))
+@example(dist=sampling_distribution(_bouquet(1)), seed=4)  # returns without drawing
+def test_coupon_time_matches_choice_oracle(dist, seed):
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        assert coupon_time(dist, got_rng) == _coupon_time_choice_oracle(dist, ref_rng)
+    # later draws (the next trial, coupon_stats' next call) see the same stream
+    assert got_rng.random() == ref_rng.random()
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=st.integers(1, 19), n=st.integers(0, 80), trials=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+@example(w=1, n=5, trials=3, seed=4)
+@example(w=19, n=0, trials=3, seed=4)
+def test_permutation_learner_matches_choice_oracle(w, n, trials, seed):
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    res = permutation_learner_experiment(w, n, trials, got_rng)
+    successes, n_all, n_one, n_multi, succ_multi = _permutation_choice_oracle(
+        w, n, trials, ref_rng)
+    assert (res.w, res.n, res.trials) == (w, n, trials)
+    assert (res.successes, res.n_all_seen, res.n_one_missed, res.n_multi_missed,
+            res.successes_multi) == (successes, n_all, n_one, n_multi, succ_multi)
+    assert res.rate == successes / trials
+    # threshold_sweep runs every ratio of one w on the same rng
+    assert got_rng.random() == ref_rng.random()
+

@@ -5,6 +5,7 @@ import random
 from itertools import combinations, product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,8 @@ def test_table_validation():
         HypothesisTable([0, 1], [(0, 1), (0, 1, 0), (1, 0)])
     t = HypothesisTable([0, 1], [(0, 1), (0, 1), (1, 1)])
     assert len(t.hypotheses) == 2  # deduplicated
+    t = HypothesisTable([0, 1], [(None, 1), (None, 1)])  # any hashable label
+    assert t.hypotheses == [(None, 1)] and not t.binary
 
 
 def test_multiclass_table_directed_to_bound_path():
@@ -259,7 +262,8 @@ def test_row_matrix_matches_tuple_oracles(data):
     ([0, 1, 2], [(1, 0, 2)]),
     ([0, 1, 2], [(True, False, True), (1, 0, 1), (0, 0, 1)]),
     ([], [(), ()]),
-], ids=["no_hypotheses", "one", "bool_equals_int", "empty_ground"])
+    ([0, 1], [(-0.0, 1.0), (0.0, 1.0), (1.0, 0.0)]),
+], ids=["no_hypotheses", "one", "bool_equals_int", "empty_ground", "signed_zero"])
 def test_row_matrix_small_tables(ground, hyps):
     t = HypothesisTable(ground, hyps)
     expect = _dedup_oracle(ground, hyps)
@@ -268,6 +272,27 @@ def test_row_matrix_small_tables(ground, hyps):
     assert _columns(t) == _columns_oracle(expect, len(ground))
     if expect and t.binary:
         assert vc_dimension(t) == _vc_exhaustive_oracle(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_row_array_input_matches_tuple_input(data):
+    # intervals_class hands its rows over as one array; a list of the same
+    # rows must give the same table
+    n = data.draw(st.integers(0, 8))
+    pool = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                              min_size=1, max_size=10))
+    hyps = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+    arr = np.array(hyps, dtype=np.intp).reshape(len(hyps), n)
+    ground = list(range(n))
+    t = HypothesisTable(ground, arr)
+    assert t.hypotheses == _dedup_oracle(ground, hyps)
+    _assert_int_rows(t.hypotheses)
+    ref = HypothesisTable(ground, hyps)
+    assert t.rows.tolist() == ref.rows.tolist() and t.binary == ref.binary
+    if hyps:  # as with a list, no rows means no row of the wrong length
+        with pytest.raises(ValueError, match="hypothesis length does not match the ground set"):
+            HypothesisTable(list(range(n + 1)), arr)
 
 
 _SHATTER_INTERVALS = ([(1, g) for g in range(8, 23)] + [(2, g) for g in range(12, 23)]
