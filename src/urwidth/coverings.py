@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import or_
 
 import networkx as nx
 import numpy as np
@@ -223,17 +225,20 @@ class CoverSearch:
 
 
 def _candidate_balls(problem, d0):
-    """Geodesic-ball candidates: (support, safe coverage mask), deduplicated.
+    """Geodesic-ball candidates: (mask, near, size) triples, deduplicated.
 
     Centres are the sample points and radii run up the half-resolution
     ladder to D0/2, or only to the largest pool distance when that is
     smaller, since every ball past it is the whole pool; a candidate must
-    be chain-connected at the default step and of diameter <= D0.  A
-    centre's balls are the prefixes of its pool points sorted by distance,
-    so each radius adds only its new points to the coverage mask and to a
-    union-find over the step graph.  The step graph and the largest pool
-    distance come from one ``_step_graph`` pass, the one ``support_check``
-    makes.  Supports list their points in pool order.
+    be chain-connected at the default step and of diameter <= D0.  A block
+    of centre rows first drops each row with no safe point inside the
+    largest ball's ``<=`` cut, as all its masks would be empty.  A centre's
+    balls are the prefixes of ``near``, its pool indices sorted by
+    distance: masks are prefix ORs of the safe bits, and each radius adds
+    only its new points to a union-find over the step graph, which comes
+    with the largest pool distance from ``_step_graph``.  A candidate keeps
+    only its mask, ``near`` and ``size``; ``_ball_support`` builds its
+    points, here only for an exact-diameter check.
     """
     space = problem.space
     h = default_step(space)
@@ -246,6 +251,7 @@ def _candidate_balls(problem, d0):
             known.add(x)
     bit = {x: i for i, (_, x) in enumerate(universe)}
     pool_bits = [1 << bit[x] if x in bit else 0 for x in pool]
+    safe = np.array([k for k, x in enumerate(pool) if x in bit], dtype=np.intp)
     nbrs, far = _step_graph(space, pool, h)  # every ball past ``far`` is the whole pool
     step = space.resolution / 2
     top = min(d0 / 2, far)
@@ -257,18 +263,18 @@ def _candidate_balls(problem, d0):
     seen_masks = set()
     n_centres = len(space.sample_set)
     for start in range(0, n_centres, BLOCK):
-        for row in space.dists(pool[start : min(start + BLOCK, n_centres)], pool):
+        rows = space.dists(pool[start : min(start + BLOCK, n_centres)], pool)
+        for row in rows[(rows[:, safe] <= bounds[-1]).any(axis=1)]:
             near = np.flatnonzero(row <= bounds[-1])
             near = near[np.argsort(row[near], kind="stable")]
             d_sorted = row[near]
             ends = np.searchsorted(d_sorted, bounds, side="right").tolist()
             near = near.tolist()
+            masks = list(accumulate(map(pool_bits.__getitem__, near), or_, initial=0))
             parent = {}  # union-find over the first ``joined`` points of the ball
-            components = mask = size = joined = 0
-            for end in ends:
-                for k in near[size:end]:
-                    mask |= pool_bits[k]
-                size = end
+            components = joined = 0
+            for size in ends:
+                mask = masks[size]
                 if mask == 0 or mask in seen_masks:
                     continue
                 for k in near[joined:size]:
@@ -284,34 +290,42 @@ def _candidate_balls(problem, d0):
                 joined = size
                 if components != 1:
                     continue
-                support = [pool[k] for k in sorted(near[:size])]
                 # the triangle inequality bounds the diameter by twice the
                 # farthest point's distance; only a ball reaching past D0/2,
                 # inside the TOL slack, needs its exact diameter
-                if 2 * d_sorted[size - 1] > d0 and space.dists(support, support).max() > d0 + TOL:
-                    continue
+                if 2 * d_sorted[size - 1] > d0:
+                    support = _ball_support(pool, near, size)
+                    if space.dists(support, support).max() > d0 + TOL:
+                        continue
                 seen_masks.add(mask)
-                candidates.append((support, mask))
-    return universe, candidates
+                candidates.append((mask, near, size))
+    return universe, pool, candidates
+
+
+def _ball_support(pool, near, size):
+    """The points of a candidate ball, in pool order."""
+    return [pool[k] for k in sorted(near[:size])]
 
 
 def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, CoverSearch]:
     """Minimum covering of the sampled safe points by geodesic balls.
 
-    Exact bitmask dynamic programming when the safe sample count is at
-    most ``EXACT_LIMIT``; deterministic greedy beyond, with
-    the method recorded on the certificate.  Labels are assigned per
-    point from safe membership, which is always consistent because safe
-    sets are pairwise disjoint; an unsafe filler point takes its nearest
-    class, ties to the lowest slot.
+    D0 must be finite and >= 0.  The search reads only candidate masks:
+    exact bitmask dynamic programming up to ``EXACT_LIMIT`` safe samples,
+    deterministic greedy beyond, with the method on the certificate; only
+    the chosen balls' supports are built.  Labels come per point from safe
+    membership, consistent since safe sets are pairwise disjoint; an
+    unsafe filler point takes its nearest class, ties to the lowest slot.
     """
-    universe, candidates = _candidate_balls(problem, d0)
+    if not math.isfinite(d0):
+        raise ValueError(f"D0 must be finite, got d0={d0}")
+    if d0 < 0:
+        raise ValueError(f"D0 must be non-negative, got d0={d0}")
+    universe, pool, candidates = _candidate_balls(problem, d0)
     n = len(universe)
     full = (1 << n) - 1
-    masks = [m for _, m in candidates]
-    covered = 0
-    for m in masks:
-        covered |= m
+    masks = [m for m, _, _ in candidates]
+    covered = reduce(or_, masks, 0)
     if covered != full:
         missing = [universe[i] for i in range(n) if not (covered >> i) & 1]
         raise ValueError(
@@ -325,7 +339,7 @@ def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, 
         chosen = _greedy_cover(full, masks)
         method = "greedy"
 
-    supports = [candidates[ci][0] for ci in chosen]
+    supports = [_ball_support(pool, *candidates[ci][1:]) for ci in chosen]
     flat = [x for support in supports for x in support]
     slots, rest, gaps = problem._safe_slots(flat)
     # unsafe filler points: nearest class, ties to the lowest slot, from the
@@ -335,7 +349,7 @@ def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, 
             slots[i] = j
     labels = tuple(problem.labels)
     wanted = (labels[j] for j in slots)
-    triples = [UrysohnTriple(list(support), labels, {x: next(wanted) for x in support})
+    triples = [UrysohnTriple(support, labels, {x: next(wanted) for x in support})
                for support in supports]
     cov = UrysohnCovering(triples, d0, default_step(problem.space))
     info = CoverSearch(method, len(chosen), n, len(candidates), list(chosen))

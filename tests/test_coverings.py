@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from urwidth.coverings import (
     TOL,
+    _ball_support,
     _candidate_balls,
     _exact_cover,
     canonical_covering,
@@ -20,6 +21,7 @@ from urwidth.coverings import (
     width_bracket,
 )
 from urwidth.problems import (
+    BallPiece,
     ClassRegion,
     FamilyTag,
     MarginProblem,
@@ -31,7 +33,7 @@ from urwidth.problems import (
     union_problem,
     wedge_problem,
 )
-from urwidth.spaces import interval_space, support_check
+from urwidth.spaces import graph_space, interval_space, support_check
 
 
 def test_canonical_bouquet_covering_passes_all_conditions():
@@ -161,9 +163,9 @@ def test_min_ball_cover_exhaustive_minimality_oracle():
     p = bouquet_problem(2, 10.0, 1.0, 0.5)
     d0 = 4.0
     cov, info = min_ball_cover(p, d0)
-    universe, candidates = _candidate_balls(p, d0)
+    universe, _, candidates = _candidate_balls(p, d0)
     full = (1 << len(universe)) - 1
-    masks = [m for _, m in candidates]
+    masks = [m for m, _, _ in candidates]
     for size in range(1, info.size):
         for combo in itertools.combinations(range(len(masks)), size):
             acc = 0
@@ -288,6 +290,29 @@ def test_min_ball_cover_infeasible_reports_uncovered():
         min_ball_cover(p, 1.5)
 
 
+@pytest.mark.parametrize("d0", [math.nan, math.inf, -math.inf])
+def test_min_ball_cover_rejects_a_d0_that_is_not_finite(d0):
+    with pytest.raises(ValueError, match=r"D0 must be finite, got d0="):
+        min_ball_cover(bouquet_problem(1, 10.0, 1.0, 0.5), d0)
+
+
+def test_min_ball_cover_rejects_a_negative_d0():
+    p = bouquet_problem(1, 10.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match=r"D0 must be non-negative, got d0=-1.0"):
+        min_ball_cover(p, -1.0)
+    # below the window the bracket falls back to the search, which names it too
+    with pytest.raises(ValueError, match=r"D0 must be non-negative, got d0=-1.0"):
+        width_bracket(p, -1.0)
+
+
+def test_min_ball_cover_d0_zero_takes_singleton_balls():
+    p = interval_union_problem([(0.1, 0.3)], 0.1, 11)
+    cov, info = min_ball_cover(p, 0.0)
+    assert info.size == info.universe
+    assert all(len(t.support) == 1 for t in cov.triples)
+    assert verify_covering(p, cov).passed
+
+
 def test_min_ball_cover_greedy_above_exact_limit():
     p = interval_union_problem([(0.1, 0.3)], 0.1, 101)
     cov, info = min_ball_cover(p, 1.0)
@@ -390,6 +415,21 @@ def _scalar_candidate_balls(problem, d0):
     return universe, candidates
 
 
+def _slack_reach_instance():
+    """A graph whose first centre, ``a``, holds one safe sample, ``x``, in
+    its largest ball, and only inside the TOL slack: d(a, x) = 3.0 equals
+    D0/2 + TOL exactly, while D0/2 < 3.0.  That ball (diameter d(z2, x) =
+    5) is the first candidate with mask {x}; the other centres reaching x
+    hold other point sets."""
+    space = graph_space([("z2", "z1"), ("z1", "a"), ("a", "b"), ("b", "c"), ("c", "x"),
+                         ("x", "p"), ("p", "q"), ("q", "r"), ("r", "s"), ("s", "y")])
+    regions = [ClassRegion(1, (BallPiece("x", 0.0),), ["x"]),
+               ClassRegion(2, (BallPiece("y", 0.0),), ["y"])]
+    d0 = 6.0 - 2e-9
+    assert d0 / 2 < 3.0 == d0 / 2 + TOL
+    return MarginProblem(space, 1.0, regions, FamilyTag("graph", {})), d0
+
+
 def _golden_instances():
     rng = random.Random(8)
     out = []
@@ -419,12 +459,34 @@ def _golden_instances():
     out.append((wedge_problem(2, 1, 1.0, 1.3, n=24, seed=3), 1.0))
     out.append((wedge_problem(2, 2, 1.0, 1.3, n=32, seed=4), 2.0))
     out.append((wedge_problem(2, 1, 1.0, 1.3, n=20, seed=6), 2.1))
+    # two grid steps above 3*gamma/2: the largest ball of 257 of the 313
+    # centres holds no safe sample, so their rows are dropped unsearched
+    win = parameter_window("bouquet", L=16.0, gamma=1.0)
+    out.append((bouquet_problem(8, 16.0, 1.0, 0.4), win.lo + 2 * 0.4))
+    out.append(_slack_reach_instance())
     return [pytest.param(p, d0, id=f"{p.family.name}-{i}") for i, (p, d0) in enumerate(out)]
+
+
+def _materialised(problem, d0):
+    """``_candidate_balls`` with every candidate's support built, in the
+    reference's (support, mask) shape."""
+    universe, pool, candidates = _candidate_balls(problem, d0)
+    return universe, [(_ball_support(pool, near, size), mask) for mask, near, size in candidates]
 
 
 @pytest.mark.parametrize("problem, d0", _golden_instances())
 def test_candidate_balls_match_scalar_reference(problem, d0):
-    assert _candidate_balls(problem, d0) == _scalar_candidate_balls(problem, d0)
+    assert _materialised(problem, d0) == _scalar_candidate_balls(problem, d0)
+
+
+@pytest.mark.parametrize("problem, d0", _golden_instances())
+def test_min_ball_cover_builds_the_chosen_reference_supports(problem, d0):
+    # the supports are built only for the chosen balls; each must be the
+    # reference candidate's, points in pool order
+    cov, info = min_ball_cover(problem, d0)
+    _, reference = _scalar_candidate_balls(problem, d0)
+    assert info.n_candidates == len(reference)
+    assert [t.support for t in cov.triples] == [reference[ci][0] for ci in info.chosen]
 
 
 def test_bouquet_w12_cover_size():
@@ -443,8 +505,8 @@ def test_huge_d0_stops_the_radius_ladder_at_the_pool_diameter(problem):
     # near the float limit must give the candidates of a modest D0, fast
     pool = list(problem.space.sample_set) + [x for _, x in problem.all_safe_points()]
     far = float(problem.space.dists(pool, pool).max())
-    huge = _candidate_balls(problem, 1e308)
-    assert huge == _candidate_balls(problem, 4 * far)
+    huge = _materialised(problem, 1e308)
+    assert huge == _materialised(problem, 4 * far)
     assert huge == _scalar_candidate_balls(problem, 4 * far)
 
 
