@@ -25,8 +25,10 @@ Certificates come in two independent halves:
   programming up to 24 safe points, greedy with the classical ln-factor
   beyond).
 
-The bracket is exact when the two halves meet; both halves re-verify
-from scratch, never trusting stored intermediates.
+The bracket is exact when the two halves meet; ``certify`` joins them for
+one covering, and both ``width_bracket`` and ``serialize.verify_bracket``
+build their bracket through it.  Both halves re-verify from scratch, never
+trusting stored intermediates.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "canonical_covering",
     "separation_certificate",
     "min_ball_cover",
+    "certify",
     "width_bracket",
 ]
 
@@ -195,12 +198,7 @@ def separation_certificate(problem: MarginProblem, d0: float) -> SeparationCerti
     can only serve classes inside one reach component.
     """
     k = problem.k
-    gamma = problem.gamma
-    table = {
-        (i, j): max(0.0, problem.pair_dist(i, j) - gamma)
-        for i in range(k)
-        for j in range(i + 1, k)
-    }
+    table = {pair: max(0.0, d - problem.gamma) for pair, d in problem.pair_table().items()}
     delta_star = min(table.values()) if table else math.inf
     if delta_star > d0:
         return SeparationCertificate(
@@ -421,6 +419,16 @@ class WidthBracket:
         return self.lb == self.ub
 
 
+def certify(problem: MarginProblem, d0: float, covering: UrysohnCovering,
+            method: str) -> WidthBracket:
+    """The bracket that ``covering``, found by ``method``, certifies at D0:
+    the separation lower bound, and the covering's size as ub with its
+    ``verify_covering`` report, which says whether that ub holds."""
+    sep = separation_certificate(problem, d0)
+    report = verify_covering(problem, covering)
+    return WidthBracket(sep.lb, covering.size, d0, covering.h, sep, covering, report, method)
+
+
 def width_bracket(problem: MarginProblem, d0: float) -> WidthBracket:
     """Certified two-sided width bracket [lb, ub].
 
@@ -437,21 +445,19 @@ def width_bracket(problem: MarginProblem, d0: float) -> WidthBracket:
             f"margin invalid: min class distance {report.min_pair} "
             f"<= gamma = {problem.gamma}"
         )
-    sep = separation_certificate(problem, d0)
-    best: tuple[int, str, UrysohnCovering, CoveringReport] | None = None
     try:
         canon = canonical_covering(problem, d0)
-        canon_rep = verify_covering(problem, canon)
-        if canon_rep.passed:
-            best = (canon.size, "canonical", canon, canon_rep)
     except ValueError:
-        pass
-    if best is None or best[0] > sep.lb:
+        best = None
+    else:
+        best = certify(problem, d0, canon, "canonical")
+        if not best.report.passed:
+            best = None
+    if best is None or not best.exact:
         cov, info = min_ball_cover(problem, d0)
-        cov_rep = verify_covering(problem, cov)
-        if not cov_rep.passed:
+        found = certify(problem, d0, cov, info.method)
+        if not found.report.passed:
             raise AssertionError("searched covering failed verification")
-        if best is None or cov.size < best[0]:
-            best = (cov.size, info.method, cov, cov_rep)
-    ub, method, covering, cov_report = best
-    return WidthBracket(sep.lb, ub, d0, covering.h, sep, covering, cov_report, method)
+        if best is None or found.ub < best.ub:
+            best = found
+    return best

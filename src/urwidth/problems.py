@@ -11,7 +11,9 @@ class, ``safe_points`` filters the sample set with it and
 ``safe_labels`` labels any batch of points.  Membership and pairwise
 class distances use the analytic description, so the separation lower
 bound does not depend on the sampling resolution; a covering, and so
-the upper bound, covers only the sampled safe points.
+the upper bound, covers only the sampled safe points.  ``pair_table``
+holds the class-pair distances, built once per problem and read by both
+``validate_margin`` and the separation lower bound.
 
 Families:
 
@@ -177,6 +179,7 @@ class MarginProblem:
     _safe_cache: dict = field(default_factory=dict, repr=False)
     # sample point -> first slot whose cached safe set holds it
     _safe_slot: dict = field(default_factory=dict, repr=False)
+    _pair_cache: dict | None = field(default=None, repr=False)
 
     @property
     def k(self) -> int:
@@ -186,13 +189,16 @@ class MarginProblem:
     def labels(self) -> list[int]:
         return [r.label for r in self.regions]
 
-    def pair_dist(self, i: int, j: int) -> float:
-        """Analytic distance between class slots ``i`` and ``j``."""
-        return min(
-            piece_pair_dist(self.space, pa, pb)
-            for pa in self.regions[i].pieces
-            for pb in self.regions[j].pieces
-        )
+    def pair_table(self) -> dict:
+        """Analytic distance of each class-slot pair, keyed (i, j) with i < j
+        in row order; built on first use and kept.  Callers must not mutate it."""
+        if self._pair_cache is None:
+            self._pair_cache = {
+                (i, j): min(piece_pair_dist(self.space, pa, pb)
+                            for pa in self.regions[i].pieces for pb in self.regions[j].pieces)
+                for i in range(self.k) for j in range(i + 1, self.k)
+            }
+        return self._pair_cache
 
     def _gap(self, j: int, pts: Sequence) -> np.ndarray:
         return np.minimum.reduce([piece_dists(self.space, pc, pts)
@@ -417,22 +423,17 @@ def interval_union_problem(
 def validate_margin(problem: MarginProblem) -> MarginReport:
     """Check the strict margin condition; reports, never raises.
 
-    The report carries the full analytic pairwise-distance table and the
+    The report carries a copy of the analytic pairwise-distance table and the
     strict-pass flag (min pairwise distance > gamma).  The gamma/2 safe
     neighbourhoods are pairwise disjoint exactly when it holds: on finite
     floats d - gamma > 0 iff d > gamma.
     """
     gamma = problem.gamma
-    table: dict = {}
-    worst = None
-    min_pair = math.inf
-    for i in range(problem.k):
-        for j in range(i + 1, problem.k):
-            d = problem.pair_dist(i, j)
-            table[(i, j)] = d
-            if d < min_pair:
-                min_pair = d
-                worst = (i, j)
+    table = dict(problem.pair_table())
+    worst, min_pair = None, math.inf
+    for pair, d in table.items():
+        if d < min_pair:
+            min_pair, worst = d, pair
     notes = []
     if not any(r.points for r in problem.regions):
         notes.append("warning: no sampled class points")

@@ -17,14 +17,7 @@ import json
 import math
 from typing import Any
 
-from .coverings import (
-    UrysohnCovering,
-    UrysohnTriple,
-    WidthBracket,
-    default_step,
-    separation_certificate,
-    verify_covering,
-)
+from .coverings import UrysohnCovering, UrysohnTriple, certify, default_step
 from .problems import MarginProblem, make_problem, validate_margin
 from .spaces import MetricSpace
 
@@ -111,8 +104,8 @@ def covering_doc(space: MetricSpace, cov: UrysohnCovering) -> dict:
     }
 
 
-def bracket_doc(problem: MarginProblem, bracket: WidthBracket) -> dict:
-    """Width bracket with both certificates inline."""
+def bracket_doc(problem: MarginProblem, bracket) -> dict:
+    """A ``WidthBracket`` with both certificates inline."""
     sep = bracket.separation
     return {
         "kind": "width_bracket",
@@ -121,7 +114,8 @@ def bracket_doc(problem: MarginProblem, bracket: WidthBracket) -> dict:
         "h": bracket.h,
         "lb": {
             "value": bracket.lb,
-            "delta_star": sep.delta_star,
+            # a one-class problem has no pair: null, as JSON has no Infinity
+            "delta_star": sep.delta_star if sep.delta_table else None,
             "method": sep.method,
             "delta_table": [[i, j, d] for (i, j), d in sorted(sep.delta_table.items())],
             "components": sep.components,
@@ -175,18 +169,16 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
             triples.append(UrysohnTriple(support, tuple(int(v) for v in td["labels"]), assignment))
     except _BAD_VALUE as exc:
         return False, [f"malformed certificate: {type(exc).__name__}: {exc}"]
-    cov = UrysohnCovering(triples, d0, default_step(space))
-    report = verify_covering(problem, cov)
+    bracket = certify(problem, d0, UrysohnCovering(triples, d0, default_step(space)), method)
+    report = bracket.report
     checks = {"a support is not chain-connected": report.connectivity_ok,
               "a support exceeds D0": report.diameters_ok,
               f"{len(report.uncovered)} safe points uncovered": report.coverage_ok,
               f"{len(report.violations)} label violations": report.correctness_ok}
     messages = [f"covering re-check failed: {why}" for why, ok in checks.items() if not ok]
-    sep = separation_certificate(problem, d0)
     # the TOL slack on diameters keeps this from following from the re-check
-    if sep.lb > cov.size:
-        messages.append(f"lower bound {sep.lb} exceeds the covering size {cov.size}")
-    bracket = WidthBracket(sep.lb, cov.size, d0, cov.h, sep, cov, report, method)
+    if bracket.lb > bracket.ub:
+        messages.append(f"lower bound {bracket.lb} exceeds the covering size {bracket.ub}")
     stored, fresh = _fields(doc), _fields(bracket_doc(problem, bracket))
     for key in dict.fromkeys([*fresh, *stored]):
         if stored.get(key) != fresh.get(key):

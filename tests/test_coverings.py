@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urwidth import problems
 from urwidth.coverings import (
     TOL,
     _ball_support,
     _candidate_balls,
     _exact_cover,
     canonical_covering,
+    certify,
     default_step,
     min_ball_cover,
     separation_certificate,
@@ -29,10 +31,12 @@ from urwidth.problems import (
     bouquet_problem,
     interval_union_problem,
     parameter_window,
+    permuted_problem,
     scaled_problem,
     union_problem,
     wedge_problem,
 )
+from urwidth.serialize import bracket_doc
 from urwidth.spaces import graph_space, interval_space, support_check
 
 
@@ -375,6 +379,31 @@ def test_bracket_soundness_recheck():
     assert again.lb == br.lb
     assert again.delta_star > br.d0
     assert verify_covering(p, br.covering).passed
+
+
+def test_width_bracket_walks_the_class_pairs_once(monkeypatch):
+    # the margin check and the lower bound read one pair table
+    calls, piece_pair_dist = [], problems.piece_pair_dist
+    monkeypatch.setattr(problems, "piece_pair_dist",
+                        lambda *args: calls.append(args) or piece_pair_dist(*args))
+    width_bracket(bouquet_problem(5, 10.0, 1.0, 0.5), 4.0)
+    assert len(calls) == math.comb(5, 2)
+
+
+@pytest.mark.parametrize("make, d0, method", [
+    (lambda: bouquet_problem(3, 10.0, 1.0, 0.5), 4.0, "canonical"),
+    (lambda: scaled_problem(2, 2, 40.0, 1.0, 0.5), 4.0, "canonical"),
+    (lambda: wedge_problem(2, 2, 2.0, 1.0, n=64, seed=5), 3.0, "canonical"),
+    (lambda: union_problem(bouquet_problem(2, 10.0, 1.0, 0.5),
+                           bouquet_problem(1, 10.0, 1.0, 0.5), 100.0), 4.0, "canonical"),
+    (lambda: permuted_problem(bouquet_problem(3, 10.0, 1.0, 0.5), (2, 3, 1)), 4.0, "canonical"),
+    (lambda: interval_union_problem([(0.1, 0.3), (0.6, 0.7)], 0.02, 201), 0.1, "greedy"),
+], ids=["bouquet", "scaled", "wedge", "union", "permuted", "interval-greedy"])
+def test_certify_rebuilds_the_width_bracket(make, d0, method):
+    p = make()
+    br = width_bracket(p, d0)
+    assert br.ub_method == method
+    assert bracket_doc(p, certify(p, d0, br.covering, br.ub_method)) == bracket_doc(p, br)
 
 
 def _scalar_candidate_balls(problem, d0):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urwidth.coverings import width_bracket
+from urwidth.coverings import separation_certificate, width_bracket
 from urwidth.problems import (
     FAMILIES,
     TOL,
@@ -139,6 +140,28 @@ def test_validate_margin_fail_names_pair():
     assert rep.min_pair == pytest.approx(0.25)
     assert not rep.strict_pass
     assert rep.worst_pair == (0, 1)
+
+
+def test_validate_margin_reports_a_copy_of_the_pair_table():
+    p = bouquet_problem(3, 10.0, 1.0, 0.5)
+    rep, sep = validate_margin(p), separation_certificate(p, 4.0)
+    table = dict(rep.pair_table)
+    rep.pair_table[(0, 1)] = 0.0
+    rep.pair_table[(1, 0)] = -1.0
+    again = validate_margin(p)
+    assert again.pair_table == table
+    assert (again.min_pair, again.worst_pair, again.strict_pass) == (9.5, (0, 1), True)
+    assert separation_certificate(p, 4.0) == sep
+
+
+def test_one_class_certificate_is_standard_json():
+    p = bouquet_problem(1, 10.0, 1.0, 0.5)
+    doc = bracket_doc(p, width_bracket(p, 4.0))
+    assert doc["lb"]["delta_star"] is None
+    assert verify_bracket(json.loads(json.dumps(doc, allow_nan=False))) == (True, [])
+    doc["lb"]["delta_star"] = math.inf  # as written before null
+    ok, messages = verify_bracket(doc)
+    assert not ok and [m.split(":")[0] for m in messages] == ["lb.delta_star"]
 
 
 def test_safe_region_shrinks_to_classes_as_gamma_vanishes():
