@@ -225,28 +225,28 @@ class CoverSearch:
 def _candidate_balls(problem, d0):
     """Geodesic-ball candidates: (mask, near, size) triples, deduplicated.
 
-    Centres are the sample points and radii run up the half-resolution
-    ladder to D0/2, or only to the largest pool distance when that is
-    smaller, since every ball past it is the whole pool; a candidate must
-    be chain-connected at the default step and of diameter <= D0.  A block
-    of centre rows first drops each row with no safe point inside the
-    largest ball's ``<=`` cut, as all its masks would be empty.  A centre's
-    balls are the prefixes of ``near``, its pool indices sorted by
-    distance: masks are prefix ORs of the safe bits, and each radius adds
-    only its new points to a union-find over the step graph, which comes
-    with the largest pool distance from ``_step_graph``.  A candidate keeps
-    only its mask, ``near`` and ``size``; ``_ball_support`` builds its
-    points, here only for an exact-diameter check.
+    The pool is ``space.sample_set`` itself, whose cached coordinates
+    ``dists`` reads; safe points off it (off-grid class representatives)
+    follow it in a new list, in ``universe`` order.  Centres are the sample
+    points and radii run up the half-resolution ladder to D0/2, or only to
+    the largest pool distance when that is smaller, since every ball past
+    it is the whole pool; a candidate must be chain-connected at the
+    default step and of diameter <= D0.  A block of centre rows first drops
+    each row with no safe point inside the largest ball's ``<=`` cut, as
+    all its masks would be empty.  A centre's balls are the prefixes of
+    ``near``, its pool indices sorted by distance: masks are prefix ORs of
+    the safe bits, and each radius adds only its new points to a union-find
+    over the step graph, which comes with the largest pool distance from
+    ``_step_graph``.  A candidate keeps only its mask, ``near`` and
+    ``size``; ``_ball_support`` builds its points, here only for an
+    exact-diameter check.
     """
     space = problem.space
     h = default_step(space)
     universe = problem.all_safe_points()
-    pool = list(space.sample_set)
-    known = set(pool)
-    for _, x in universe:
-        if x not in known:
-            pool.append(x)
-            known.add(x)
+    known = set(space.sample_set)
+    extra = list(dict.fromkeys(x for _, x in universe if x not in known))
+    pool = space.sample_set + extra if extra else space.sample_set
     bit = {x: i for i, (_, x) in enumerate(universe)}
     pool_bits = [1 << bit[x] if x in bit else 0 for x in pool]
     safe = np.array([k for k, x in enumerate(pool) if x in bit], dtype=np.intp)

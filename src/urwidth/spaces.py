@@ -117,10 +117,9 @@ class MetricSpace:
 
         This base version loops over the scalar ``dist``.  Bouquet and
         interval override it with array arithmetic in the same order; the
-        wedge of spheres fills cross-sphere entries and same-sphere entries
-        between an antipode and a sample point from per-point angles cached
-        at construction, and keeps the scalar formula for the other
-        same-sphere entries.
+        wedge of spheres fills cross-sphere entries, and same-sphere entries
+        with an antipode on either side, from each point's angle row, and
+        keeps the scalar formula for the other same-sphere entries.
         """
         out = np.empty((len(ps), len(qs)))
         for i, p in enumerate(ps):
@@ -208,13 +207,13 @@ class BouquetSpace(MetricSpace):
 class WedgeSphereSpace(MetricSpace):
     """Wedge of round k-spheres glued at a common pole.
 
-    Each sample point's angles to the pole and to the antipode of its
-    sphere are computed once at construction, from the two chords that the
-    scalar ``_unit_angle`` takes.  A cross-sphere distance is R times the
-    sum of two pole angles, and a same-sphere distance between an antipode
-    and a sample point is R times the sample's antipode angle, so ``dists``
-    fills those entries with numpy and equals ``dist`` bit for bit; the
-    other same-sphere entries stay on the scalar great-circle formula.
+    ``_row`` gives every point one angle row: pole angle, antipode angle and
+    sphere tag, cached for the sample points at construction.  A
+    cross-sphere distance is R times the sum of two pole angles, and a
+    same-sphere distance from an antipode is R times the other point's
+    antipode angle, so ``dists`` fills those entries with numpy and equals
+    ``dist`` bit for bit; other same-sphere entries stay on the scalar
+    great-circle formula.
     """
 
     kind = "wedge_spheres"
@@ -234,6 +233,7 @@ class WedgeSphereSpace(MetricSpace):
         self.seed = seed
         self.pole_dir = (1.0,) + (0.0,) * k
         self.pole = SpherePoint(0, self.pole_dir)
+        self._anti_dir = (-1.0,) + (0.0,) * k
         rng = np.random.default_rng(seed)
         pts: list[SpherePoint] = [self.pole]
         for sphere in range(1, w + 1):
@@ -252,19 +252,8 @@ class WedgeSphereSpace(MetricSpace):
                        zip(repeat(sphere), map(tuple, dirs.tolist())))
             for i in np.flatnonzero((dirs == self.pole_dir).all(axis=1)).tolist():
                 pts[start + i] = self.pole
-        # each sample's chords dm to the pole and dp to its negation, taken
-        # once: 2*atan2(dm, dp) is ``_unit_angle(u, pole_dir)`` and 2*atan2(dp,
-        # dm) is ``_unit_angle`` of u and the antipode either way round, bit
-        # for bit, since ``math.dist`` takes |a_i - b_i| coordinatewise and
-        # negation is exact; dp == 0 exactly when u is the antipode.  Each
-        # value is the point's ``_coords`` row; read-only after construction,
-        # and a point off the sample set misses it
-        neg = [-x for x in self.pole_dir]
-        self._angles = {}
-        for p in pts:
-            dm, dp = math.dist(p.u, self.pole_dir), math.dist(p.u, neg)
-            self._angles[p] = (2.0 * math.atan2(dm, dp), 2.0 * math.atan2(dp, dm),
-                               float(p.sphere), float(dp == 0.0))
+        self._angles: dict = {}  # each sample point's ``_row``, read-only after construction
+        self._angles.update((p, self._row(p)) for p in pts)
         self._sample_coords = self._coords(pts)  # before sample_set: built, not read
         self.sample_set = pts
         self.resolution = self._fill_resolution()
@@ -318,39 +307,47 @@ class WedgeSphereSpace(MetricSpace):
         return SpherePoint(sphere, vec)
 
     def antipode(self, sphere: int) -> SpherePoint:
-        return SpherePoint(sphere, (-1.0,) + (0.0,) * self.k)
+        return SpherePoint(sphere, self._anti_dir)
 
     def dist(self, p: SpherePoint, q: SpherePoint) -> float:
         if p.sphere == q.sphere:
             return self.R * _unit_angle(p.u, q.u)
         # through the glue pole; a pole-tagged point has zero pole distance
-        return self.R * (self._pole_angle(p) + self._pole_angle(q))
+        return self.R * (self._row(p)[0] + self._row(q)[0])
 
-    def _pole_angle(self, p: SpherePoint) -> float:
+    def _row(self, p: SpherePoint) -> tuple[float, float, float]:
+        """Pole angle, antipode angle and sphere tag of ``p``, cached for a
+        sample point.  From the chords dm to the pole and dp to its negation,
+        2*atan2(dm, dp) and 2*atan2(dp, dm) are ``_unit_angle`` of u and the
+        pole and of u and the antipode either way round, bit for bit, since
+        ``math.dist`` takes |a_i - b_i| coordinatewise and negation is exact."""
         row = self._angles.get(p)
-        return _unit_angle(p.u, self.pole_dir) if row is None else row[0]
+        if row is None:
+            dm, dp = math.dist(p.u, self.pole_dir), math.dist(p.u, self._anti_dir)
+            row = (2.0 * math.atan2(dm, dp), 2.0 * math.atan2(dp, dm), float(p.sphere))
+        return row
 
-    def _coords(self, pts: Sequence[SpherePoint]) -> tuple[np.ndarray, ...]:
-        """Pole angles, antipode angles (NaN off the sample set), sphere tags
-        and is-antipode flags of ``pts``; the sample set's are built once."""
+    def _coords(self, pts: Sequence[SpherePoint]) -> np.ndarray:
+        """The ``_row`` columns of ``pts``: pole angles, antipode angles and
+        sphere tags; the sample set's are built once."""
         if pts is self.sample_set and len(pts) == len(self._sample_coords[0]):
             return self._sample_coords
-        rows = (self._angles.get(p) or (_unit_angle(p.u, self.pole_dir), math.nan, p.sphere, 0.0)
-                for p in pts)
-        flat = np.fromiter(chain.from_iterable(rows), float, 4 * len(pts))
-        pole, anti, tags, flags = flat.reshape(-1, 4).T
-        return pole, anti, tags, flags != 0.0
+        flat = np.fromiter(chain.from_iterable(map(self._row, pts)), float, 3 * len(pts))
+        return flat.reshape(-1, 3).T
 
     def dists(self, ps: Sequence[SpherePoint], qs: Sequence[SpherePoint]) -> np.ndarray:
-        (ap, bp, tp, fp), (aq, bq, tq, fq) = self._coords(ps), self._coords(qs)
+        (ap, bp, tp), (aq, bq, tq) = self._coords(ps), self._coords(qs)
         out = self.R * (ap[:, None] + aq[None, :])  # the scalar's two IEEE operations
         same = tp[:, None] == tq[None, :]
-        # an antipode against a sample point: R times the sample's antipode angle
-        p_anti = fp[:, None] & ~np.isnan(bq)
-        q_anti = ~np.isnan(bp)[:, None] & fq
-        np.copyto(out, self.R * bq, where=same & p_anti)
-        np.copyto(out, (self.R * bp)[:, None], where=same & q_anti)
-        ii, jj = np.nonzero(same & ~(p_anti | q_anti))
+        # an antipode has antipode angle 0.0, as has a point one least subnormal
+        # off it (2*atan2(5e-324, 2.0) == 0.0), which a nonzero tail tells apart
+        fp, fq = bp == 0.0, bq == 0.0
+        for f, pts in ((fp, ps), (fq, qs)):
+            f[f] = [not any(pts[i].u[1:]) for i in np.flatnonzero(f).tolist()]
+        # an antipode against any point: R times the other point's antipode angle
+        np.copyto(out, self.R * bq, where=same & fp[:, None])
+        np.copyto(out, (self.R * bp)[:, None], where=same & fq)
+        ii, jj = np.nonzero(same & ~(fp[:, None] | fq))
         out[ii, jj] = [
             self.R * _unit_angle(ps[i].u, qs[j].u) for i, j in zip(ii.tolist(), jj.tolist())
         ]
@@ -404,8 +401,8 @@ class GraphSpace(MetricSpace):
                 raise ValueError(f"edge {edge!r} is not a (u, v) or (u, v, weight) list")
             u, v = map(self._vertex, edge[:2])
             weight = edge[2] if len(edge) == 3 else 1.0
-            if isinstance(weight, bool) or not isinstance(weight, Real) or not weight > 0:
-                raise ValueError(f"edge {edge!r} needs a positive number as weight")
+            if type(weight) is bool or not isinstance(weight, Real) or not 0 < weight < math.inf:
+                raise ValueError(f"edge {edge!r} needs a positive finite number as weight")
             try:
                 g.add_edge(u, v, weight=float(weight))
             except TypeError:

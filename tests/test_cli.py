@@ -549,6 +549,7 @@ def test_sample_coupon_and_permutation_commands(tmp_path):
     ("[[[0,1],[1,1]]]", 0),
     ('[[0,1,"a"]]', 2),
     ("[[0,1,NaN]]", 2),
+    ("[[0,1,Infinity]]", 2),
     ("[5]", 2),
     ("[[0]]", 2),
 ])

@@ -518,6 +518,23 @@ def test_min_ball_cover_builds_the_chosen_reference_supports(problem, d0):
     assert [t.support for t in cov.triples] == [reference[ci][0] for ci in info.chosen]
 
 
+def test_candidate_pool_is_the_sample_set_unless_a_safe_point_lies_off_it():
+    # on the grid the search scans the sample set itself, whose coordinates
+    # the space caches, not a copy
+    p = bouquet_problem(3, 10.0, 1.0, 0.5)
+    assert _candidate_balls(p, 4.0)[1] is p.space.sample_set
+    # neither interval holds a point of the 0.1 grid: each representative
+    # joins the pool after the sample set, in safe-point order
+    q = interval_union_problem([(0.61, 0.64), (0.11, 0.14)], 0.05, 11)
+    universe, pool, _ = _candidate_balls(q, 0.3)
+    expected = list(q.space.sample_set)
+    for _, x in universe:
+        if x not in expected:
+            expected.append(x)
+    assert pool == expected
+    assert pool[len(q.space.sample_set):] == [(0.11 + 0.14) / 2, (0.61 + 0.64) / 2]
+
+
 def test_bouquet_w12_cover_size():
     # the same instance as the last golden case, which checks its candidates
     _, info = min_ball_cover(bouquet_problem(12, 10.0, 1.0, 0.1), 4.0)

@@ -268,6 +268,13 @@ def test_graph_space_k4_diameter_matches_floyd_warshall():
     assert _diameter(sp, sp.sample_set) == pytest.approx(oracle) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan, True, "1"])
+def test_graph_space_rejects_a_weight_outside_the_positive_reals(weight):
+    # an infinite edge would make the graph's distances and resolution infinite
+    with pytest.raises(ValueError, match=r"edge \['a', 'b', .*\] needs a positive finite number"):
+        graph_space([["a", "b", weight], ["b", "c", 1.0]])
+
+
 def test_graph_space_rejects_disconnected_with_component_report():
     with pytest.raises(ValueError, match="components"):
         graph_space([("a", "b"), ("c", "d")])
@@ -472,13 +479,25 @@ def _kernel_points(name):
 
 def _antipode_examples(test):
     """Each antipode's row against the whole sample set, and the transpose,
-    on every sphere of every wedge: the entries read from cached angles."""
+    and against a point of its sphere off the sample set, in both orders,
+    on every sphere of every wedge: the entries read from angle rows."""
     for name in ("wedge", "wedge_k1", "wedge_k3"):
         sp = _KERNEL_SPACES[name]
         for j in range(1, sp.w + 1):
+            raw = [0.5 * j] + [-0.75] * sp.k
+            off = sp.point(j, [x / math.hypot(*raw) for x in raw])
+            assert off not in sp.sample_set
             test = example((name, [sp.antipode(j)], sp.sample_set))(test)
             test = example((name, sp.sample_set, [sp.antipode(j)]))(test)
+            test = example((name, [off], [sp.antipode(j)]))(test)
+            test = example((name, [sp.antipode(j)], [off]))(test)
     return test
+
+
+# points one least subnormal off the antipode of sphere 1, whose antipode
+# angle 2*atan2(5e-324, 2.0) is 0.0 as the antipode's is, and one two off
+_NEAR_ANTIPODES = [_KERNEL_SPACES["wedge"].point(1, u) for u in
+                   [(-1.0, 5e-324, 0.0), (-1.0, 0.0, -5e-324), (-1.0, 1e-323, 0.0)]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,6 +507,8 @@ def _antipode_examples(test):
 @example(("wedge", _KERNEL_SPACES["wedge"].sample_set[:2], []))
 @example(("wedge", [_KERNEL_SPACES["wedge"].point(1, (-1.0, -0.0, 0.0))],
           _KERNEL_SPACES["wedge"].sample_set))
+@example(("wedge", _NEAR_ANTIPODES + [_KERNEL_SPACES["wedge"].antipode(1)],
+          _NEAR_ANTIPODES + [_KERNEL_SPACES["wedge"].antipode(1)]))
 @_antipode_examples
 def test_dists_matrix_equals_scalar_dist(case):
     name, ps, qs = case
