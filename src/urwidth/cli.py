@@ -8,9 +8,10 @@ flags, writes the same files and prints a summary: ``space``,
 ``problem``, ``width``, ``machine`` and ``nerve`` build the kind of the
 same name, ``sample --experiment E`` the kind E, ``vc`` ``vc_separation``.
 ``verify`` re-checks a stored certificate without trusting its
-intermediate values.  A command computes all of its files before
-``_write`` creates the output directory, so a refused command writes
-nothing.
+intermediate values.  ``main`` takes every other subcommand through
+one pipeline and computes all of its files before ``_write`` creates
+the output directory, so a refused command writes nothing; every
+refusal, ``verify``'s included, prints after ``config error: ``.
 
 Exit codes: 0 pass, 1 check failed, 2 config error.  The default output
 directory is taken from the URWIDTH_OUT environment variable when set.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -80,7 +82,7 @@ def _out_dir(out_flag: str | None) -> Path:
     return Path(out_flag or os.environ.get("URWIDTH_OUT") or ".")
 
 
-def _write(out_flag: str | None, files: dict[str, str]) -> Path:
+def _write(out_flag: str | None, files: dict[str, str]) -> None:
     """Create the output directory and write ``{file name: text}`` into it.
 
     All or nothing: if a write fails, every file written so far gets its
@@ -107,11 +109,15 @@ def _write(out_flag: str | None, files: dict[str, str]) -> Path:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise ValueError(f"cannot write output directory {out}: {exc}") from exc
-    return out
 
 
 def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _rows_csv(rows) -> str:
+    """CSV of a nonempty list of dataclass rows, one column per field in field order."""
+    return csv_text([f.name for f in dataclasses.fields(rows[0])], map(dataclasses.astuple, rows))
 
 
 def _decode(source, parse, text: str):
@@ -257,32 +263,29 @@ def _run_machine(cfg):
         f"{trace.errors} prediction errors over {len(stream)} steps")
 
 
-def _run_sweep(cfg):
+def _sweep(cfg):
     stats = threshold_sweep(cfg["ws"], cfg["ratios"], cfg["trials"], cfg["seed"])
     series = []
     for w in cfg["ws"]:
         pts = [(r.ratio, r.rate) for r in stats.rows if r.w == w]
         series.append((f"w={w}", [x for x, _ in pts], [y for _, y in pts]))
-    return EXIT_OK, {
-        "sweep.csv": csv_text(
-            ["w", "n", "ratio", "trials", "successes", "rate", "wilson_lo",
-             "wilson_hi", "p_all_seen", "p_one_missed", "p_multi_missed", "seed"],
-            ([r.w, r.n, r.ratio, r.trials, r.successes, r.rate, r.wilson_lo,
-              r.wilson_hi, r.p_all_seen, r.p_one_missed, r.p_multi_missed, r.seed]
-             for r in stats.rows),
-        ),
+    return stats, {
+        "sweep.csv": _rows_csv(stats.rows),
         "success_vs_ratio.svg": line_plot(series, title="learner success vs n/(w ln w)",
                                           xlabel="n / (w ln w)", ylabel="success rate"),
         "crossings.json": _json({str(w): r for w, r in stats.crossings.items()}),
-    }, f"2/3-success crossings: {stats.crossings}"
+    }
+
+
+def _run_sweep(cfg):
+    stats, files = _sweep(cfg)
+    return EXIT_OK, files, f"2/3-success crossings: {stats.crossings}"
 
 
 def _coupon(cfg):
     problems = {w: bouquet_problem(w, cfg["L"], cfg["gamma"], cfg["h"]) for w in cfg["ws"]}
     rows = coupon_stats(problems, cfg["trials"], cfg["seed"])
-    return rows, {"coupon.csv": csv_text(
-        ["w", "trials", "mean", "median", "analytic_mean", "seed"],
-        ([r.w, r.trials, r.mean, r.median, r.analytic_mean, r.seed] for r in rows))}
+    return rows, {"coupon.csv": _rows_csv(rows)}
 
 
 def _run_coupon(cfg):
@@ -343,12 +346,10 @@ def _run_hierarchy(cfg):
         files[f"width_w{w}.json"] = _json(bracket_doc(p, br))
         rows.append([w, br.lb, br.ub, br.exact])
     files["hierarchy.csv"] = csv_text(["w", "lb", "ub", "exact"], rows)
+    ws = [float(r[0]) for r in rows]
     files["hierarchy.svg"] = line_plot(
-        [("lb", [float(r[0]) for r in rows], [float(r[1]) for r in rows]),
-         ("ub", [float(r[0]) for r in rows], [float(r[2]) for r in rows])],
-        title="width bracket vs loop count",
-        xlabel="w", ylabel="width",
-    )
+        [("lb", ws, [float(r[1]) for r in rows]), ("ub", ws, [float(r[2]) for r in rows])],
+        title="width bracket vs loop count", xlabel="w", ylabel="width")
     bad = [r for r in rows if not (r[1] == r[2] == r[0])]
     return (EXIT_OK if not bad else EXIT_CHECK_FAILED), files, ""
 
@@ -367,7 +368,7 @@ def _run_scaling(cfg):
 
 
 def _run_sample_complexity(cfg):
-    _, files, _ = _run_sweep(cfg)
+    _, files = _sweep(cfg)
     _, coupon_files = _coupon({"L": 10.0, "gamma": 1.0, "h": 0.5, **cfg,
                                "trials": cfg.get("coupon_trials", cfg["trials"])})
     return EXIT_OK, {**files, **coupon_files}, ""
@@ -448,7 +449,12 @@ def _check_config(cfg: dict) -> dict:
     """Refuse a missing, unknown or mistyped field of the config's experiment kind; return
     the config with float fields as floats, and the float parameters of a ``problem``
     family document too, so no artifact depends on a number's spelling."""
+    if "experiment" not in cfg:
+        raise ValueError("config missing required field 'experiment'")
     kind = cfg["experiment"]
+    if not isinstance(kind, str) or kind not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment kind {kind!r}; expected one of "
+                         f"{sorted(_EXPERIMENTS)}")
     _, required, optional = _EXPERIMENTS[kind]
     for key in required:
         if key not in cfg:
@@ -509,12 +515,19 @@ def _sample_flags(a) -> tuple[str, dict]:
     return a.experiment, dict(vars(a), ws=ws, w=ws[0], ratios=ratios)
 
 
+def _file_config(args) -> dict:
+    """The config that ``run``'s config file holds."""
+    try:
+        return _decode(args.config, parse_config_text, Path(args.config).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
+
+
 def cmd_verify(args) -> int:
     try:
         doc = _decode(args.certificate, json.loads, Path(args.certificate).read_text())
     except (OSError, ValueError) as exc:  # json.JSONDecodeError included
-        print(f"cannot read certificate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"cannot read certificate: {exc}") from exc
     ok, messages = verify_bracket(doc)
     if ok:
         print("certificate verified: all stored values reproduced")
@@ -539,47 +552,6 @@ def _earlier_artifacts(out: Path) -> list[str]:
     return listed
 
 
-def cmd_run(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    cfg = _decode(args.config, parse_config_text, text)
-    if "experiment" not in cfg:
-        print("config missing required field 'experiment'", file=sys.stderr)
-        return EXIT_CONFIG
-    kind = cfg["experiment"]
-    if not isinstance(kind, str) or kind not in _EXPERIMENTS:
-        print(f"unknown experiment kind {kind!r}; expected one of "
-              f"{sorted(_EXPERIMENTS)}", file=sys.stderr)
-        return EXIT_CONFIG
-    cfg = _check_config(cfg)
-    out_dir = _out_dir(args.out or cfg.get("out"))
-    earlier = _earlier_artifacts(out_dir)  # a bad manifest fails before the work
-    started = time.time()
-    code, files, _ = _EXPERIMENTS[kind][0](cfg)
-    artifacts = sorted(files)
-    files["manifest.json"] = _json({
-        "experiment": kind,
-        "config": cfg,
-        "config_sha256": config_hash(cfg),
-        "version": __version__,
-        "python": sys.version.split()[0],
-        "artifacts": artifacts,
-        "wall_clock_s": round(time.time() - started, 3),
-    })
-    # an earlier file this run does not rewrite would sit beside a manifest not naming it
-    stale = sorted(a for a in set(earlier) - set(files) if (out_dir / a).exists())
-    if stale:
-        raise ValueError(f"{out_dir} holds artifacts of an earlier run that this run would "
-                         f"not write: {', '.join(stale)}; remove them or choose another --out")
-    out = _write(str(out_dir), files)
-    print(f"experiment {kind}: {'pass' if code == EXIT_OK else 'CHECK FAILED'} "
-          f"({len(artifacts)} artifacts in {out})")
-    return code
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="urwidth", description=(
         "local width laboratory: spaces, problems, certificates, machine simulation, "
@@ -588,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
+    out.set_defaults(make_config=_flag_config)  # run's own default replaces it
     space = argparse.ArgumentParser(add_help=False, parents=[out])
     space.add_argument("--w", type=int, default=3)
     space.add_argument("-L", "--length", dest="L", type=float, default=10.0)
@@ -654,23 +627,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     rn = sub.add_parser("run", parents=[out], help="run an experiment from a config file")
     rn.add_argument("config")
-    rn.set_defaults(func=cmd_run)
+    rn.set_defaults(make_config=_file_config)
 
     vf = sub.add_parser("verify", help="re-check a stored certificate")
     vf.add_argument("certificate")
-    vf.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Every subcommand but verify: config, check, runner, run's manifest, write, print."""
     args = build_parser().parse_args(argv)
     try:
-        if "func" in args:  # run and verify
-            return args.func(args)
-        cfg = _check_config(_flag_config(args))
-        code, files, summary = _EXPERIMENTS[cfg["experiment"]][0](cfg)
-        _write(cfg.get("out"), files)
+        if args.command == "verify":
+            return cmd_verify(args)
+        cfg = _check_config(args.make_config(args))
+        kind, run = cfg["experiment"], args.command == "run"
+        out = _out_dir(args.out or cfg.get("out"))
+        earlier = _earlier_artifacts(out) if run else []  # a bad manifest fails before the work
+        started = time.time()
+        code, files, summary = _EXPERIMENTS[kind][0](cfg)
+        if run:
+            artifacts = sorted(files)
+            files["manifest.json"] = _json({
+                "experiment": kind, "config": cfg, "config_sha256": config_hash(cfg),
+                "version": __version__, "python": sys.version.split()[0],
+                "artifacts": artifacts, "wall_clock_s": round(time.time() - started, 3)})
+            # an earlier file this run does not rewrite would sit beside a manifest not naming it
+            stale = sorted(a for a in set(earlier) - set(files) if (out / a).exists())
+            if stale:
+                raise ValueError(f"{out} holds artifacts of an earlier run that this run would not "
+                                 f"write: {', '.join(stale)}; remove them or choose another --out")
+            summary = (f"experiment {kind}: {'pass' if code == EXIT_OK else 'CHECK FAILED'} "
+                       f"({len(artifacts)} artifacts in {out})")
+        _write(str(out), files)
         print(summary)
         return code
     except ValueError as exc:  # json.JSONDecodeError included

@@ -214,6 +214,8 @@ def permutation_learner_experiment(
         raise ValueError("need at least one region")
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
+    if n < 0:
+        raise ValueError(f"need a nonnegative sample budget, got n={n}")
     # rng.choice(w, p=uniform)'s draws from its CDF (choice without p draws integers)
     cdf = np.full(w, 1.0 / w).cumsum()
     cdf /= cdf[-1]
@@ -273,6 +275,9 @@ def threshold_sweep(
     for w in w_list:
         if w < 2:  # w ln w vanishes at w = 1
             raise ValueError(f"sweep needs w >= 2 for the ratio n/(w ln w), got w={w}")
+    for ratio in ratios:
+        if not math.isfinite(ratio):
+            raise ValueError(f"sweep needs finite ratios n/(w ln w), got ratio={ratio}")
     rows = []
     crossings: dict[int, float] = {}
     for w in w_list:

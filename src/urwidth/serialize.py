@@ -207,6 +207,7 @@ def parse_config_text(text: str) -> dict:
     A value is the JSON fragment it starts with when only blanks or a
     comment follow, else the text before the first '#' as a bare string."""
     out: dict[str, Any] = {}
+    set_on: dict[str, int] = {}  # key -> its line
     for lineno, raw in enumerate(text.splitlines(), 1):
         head = raw.split("#", 1)[0]
         if not head.strip():
@@ -214,6 +215,9 @@ def parse_config_text(text: str) -> dict:
         if "=" not in head:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in raw.split("=", 1))
+        if key in set_on:
+            raise ValueError(f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             obj, end = json.JSONDecoder().raw_decode(value)
         except json.JSONDecodeError:

@@ -101,6 +101,18 @@ def test_config_text_roundtrip():
         parse_config_text("no equals sign here")
 
 
+def test_repeated_config_key_is_refused(tmp_path, capsys):
+    text = 'experiment = "sweep"\nws = [4]\n# a comment\nws = [8]\n'
+    with pytest.raises(ValueError, match="line 4: key 'ws' is already set on line 2"):
+        parse_config_text(text)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text + 'ratios = [1.0]\ntrials = 5\nseed = 1\n')
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "key 'ws' is already set on line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_hash_sign_inside_a_json_string_is_kept(tmp_path, monkeypatch):
     assert parse_config_text('out = "dir#one"  # a comment\nw = 2 # loops\nx = a#b\n') == {
         "out": "dir#one", "w": 2, "x": "a"}
@@ -311,6 +323,23 @@ def test_run_unknown_experiment(tmp_path):
     cfg = tmp_path / "odd.cfg"
     cfg.write_text("experiment = \"frobnicate\"\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("run", None, "cannot read config: "),
+    ("run", "w = 2\n", "config missing required field 'experiment'"),
+    ("run", 'experiment = "frobnicate"\n',
+     "unknown experiment kind 'frobnicate'; expected one of ['additivity', "),
+    ("verify", None, "cannot read certificate: "),
+], ids=["missing_config", "no_experiment", "unknown_kind", "missing_certificate"])
+def test_unreadable_or_kindless_input_is_config_error(tmp_path, capsys, command, text, message):
+    path = tmp_path / "odd.cfg"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, str(path)] + (["--out", str(out)] if command == "run" else [])) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
 
 
 def test_run_additivity(tmp_path):
@@ -532,6 +561,21 @@ def test_permutation_refuses_more_than_one_w(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--experiment", "permutation", "--ws", "4", "--budget", "-3"],
+    {"experiment": "permutation", **_VALID_CONFIGS["permutation"], "budget": -1},
+], ids=["sample", "run"])
+def test_negative_permutation_budget_is_config_error(tmp_path, capsys, argv):
+    if isinstance(argv, dict):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(format_config(argv))
+        argv = ["run", str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "need a nonnegative sample budget, got n=-" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_coupon_and_permutation_commands(tmp_path):
     out = str(tmp_path / "c")
     assert main(["sample", "--experiment", "coupon", "--ws", "4,8",
@@ -632,9 +676,15 @@ def test_problem_rejects_malformed_intervals(tmp_path, capsys, intervals, needle
      "tolerance must be nonnegative and finite"),
     ({"experiment": "machine_run", **_VALID_CONFIGS["machine_run"], "d0": math.inf},
      "D0 must be finite"),
+    (["sample", "--experiment", "sweep", "--ws", "4", "--ratios", "1,inf"], "ratio=inf"),
+    (["sample", "--experiment", "sweep", "--ws", "4", "--ratios", "nan"], "ratio=nan"),
+    ({"experiment": "sweep", **_VALID_CONFIGS["sweep"], "ratios": [math.inf]}, "ratio=inf"),
+    ({"experiment": "sample_complexity", **_VALID_CONFIGS["sample_complexity"],
+      "ratios": [1.0, -math.inf]}, "ratio=-inf"),
 ], ids=["d0", "L", "wedge_R_inf", "wedge_R_nan", "wedge_problem_R_nan",
         "scaled_gamma_nan", "interval_gamma_nan", "machine_tau_nan", "machine_tau_inf",
-        "machine_d0_inf", "run_machine_tau_nan", "run_machine_d0_inf"])
+        "machine_d0_inf", "run_machine_tau_nan", "run_machine_d0_inf", "sweep_ratio_inf",
+        "sweep_ratio_nan", "run_sweep_ratio_inf", "run_sample_complexity_ratio_minus_inf"])
 def test_infinite_inputs_are_config_errors(tmp_path, capsys, argv, needle):
     if isinstance(argv, dict):
         cfg = tmp_path / "bad.cfg"

@@ -95,6 +95,21 @@ def test_single_missed_region_always_succeeds():
     assert res.n_one_missed == 500
 
 
+def test_learner_refuses_a_negative_budget_before_it_draws():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="nonnegative sample budget, got n=-3"):
+        permutation_learner_experiment(4, -3, 10, rng)
+    assert rng.bit_generator.state == state
+    assert permutation_learner_experiment(4, 0, 10, rng).n_all_seen == 0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_sweep_refuses_a_non_finite_ratio(bad):
+    with pytest.raises(ValueError, match=f"got ratio={bad}"):
+        threshold_sweep([4], [1.0, bad], 5, 1)
+
+
 def test_learner_succeeds_with_generous_budget():
     w = 16
     n = math.ceil(10 * w * math.log(w))
