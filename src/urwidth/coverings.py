@@ -21,9 +21,11 @@ Certificates come in two independent halves:
   certificate).
 * upper bound -- an explicit covering, either the canonical one (one
   constant-label triple per safe set) or the result of an exact
-  minimum-cover search over geodesic-ball candidates (bitmask dynamic
-  programming up to 24 safe points, greedy with the classical ln-factor
-  beyond).
+  minimum-cover search over geodesic-ball candidates (a memoized
+  branch-and-bound search over bitmasks up to 24 safe points, pruned by a
+  packing bound; greedy with the classical ln-factor beyond).  The
+  candidates come from one pass over the pool's distance matrix, shared
+  by the step graph and every centre's balls.
 
 The bracket is exact when the two halves meet; ``certify`` joins them for
 one covering, and both ``width_bracket`` and ``serialize.verify_bracket``
@@ -43,7 +45,7 @@ import networkx as nx
 import numpy as np
 
 from .problems import TOL, MarginProblem, validate_margin
-from .spaces import BLOCK, MetricSpace, _step_graph, support_check
+from .spaces import BLOCK, MetricSpace, _dist_blocks, _step_graph, support_check
 
 __all__ = [
     "UrysohnTriple",
@@ -237,7 +239,10 @@ def _candidate_balls(problem, d0):
     ``near``, its pool indices sorted by distance: masks are prefix ORs of
     the safe bits, and each radius adds only its new points to a union-find
     over the step graph, which comes with the largest pool distance from
-    ``_step_graph``.  A candidate keeps only its mask, ``near`` and
+    ``_step_graph``.  The pool x pool distance blocks are made once and
+    serve both: the step graph reads them all, and each block of centre
+    rows is the head of the pool block it lies in, since the pool starts
+    with the sample set.  A candidate keeps only its mask, ``near`` and
     ``size``; ``_ball_support`` builds its points, here only for an
     exact-diameter check.
     """
@@ -250,7 +255,8 @@ def _candidate_balls(problem, d0):
     bit = {x: i for i, (_, x) in enumerate(universe)}
     pool_bits = [1 << bit[x] if x in bit else 0 for x in pool]
     safe = np.array([k for k, x in enumerate(pool) if x in bit], dtype=np.intp)
-    nbrs, far = _step_graph(space, pool, h)  # every ball past ``far`` is the whole pool
+    blocks = list(_dist_blocks(space, pool))
+    nbrs, far = _step_graph(blocks, h)  # every ball past ``far`` is the whole pool
     step = space.resolution / 2
     top = min(d0 / 2, far)
     radii = [step * i for i in range(1, int(math.floor(top / step + TOL)) + 1)]
@@ -261,7 +267,7 @@ def _candidate_balls(problem, d0):
     seen_masks = set()
     n_centres = len(space.sample_set)
     for start in range(0, n_centres, BLOCK):
-        rows = space.dists(pool[start : min(start + BLOCK, n_centres)], pool)
+        rows = blocks[start // BLOCK][: n_centres - start]
         for row in rows[(rows[:, safe] <= bounds[-1]).any(axis=1)]:
             near = np.flatnonzero(row <= bounds[-1])
             near = near[np.argsort(row[near], kind="stable")]
@@ -309,7 +315,7 @@ def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, 
     """Minimum covering of the sampled safe points by geodesic balls.
 
     D0 must be finite and >= 0.  The search reads only candidate masks:
-    exact bitmask dynamic programming up to ``EXACT_LIMIT`` safe samples,
+    exact branch and bound over bitmasks up to ``EXACT_LIMIT`` safe samples,
     deterministic greedy beyond, with the method on the certificate; only
     the chosen balls' supports are built.  Labels come per point from safe
     membership, consistent since safe sets are pairwise disjoint; an
@@ -359,7 +365,12 @@ def _exact_cover(full: int, masks: list[int]) -> list[int]:
     branching on the least-covered element, ties to the lowest index.
 
     Elements are relabelled once by (cover count, index), so that element
-    is the lowest set bit of the relabelled mask."""
+    is the lowest set bit of the relabelled mask.  A branch is skipped when
+    one plus the ``_packing_bound`` of what it leaves reaches the length of
+    the best cover found so far: it cannot be strictly shorter, and only a
+    strictly shorter branch replaces the best.  So each call still returns
+    what the unpruned search would, a pure function of its mask, and the
+    memo and the chosen list are unchanged."""
     cover_of = [[i for i, m in enumerate(masks) if (m >> e) & 1]
                 for e in range(full.bit_length())]
     order = sorted(range(len(cover_of)), key=lambda e: (len(cover_of[e]), e))
@@ -371,6 +382,8 @@ def _exact_cover(full: int, masks: list[int]) -> list[int]:
             relabelled[ci] |= 1 << r
         if (full >> e) & 1:
             start |= 1 << r
+    reach = [reduce(or_, map(relabelled.__getitem__, cover_of[r]), 1 << r)
+             for r in range(len(order))]
 
     @lru_cache(maxsize=None)
     def rec(rem: int) -> tuple | None:
@@ -378,7 +391,10 @@ def _exact_cover(full: int, masks: list[int]) -> list[int]:
             return ()
         best = None
         for ci in cover_of[(rem & -rem).bit_length() - 1]:
-            sub = rec(rem & ~relabelled[ci])
+            left = rem & ~relabelled[ci]
+            if best is not None and 1 + _packing_bound(left, reach) >= len(best):
+                continue
+            sub = rec(left)
             if sub is not None and (best is None or len(sub) + 1 < len(best)):
                 best = (ci,) + sub
         return best
@@ -387,6 +403,20 @@ def _exact_cover(full: int, masks: list[int]) -> list[int]:
     rec.cache_clear()
     assert result is not None  # feasibility pre-checked by the caller
     return sorted(result)
+
+
+def _packing_bound(rem: int, reach: list[int]) -> int:
+    """A lower bound on the size of any cover of ``rem``.
+
+    ``reach[e]`` is element e's own bit ORed with every candidate mask that
+    holds e.  The bound takes the lowest element of ``rem``, clears its
+    reach and counts, until nothing is left: the elements taken pairwise
+    share no candidate, so each needs a set of its own."""
+    count = 0
+    while rem:
+        rem &= ~reach[(rem & -rem).bit_length() - 1]
+        count += 1
+    return count
 
 
 def _greedy_cover(full: int, masks: list[int]) -> list[int]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from itertools import chain, repeat
 from numbers import Real
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
@@ -533,17 +533,22 @@ def disjoint_union(
     return DisjointUnionSpace(left, right, s)
 
 
-def _step_graph(space: MetricSpace, pts: Sequence, h: float) -> tuple[list[list[int]], float]:
+def _dist_blocks(space: MetricSpace, pts: Sequence) -> Iterator[np.ndarray]:
+    """``space.dists(pts, pts)`` as a lazy run of BLOCK-row blocks."""
+    return (space.dists(pts[lo : lo + BLOCK], pts) for lo in range(0, len(pts), BLOCK))
+
+
+def _step_graph(blocks: Iterable[np.ndarray], h: float) -> tuple[list[list[int]], float]:
     """Each point's step neighbours at step ``h`` and the largest distance.
 
-    One pass over ``space.dists``, BLOCK rows at a time: row i's indices
-    with d <= h are point i's neighbours.  Every metric here is symmetric
-    bit for bit with d(p, p) = 0, so the graph is undirected and the
-    largest entry is the diameter of ``pts``.
+    ``blocks`` are a point list's distance rows against all its points, in
+    order and BLOCK rows at a time (``_dist_blocks``): row i's indices with
+    d <= h are point i's neighbours.  Every metric here is symmetric bit
+    for bit with d(p, p) = 0, so the graph is undirected and the largest
+    entry is the diameter of the points.
     """
     nbrs, far = [], 0.0
-    for lo in range(0, len(pts), BLOCK):
-        block = space.dists(pts[lo : lo + BLOCK], pts)
+    for block in blocks:
         far = max(far, float(block.max()))
         rows, cols = np.nonzero(block <= h)
         ends = np.bincount(rows, minlength=len(block)).cumsum().tolist()
@@ -554,12 +559,13 @@ def _step_graph(space: MetricSpace, pts: Sequence, h: float) -> tuple[list[list[
 
 def support_check(space: MetricSpace, pts: Sequence, h: float) -> tuple[bool, float]:
     """Chain connectivity at step ``h`` (a BFS over the step graph) and
-    diameter of a nonempty point list, from one ``_step_graph`` pass."""
+    diameter of a nonempty point list, from one ``_step_graph`` pass over
+    lazily made distance blocks, so only one block is alive at a time."""
     if not h > 0:  # NaN fails too
         raise ValueError(f"step bound must be positive, got h={h}")
     if not pts:
         raise ValueError("support_check of an empty point list")
-    nbrs, diameter = _step_graph(space, pts, h)
+    nbrs, diameter = _step_graph(_dist_blocks(space, pts), h)
     seen, stack = {0}, [0]
     while stack:
         for j in nbrs[stack.pop()]:

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from urwidth.coverings import (
     _ball_support,
     _candidate_balls,
     _exact_cover,
+    _packing_bound,
     canonical_covering,
     certify,
     default_step,
@@ -535,6 +538,27 @@ def test_candidate_pool_is_the_sample_set_unless_a_safe_point_lies_off_it():
     assert pool[len(q.space.sample_set):] == [(0.11 + 0.14) / 2, (0.61 + 0.64) / 2]
 
 
+@pytest.mark.parametrize("make, d0", [
+    # the golden case two grid steps above 3*gamma/2, whose balls at D0/2
+    # also take exact-diameter checks
+    (lambda: bouquet_problem(8, 16.0, 1.0, 0.4),
+     parameter_window("bouquet", L=16.0, gamma=1.0).lo + 2 * 0.4),
+    # the off-grid case above: the pool is longer than the sample set
+    (lambda: interval_union_problem([(0.61, 0.64), (0.11, 0.14)], 0.05, 11), 0.3),
+], ids=["bouquet", "interval-off-grid"])
+def test_candidate_balls_take_one_pool_distance_pass(monkeypatch, make, d0):
+    # the step graph and the centre rows share one pass over the pool x
+    # pool distances; every other request is a support against itself
+    p = make()
+    p.all_safe_points()  # the safe sets are cached, each built from its own rows
+    calls, dists = [], type(p.space).dists
+    monkeypatch.setattr(type(p.space), "dists",
+                        lambda self, ps, qs: calls.append((ps, qs)) or dists(self, ps, qs))
+    _, pool, _ = _candidate_balls(p, d0)
+    assert sum(len(ps) for ps, qs in calls if qs is pool) == len(pool)
+    assert all(ps is qs for ps, qs in calls if qs is not pool)
+
+
 def test_bouquet_w12_cover_size():
     # the same instance as the last golden case, which checks its candidates
     _, info = min_ball_cover(bouquet_problem(12, 10.0, 1.0, 0.1), 4.0)
@@ -605,3 +629,75 @@ def test_exact_cover_matches_scan_oracle(data):
     if full & ~covered:
         masks.insert(data.draw(st.integers(0, len(masks))), full & ~covered)
     assert _exact_cover(full, masks) == _exact_cover_scan_oracle(full, masks)
+
+
+def _reach(n, masks):
+    """Each element's own bit ORed with every mask that holds it."""
+    return [reduce(or_, (m for m in masks if (m >> e) & 1), 1 << e) for e in range(n)]
+
+
+def _block_family(data, whole_groups=False):
+    """(n, groups, masks): n <= 16 elements dealt into groups, every mask
+    inside one group, as the safe samples of separated classes are, with
+    repeated masks; every element is covered, and with ``whole_groups``
+    each group's own mask is among the masks."""
+    n = data.draw(st.integers(1, 16))
+    group_of = data.draw(st.lists(st.integers(0, data.draw(st.integers(0, n - 1))),
+                                  min_size=n, max_size=n))
+    groups = [[e for e in range(n) if group_of[e] == g] for g in sorted(set(group_of))]
+    inside = st.sampled_from(groups).flatmap(
+        lambda grp: st.sets(st.sampled_from(grp), min_size=1).map(lambda es: sum(1 << e for e in es)))
+    masks = data.draw(st.lists(inside, min_size=1, max_size=16))
+    masks += data.draw(st.lists(st.sampled_from(masks), max_size=4))
+    covered = reduce(or_, masks)
+    for grp in groups:
+        whole = sum(1 << e for e in grp)
+        if whole_groups or whole & ~covered:
+            masks.insert(data.draw(st.integers(0, len(masks))),
+                         whole if whole_groups else whole & ~covered)
+    return n, groups, masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exact_cover_matches_scan_oracle_on_block_families(data):
+    # one class's safe samples never share a ball with another's, so the
+    # packing bound is exact wherever each group holds its whole mask
+    n, _, masks = _block_family(data, whole_groups=data.draw(st.booleans()))
+    full = (1 << n) - 1
+    if data.draw(st.booleans()):
+        full = data.draw(st.integers(1, full))  # a universe with holes
+    assert _exact_cover(full, masks) == _exact_cover_scan_oracle(full, masks)
+
+
+def test_exact_cover_matches_scan_oracle_on_a_w6_bouquet():
+    # a w = 6 instance of the cover_search benchmark (seed 1): the unpruned
+    # search memoizes 9,556 uncovered masks, the bounded one 13
+    p = bouquet_problem(6, 9.076649728341469, 0.6915098795078244, 0.31420133914878506)
+    universe, _, candidates = _candidate_balls(p, 3.0196237704895514)
+    full, masks = (1 << len(universe)) - 1, [m for m, _, _ in candidates]
+    assert (len(universe), len(masks)) == (24, 54)
+    chosen = _exact_cover(full, masks)
+    assert chosen == _exact_cover_scan_oracle(full, masks) == [3, 12, 21, 30, 39, 48]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packing_bound_is_at_most_the_minimum_cover(data):
+    n = data.draw(st.integers(1, 10))
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
+    covered = reduce(or_, masks)
+    rem = data.draw(st.integers(0, covered)) & covered
+    least = next(size for size in range(len(masks) + 1)
+                 for combo in itertools.combinations(masks, size)
+                 if rem & ~reduce(or_, combo, 0) == 0)
+    assert _packing_bound(rem, _reach(n, masks)) <= least
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packing_bound_counts_the_groups_on_block_families(data):
+    n, groups, masks = _block_family(data, whole_groups=True)
+    rem = data.draw(st.integers(0, (1 << n) - 1))
+    touched = sum(1 for grp in groups if any((rem >> e) & 1 for e in grp))
+    assert _packing_bound(rem, _reach(n, masks)) == touched
