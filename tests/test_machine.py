@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from urwidth.machine import (
     _EVAL_TOL,
+    FOLD_BLOCK,
     LibraryEntry,
     StepRecord,
     alarm,
@@ -20,7 +21,13 @@ from urwidth.machine import (
 )
 from urwidth.problems import bouquet_problem
 from urwidth.sampling import sample_safe, sampling_distribution
-from urwidth.spaces import bouquet_space, graph_space, interval_space
+from urwidth.spaces import (
+    bouquet_space,
+    disjoint_union,
+    graph_space,
+    interval_space,
+    wedge_sphere_space,
+)
 
 
 def _fresh(space):
@@ -67,6 +74,17 @@ def test_label_outside_concept_space_rejected():
     st = machine_new(sp, 0.0, 4.0, 2.0, labels=(1, 2, 3))
     with pytest.raises(ValueError):
         step(st, (sp.point(1, 3.0), 9))
+
+
+@pytest.mark.parametrize("labels", [[], (), set(), iter(())], ids=["list", "tuple", "set", "iter"])
+def test_empty_label_set_is_refused(labels):
+    # an empty concept space used to switch the label check off
+    sp = interval_space(11)
+    with pytest.raises(ValueError, match="empty label set"):
+        machine_new(sp, 0.0, 0.2, 0.1, labels=labels)
+    with pytest.raises(ValueError, match="empty label set"):
+        replay_log(sp, 0.0, 0.2, 0.1, [], labels=[])
+    assert machine_new(sp, 0.0, 0.2, 0.1, labels=[0]).labels == (0,)
 
 
 def test_three_region_stream_grows_to_exactly_three():
@@ -193,6 +211,10 @@ _SPACES = {
     # integer weights: many exactly tied residues
     "graph": graph_space([(i, (i + 1) % 12) for i in range(12)]
                          + [(0, 6, 2), (3, 9, 3), (12, 0)]),
+    # antipode rows, cross-sphere sums and scalar same-sphere angles
+    "wedge": wedge_sphere_space(2, 2, 1.0, n=16, seed=3),
+    # the base class's loop over the scalar dist
+    "union": disjoint_union(interval_space(9), bouquet_space(2, 4.0, 0.5), 1.0),
 }
 
 
@@ -233,25 +255,66 @@ def _machine_cases(draw):
     return space, tau, r_construct, draw(st.sampled_from([labels, None])), prefix, stream
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_machine_cases())
 def test_fold_matches_per_sample_reference(case):
     _assert_same_run(*case)
 
 
-@pytest.mark.parametrize("kind, r", [("bouquet", 0.5), ("graph", 0.5), ("interval", 0.05)])
+def _mid_block(i):
+    """Row ``i`` lies past the first fold block and on neither edge of its own."""
+    return i > FOLD_BLOCK and i % FOLD_BLOCK not in (0, FOLD_BLOCK - 1)
+
+
+@pytest.mark.parametrize("kind, r", [("bouquet", 0.5), ("graph", 0.5), ("interval", 0.05),
+                                     ("wedge", 0.5), ("union", 0.5)])
 def test_fold_constructs_mid_block(kind, r):
     # a stream that walks the sample set keeps reaching new ground: constructs
     # fall inside blocks, and the later rows of a block must see them
     space = _SPACES[kind]
     rng = np.random.default_rng(5)
-    stream = [(x, 1 + int(rng.integers(3))) for x in space.sample_set for _ in range(7)]
+    reps = max(7, 2 * FOLD_BLOCK // len(space.sample_set))  # at least two blocks
+    stream = [(x, 1 + int(rng.integers(3))) for x in space.sample_set for _ in range(reps)]
     ref = machine_new(space, 0.0, 2 * r, r)
     constructs = [rec.index for rec in (_ref_step(ref, s) for s in stream)
                   if rec.kind == "construct"]
-    assert len(stream) > 64 and any(i > 64 and i % 64 not in (0, 63) for i in constructs)
+    assert len(stream) > FOLD_BLOCK and any(map(_mid_block, constructs))
     _assert_same_run(space, 0.0, r, None, [], stream)
     _assert_same_run(space, 0.25, r, (1, 2, 3), stream[:5], stream[5:])
+
+
+@pytest.mark.parametrize("draws", ["distinct", "random"])
+def test_block_that_starts_on_an_empty_library(draws):
+    # the first block starts on an empty library, so every row is a candidate:
+    # distinct points whose balls hold no neighbour all construct, and random
+    # draws from the grid mix constructs and evaluates
+    space = interval_space(4 * FOLD_BLOCK + 1)
+    rng = np.random.default_rng(8)
+    if draws == "distinct":
+        r, xs = 0.1 / FOLD_BLOCK, rng.permutation(space.sample_set)[:FOLD_BLOCK].tolist() * 2
+    else:
+        r, xs = 0.02, rng.choice(space.sample_set, 2 * FOLD_BLOCK).tolist()
+    stream = [(x, 1 + int(rng.integers(3))) for x in xs]
+    ref = machine_new(space, 0.0, 2 * r, r)
+    kinds = [_ref_step(ref, s).kind for s in stream[:FOLD_BLOCK]]
+    if draws == "distinct":
+        assert kinds == ["construct"] * FOLD_BLOCK
+    else:
+        assert 1 < kinds.count("construct") < FOLD_BLOCK - 1
+    _assert_same_run(space, 0.0, r, None, [], stream)
+
+
+def test_construct_on_a_block_last_row():
+    # the first block's last row constructs as a later candidate of that
+    # block; the second block's last row is its first and only construct
+    space = interval_space(11)
+    last = FOLD_BLOCK - 1
+    stream = [(0.0, 1)] * last + [(1.0, 2)] + [(0.0, 1)] * last + [(0.5, 3), (0.5, 3), (1.0, 2)]
+    ref = machine_new(space, 0.0, 0.2, 0.1)
+    constructs = [rec.index for rec in (_ref_step(ref, s) for s in stream)
+                  if rec.kind == "construct"]
+    assert constructs == [0, FOLD_BLOCK - 1, 2 * FOLD_BLOCK - 1]
+    _assert_same_run(space, 0.0, 0.1, (1, 2, 3), [], stream)
 
 
 def test_exact_residue_ties_keep_lowest_entry():
@@ -276,7 +339,8 @@ def test_residue_exactly_at_the_tolerance_evaluates():
     _assert_same_run(sp, tau, 0.25, None, [], stream)
 
 
-@pytest.mark.parametrize("k", [0, 5, 63, 64, 100])
+@pytest.mark.parametrize("k", sorted({0, 5, 63, 64, 100,
+                                       FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1}))
 @pytest.mark.parametrize("bad, match", [
     (lambda x: (x, 9), r"label 9 outside the concept space \(1, 2, 3\)"),
     (lambda x: (x, 1, 2), "too many values to unpack"),
@@ -285,7 +349,7 @@ def test_bad_sample_applies_exactly_the_prefix(k, bad, match):
     space = _SPACES["interval"]
     rng = np.random.default_rng(k)
     stream = [(space.sample_set[int(rng.integers(41))], 1 + int(rng.integers(3)))
-              for _ in range(150)]
+              for _ in range(max(150, FOLD_BLOCK + 50))]
     stream[k] = bad(stream[k][0])
     ref = machine_new(space, 0.0, 0.5, 0.25, labels=(1, 2, 3))
     for s in stream[:k]:
@@ -354,8 +418,7 @@ def test_replayed_log_equals_the_log_after_mid_block_constructs():
     stream = [(x, 1 + int(rng.integers(3))) for x in space.sample_set for _ in range(7)]
     st = machine_new(space, 0.0, 0.1, 0.05)
     run_stream(st, stream)
-    mid = [r.index for r in st.log if r.kind == "construct" and r.index % 64 not in (0, 63)]
-    assert any(i > 64 for i in mid)
+    assert any(_mid_block(r.index) for r in st.log if r.kind == "construct")
     replayed = replay_log(space, 0.0, 0.1, 0.05, st.log)
     assert replayed.log == st.log
     assert all(type(r) is StepRecord for r in replayed.log)
