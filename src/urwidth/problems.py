@@ -32,10 +32,11 @@ Families:
   union, classes relabelled consecutively.
 
 ``FAMILIES`` registers every family by name: its constructor, the
-constructor's parameter names and, for the bouquet, scaled and wedge
-families, the admissible window of the locality scale D0.
-``make_problem`` rebuilds any problem from its ``FamilyTag`` and
-``parameter_window`` reads a family's window.
+constructor's parameter names, its class count K as a function of those
+parameters and, for the bouquet, scaled and wedge families, the
+admissible window of the locality scale D0.  ``make_problem`` rebuilds
+any problem from its ``FamilyTag``, ``class_count`` reads K without
+building anything and ``parameter_window`` reads a family's window.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from numbers import Real
+from operator import index
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -77,6 +79,7 @@ __all__ = [
     "FAMILIES",
     "parameter_window",
     "make_problem",
+    "class_count",
 ]
 
 # absolute slack for closed-set membership tests under float arithmetic
@@ -501,14 +504,20 @@ def union_problem(
     return MarginProblem(space, left.gamma, regions, tag)
 
 
+def _side(tag) -> dict:
+    """A union side's family tag, once it has exactly the keys of one."""
+    if not isinstance(tag, dict) or set(tag) != {"name", "params", "sigma"}:
+        raise ValueError("a union side must be a family tag with keys name, params, sigma")
+    return tag
+
+
 def _union_from_tags(s: float, left: dict, right: dict) -> MarginProblem:
     """``union_problem`` of the two sides that the family tags describe."""
-    sides = []
-    for tag in (left, right):
-        if not isinstance(tag, dict) or set(tag) != {"name", "params", "sigma"}:
-            raise ValueError("a union side must be a family tag with keys name, params, sigma")
-        sides.append(make_problem(tag["name"], tag["params"], tag["sigma"]))
-    return union_problem(*sides, s)
+    return union_problem(*(make_problem(**_side(tag)) for tag in (left, right)), s)
+
+
+def _union_classes(left: dict, right: dict, **_) -> int:
+    return sum(class_count(t["name"], t["params"]) for t in map(_side, (left, right)))
 
 
 @dataclass
@@ -531,6 +540,8 @@ class Family:
 
     build: Callable[..., MarginProblem]
     params: tuple[str, ...]  # exactly the keyword arguments of ``build``
+    # the class count K of ``build(**params)``, read from the params alone
+    classes: Callable[..., int]
     # upper end of the D0 window, a function of the params it names, and the
     # requirement an empty window reports; the lower end is always 3*gamma/2
     window_hi: Callable[..., float] | None = None
@@ -538,17 +549,20 @@ class Family:
 
 
 FAMILIES = {
-    "bouquet": Family(bouquet_problem, ("w", "L", "gamma", "h"),
+    "bouquet": Family(bouquet_problem, ("w", "L", "gamma", "h"), lambda w, **_: index(w),
                       lambda L, gamma: L / 2 - 0.75 * gamma,
                       "requires L > 9*gamma/2"),
     "scaled": Family(scaled_problem, ("w", "m", "L", "gamma", "h"),
+                     lambda w, m, **_: index(w) * index(m),
                      lambda L, m, gamma: min(L / (2 * m) - 1.5 * gamma, L / 4 - 0.75 * gamma),
                      "loop spacing too tight"),
     "wedge": Family(wedge_problem, ("w", "k", "R", "gamma", "n", "seed"),
+                    lambda w, **_: index(w),
                     lambda R, gamma: math.pi * R - 0.75 * gamma,
                     "requires pi*R > 9*gamma/4"),
-    "interval_union": Family(interval_union_problem, ("intervals", "gamma", "n_pts")),
-    "union": Family(_union_from_tags, ("s", "left", "right")),
+    "interval_union": Family(interval_union_problem, ("intervals", "gamma", "n_pts"),
+                             lambda **_: 2),
+    "union": Family(_union_from_tags, ("s", "left", "right"), _union_classes),
 }
 
 
@@ -611,11 +625,26 @@ def make_problem(name: str, params: dict, sigma: Sequence[int] | None = None) ->
     the result.  An int given for a float parameter is read as that float.
     Raises ValueError on anything it cannot rebuild exactly.
     """
+    fam = _family(name, params)
+    p = fam.build(**_float_params(name, params))
+    assert p.k == fam.classes(**params), f"family {name!r} built {p.k} classes"
+    return permuted_problem(p, sigma) if sigma else p
+
+
+def class_count(name: str, params: dict) -> int:
+    """Class count K of ``make_problem(name, params)``, from the parameters
+    alone: nothing is built, so it costs the same at any K.  Raises
+    ValueError on a family or parameter set ``make_problem`` refuses, and
+    TypeError on a size parameter that is not an integer."""
+    return _family(name, params).classes(**params)
+
+
+def _family(name: str, params: dict) -> Family:
+    """The registered family ``name``, once ``params`` holds exactly its parameters."""
     if name not in FAMILIES:
         raise ValueError(f"unknown problem family {name!r}")
     names = FAMILIES[name].params
     if not isinstance(params, dict) or set(params) != set(names):
         got = sorted(params) if isinstance(params, dict) else type(params).__name__
         raise ValueError(f"family {name!r} takes parameters {sorted(names)}, got {got}")
-    p = FAMILIES[name].build(**_float_params(name, params))
-    return permuted_problem(p, sigma) if sigma else p
+    return FAMILIES[name]

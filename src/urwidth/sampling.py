@@ -1,7 +1,9 @@
 """Coverage-time and label-permutation sampling experiments.
 
 The sampling model draws a safe region by per-region weights and a point
-uniformly from that region's sampled safe set.  Weights must stay within
+uniformly from that region's sampled safe set; ``sample_safe`` reads the
+bits of ``rng.random()`` and ``rng.integers`` from the bit generator
+itself.  Weights must stay within
 the two-sided band [1/(c1*K), c2/K], so every region keeps mass of order
 1/K and coverage of all K regions is a coupon-collector event with
 expectation K*H_K under uniform weights.
@@ -51,6 +53,9 @@ class SamplingDistribution:
     c2: float
     # cumsum of ``weights`` over its last entry: the CDF ``Generator.choice`` searches
     cdf: list[float] = field(init=False, compare=False, repr=False)
+    # each region's label, and its safe list once a draw has needed it (else None)
+    labels: list[int] = field(init=False, compare=False, repr=False)
+    safe: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         k = self.problem.k
@@ -70,6 +75,8 @@ class SamplingDistribution:
         cdf = w.cumsum()
         cdf /= cdf[-1]
         self.cdf = cdf.tolist()
+        self.labels = self.problem.labels
+        self.safe = [None] * k
 
     @property
     def k(self) -> int:
@@ -89,12 +96,35 @@ def sample_safe(dist: SamplingDistribution, rng: np.random.Generator):
     """One labelled draw: region by weight, point uniform in its safe set.
 
     The region is the first whose CDF entry exceeds one uniform double:
-    ``rng.choice(dist.k, p=dist.weights)``'s index from the same bits.
+    ``rng.choice(dist.k, p=dist.weights)``'s index from the same bits.  The
+    point is ``pts[rng.integers(len(pts))]``: the double and the index come
+    from the bit generator's ``next_double`` and ``next_uint32``, which
+    those two numpy calls read, with numpy's Lemire rejection step (D.
+    Lemire, ACM TOMACS 29(1), 2019) for the index, so the draw and the
+    state it leaves are theirs bit for bit.  Both native calls run under
+    the bit generator's lock, as numpy's own calls do, because they
+    release the GIL.  A safe set of one point consumes no word; an empty
+    one, or one above 2**32 points, takes ``rng.integers`` itself.
     """
-    j = bisect_right(dist.cdf, rng.random())
-    pts = dist.problem.safe_points(j)
-    x = pts[int(rng.integers(len(pts)))]
-    return x, dist.problem.regions[j].label
+    bitgen = rng.bit_generator
+    c = bitgen.ctypes
+    with bitgen.lock:
+        j = bisect_right(dist.cdf, c.next_double(c.state))
+        pts = dist.safe[j]
+        if pts is None:
+            pts = dist.safe[j] = dist.problem.safe_points(j)
+        k = len(pts)
+        i = 0
+        if 1 < k <= 0x100000000:
+            m = c.next_uint32(c.state) * k
+            if m & 0xFFFFFFFF < k:
+                low = (0x100000000 - k) % k
+                while m & 0xFFFFFFFF < low:
+                    m = c.next_uint32(c.state) * k
+            i = m >> 32
+    if not 0 < k <= 0x100000000:  # numpy raises on 0 and takes 64-bit words above 2**32
+        i = int(rng.integers(k))  # outside the lock, which it takes itself
+    return pts[i], dist.labels[j]
 
 
 def coupon_time(dist: SamplingDistribution, rng: np.random.Generator) -> int:

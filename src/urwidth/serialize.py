@@ -3,9 +3,10 @@
 Certificates are JSON documents that embed the problem's construction
 parameters rather than trusting stored intermediates; ``verify_bracket``
 rebuilds the problem, re-checks the stored triples and re-emits the whole
-certificate with the same writer, ``bracket_doc``.  Point encodings are
-tagged lists whose tag follows the space kind; floats survive the JSON
-round trip exactly (shortest-repr encoding).
+certificate with the same writer, ``bracket_doc``, once the class counts
+it states agree.  Point encodings are tagged lists whose tag follows the
+space kind; floats survive the JSON round trip exactly (shortest-repr
+encoding).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from typing import Any
 
 from .coverings import UrysohnCovering, UrysohnTriple, certify, default_step
-from .problems import MarginProblem, make_problem, validate_margin
+from .problems import MarginProblem, class_count, make_problem, validate_margin
 from .spaces import MetricSpace
 
 __all__ = [
@@ -129,23 +130,31 @@ def bracket_doc(problem: MarginProblem, bracket) -> dict:
     }
 
 
-# what a document's values can raise while rebuilding or decoding
-_BAD_VALUE = (ArithmeticError, LookupError, TypeError, ValueError)
+# what a document's values can raise while rebuilding or decoding; union
+# sides nested a few hundred deep exceed the recursion limit
+_BAD_VALUE = (ArithmeticError, LookupError, RecursionError, TypeError, ValueError)
 
 
 def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
     """Independent re-check of a stored certificate; reports, never raises.
 
-    Rebuilds the problem (its margin must be strict), re-checks the
-    stored triples at the stored D0 and the space's own connectivity
-    step, requires lb <= ub, then re-emits the certificate with
-    ``bracket_doc``.  The document supplies only D0, the triples and
-    ``ub.method``; every stored field that differs from its re-emitted
-    value is reported by name (one level down in ``lb`` and ``ub``).
+    First reads K from ``lb.components``, which must partition range(K),
+    and refuses unless ``lb.delta_table`` has C(K, 2) rows and the family
+    parameters name K classes, so the rebuild costs no more than the
+    document holds.  Then rebuilds the problem (its margin must be
+    strict), re-checks the stored triples at the stored D0 and the
+    space's own connectivity step, requires lb <= ub, then re-emits the
+    certificate with ``bracket_doc``.  The document supplies only D0, the
+    triples and ``ub.method``; every stored field that differs from its
+    re-emitted value is reported by name (one level down in ``lb`` and
+    ``ub``).
     """
     if not isinstance(doc, dict) or doc.get("kind") != "width_bracket":
         return False, ["not a width_bracket certificate"]
     try:
+        sizes = _size_messages(doc)
+        if sizes:
+            return False, sizes
         problem = build_problem(doc["problem"])
     except _BAD_VALUE as exc:
         return False, [f"cannot rebuild problem: {exc}"]
@@ -185,6 +194,28 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
             messages.append(f"{'.'.join(key)}: stored {stored.get(key, 'nothing')[:60]}, "
                             f"re-derived {fresh.get(key, 'nothing')[:60]}")
     return not messages, messages
+
+
+def _size_messages(doc: dict) -> list[str]:
+    """What disagrees among the certificate's class counts, read before any
+    problem is built; raises what ``build_problem`` would on a family
+    document it cannot read."""
+    lb = doc.get("lb") if isinstance(doc.get("lb"), dict) else {}
+    comps, table = lb.get("components"), lb.get("delta_table")
+    flat = ([j for c in comps for j in c] if isinstance(comps, list)
+            and all(isinstance(c, list) and c for c in comps) else [None])
+    if not all(type(j) is int for j in flat) or sorted(flat) != list(range(len(flat))):
+        return ["lb.components: not a partition of range(K)"]
+    k, messages = len(flat), []
+    if not isinstance(table, list) or len(table) != k * (k - 1) // 2:
+        rows = len(table) if isinstance(table, list) else "no"
+        messages.append(f"lb.delta_table: {rows} rows, but K = {k} classes have "
+                        f"{k * (k - 1) // 2} pairs")
+    named = class_count(doc["problem"]["family"], doc["problem"]["params"])
+    if named != k:
+        messages.append(f"lb.components: K = {k} classes, but the family parameters "
+                        f"name {named}")
+    return messages
 
 
 def _fields(doc: dict) -> dict:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -962,6 +963,9 @@ _TAMPER = {
     "lb.method": (_set(("lb", "method"), "reach-components"), "lb.method:"),
     "lb.delta_table": (_set(("lb", "delta_table", 0, 2), 9.0), "lb.delta_table:"),
     "lb.components": (_set(("lb", "components"), [[0, 1], [2]]), "lb.components:"),
+    "lb.components_overlap": (_set(("lb", "components"), [[0, 1], [1, 2]]), "lb.components:"),
+    "lb.components_missing": (_drop(("lb", "components")), "lb.components:"),
+    "lb.delta_table_row_dropped": (_drop(("lb", "delta_table", 0)), "lb.delta_table:"),
     "ub.value": (_set(("ub", "value"), 2), "ub.value:"),
     "ub.method": (_set(("ub", "method"), "oracle"), "malformed certificate"),
     "ub.covering.d0": (_set(("ub", "covering", "d0"), 100.0), "ub.covering:"),
@@ -993,6 +997,52 @@ def test_tampered_certificate_fails_by_name(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _bouquet_w(params):
+    params["w"] = 1000
+
+
+def _scaled_m(params):  # L grows with m, so the edited family still builds
+    params["m"], params["L"] = 200, 4000.0
+
+
+def _union_side(params):
+    params["left"]["params"]["w"] = 500
+
+
+# an edited size parameter names a larger problem than the certificate lists:
+# (honest certificate, edit, K it lists, K the edited family names)
+_RESIZED = {"bouquet_w": ("bouquet", _bouquet_w, 3, 1000),
+            "scaled_m": ("scaled", _scaled_m, 4, 400),
+            "union_side": ("union", _union_side, 3, 501)}
+
+
+@pytest.mark.parametrize("case", sorted(_RESIZED))
+def test_a_resized_family_is_refused_before_it_is_built(case):
+    name, edit, listed, named = _RESIZED[case]
+    doc = _honest(name)
+    edit(doc["problem"]["params"])
+    start = time.perf_counter()
+    ok, messages = verify_bracket(doc)
+    assert time.perf_counter() - start < 0.1
+    assert not ok
+    assert messages == [f"lb.components: K = {listed} classes, but the family "
+                        f"parameters name {named}"]
+
+
+def test_deeply_nested_union_sides_are_refused_not_raised():
+    leaf = {"name": "bouquet", "params": {"w": 1, "L": 10.0, "gamma": 1.0, "h": 0.5},
+            "sigma": None}
+    tag = leaf
+    for _ in range(2000):
+        tag = {"name": "union", "params": {"s": 100.0, "left": tag, "right": leaf},
+               "sigma": None}
+    doc = _honest("single")
+    doc["problem"] = {"family": "union", "params": tag["params"], "sigma": None}
+    ok, messages = verify_bracket(doc)
+    assert not ok and len(messages) == 1
+    assert messages[0].startswith("cannot rebuild problem: maximum recursion depth exceeded")
 
 
 def test_single_triple_forgery_with_inflated_scale_fails():

@@ -17,6 +17,7 @@ from urwidth.problems import (
     BallPiece,
     LiftedPiece,
     bouquet_problem,
+    class_count,
     interval_union_problem,
     make_problem,
     parameter_window,
@@ -277,6 +278,23 @@ _MEMBERSHIP_PROBLEMS = {
     "union_interval": union_problem(
         interval_union_problem([(0.2, 0.5)], 0.1, 31), bouquet_problem(2, 10.0, 0.1, 0.5), 2.5),
 }
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBERSHIP_PROBLEMS))
+def test_class_count_reads_k_from_the_parameters(name):
+    p = _MEMBERSHIP_PROBLEMS[name]
+    assert class_count(p.family.name, p.family.params) == p.k
+
+
+def test_class_count_builds_nothing_and_refuses_what_make_problem_does():
+    params = {"w": 10**9, "m": 10**9, "L": 1.0, "gamma": 1.0, "h": 1e-9}
+    assert class_count("scaled", params) == 10**18
+    with pytest.raises(TypeError):
+        class_count("scaled", {**params, "m": "ab"})
+    with pytest.raises(ValueError, match="takes parameters"):
+        class_count("bouquet", params)
+    with pytest.raises(ValueError, match="family tag"):
+        class_count("union", {"s": 1.0, "left": _BOUQUET_TAG, "right": 3})
 
 
 def _piece_and_points(name):

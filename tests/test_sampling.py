@@ -1,7 +1,9 @@
 """Coverage-time statistics and the permutation-learner protocol."""
 
 import math
+import threading
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,6 +213,113 @@ def test_sample_safe_matches_generator_choice(seed, raw):
         want = (pts[int(ref_rng.integers(len(pts)))], dist.problem.regions[j].label)
         assert sample_safe(dist, got_rng) == want
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# -- the native draws against the numpy pair they stand for ---------------------
+
+
+def _numpy_pair(dist, rng):
+    """The oracle draw: ``rng.random()`` through ``Generator.choice``'s CDF
+    search, then ``rng.integers(len(pts))``."""
+    j = int(rng.choice(dist.k, p=dist.weights))
+    pts = dist.problem.safe_points(j)
+    return pts[int(rng.integers(len(pts)))], dist.problem.regions[j].label
+
+
+def _plain(state):
+    """A bit generator state as comparable data (MT19937 and Philox hold arrays)."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+class _Ranges:
+    """A stand-in problem whose class j has the safe set ``range(sizes[j])``,
+    so a safe set of any size costs no memory."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+        self.regions = [SimpleNamespace(label=j + 1) for j in range(len(sizes))]
+        self.k = len(sizes)
+        self.labels = [r.label for r in self.regions]
+
+    def safe_points(self, j):
+        return range(self.sizes[j])
+
+
+def _within(seconds, fn):
+    """``fn()`` from a daemon thread, failing unless it returns in time: a
+    draw that rejects every word would otherwise hang the suite."""
+    box = []
+    worker = threading.Thread(target=lambda: box.append(fn()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert box, f"no result within {seconds} s"
+    return box[0]
+
+
+_BIT_GENERATORS = ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"]
+
+
+@pytest.mark.parametrize("name", _BIT_GENERATORS)
+def test_sample_safe_matches_the_numpy_pair_on_every_bit_generator(name):
+    weights = [0.3, 0.1, 0.2, 0.15, 0.25]
+    dists = [sampling_distribution(_bouquet(3)),
+             sampling_distribution(_bouquet(5), weights, c1=2.0, c2=2.0),
+             sampling_distribution(_Ranges([1, 7, 1, 2]))]  # size-1 sets draw no word
+    for seed in range(20):
+        got, ref = (np.random.Generator(getattr(np.random, name)(seed)) for _ in "ab")
+        assert got.integers(7) == ref.integers(7)
+        # a generator that buffers 32-bit halves now holds one on entry
+        assert got.bit_generator.state.get("has_uint32", 1) == 1
+        for t in range(60):
+            dist = dists[t % 3]
+            assert sample_safe(dist, got) == _numpy_pair(dist, ref)
+            if t % 7 == 0:
+                assert got.integers(7) == ref.integers(7)
+                assert got.random(3).tolist() == ref.random(3).tolist()
+        assert _plain(got.bit_generator.state) == _plain(ref.bit_generator.state)
+    # the kept safe lists are left out of equality and repr
+    assert dists[2] == sampling_distribution(dists[2].problem)
+    assert repr(dists[2]) == repr(sampling_distribution(dists[2].problem))
+
+
+# 3 * 2**30 rejects a quarter of its words; 2**32 takes a whole word;
+# 2**32 + 1 is beyond 32-bit words, where numpy draws 64-bit ones
+@pytest.mark.parametrize("n", [3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1])
+def test_sample_safe_matches_the_numpy_pair_on_huge_safe_sets(n):
+    dist = sampling_distribution(_Ranges([n]))
+    for seed in range(5):
+        got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got.integers(7), ref.integers(7)
+        draws = _within(10, lambda: [sample_safe(dist, got) for _ in range(50)])
+        assert draws == [_numpy_pair(dist, ref) for _ in range(50)]
+        assert got.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_safe_on_an_empty_safe_set_raises_as_integers_does():
+    dist = sampling_distribution(_Ranges([0]))
+    got, ref = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(ValueError) as want:
+        _numpy_pair(dist, ref)
+    with pytest.raises(ValueError) as err:
+        sample_safe(dist, got)
+    assert str(err.value) == str(want.value)
+    assert got.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_safe_waits_for_the_bit_generator_lock():
+    dist = sampling_distribution(_bouquet(3))
+    got, ref = np.random.default_rng(8), np.random.default_rng(8)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(sample_safe(dist, got)), daemon=True)
+    with got.bit_generator.lock:
+        worker.start()
+        worker.join(0.2)
+        assert worker.is_alive() and not out
+    worker.join(10)
+    assert out == [_numpy_pair(dist, ref)]
+    assert got.bit_generator.state == ref.bit_generator.state
 
 
 def _coupon_time_oracle(dist, rng):
