@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from . import __version__
 from .coverings import width_bracket
 from .machine import machine_new, run_stream
 from .problems import (
-    FAMILIES,
+    _PARAMS,
     _float_params,
     bouquet_problem,
     parameter_window,
@@ -164,13 +165,10 @@ def _problem(cfg):
         raise ValueError(f"config field 'problem' is not a family document: {exc!r}") from exc
 
 
-# space kind -> (constructor, its parameters, each a field of the ``space`` experiment)
-_SPACES = {
-    "bouquet": (bouquet_space, ("w", "L", "h")),
-    "wedge": (wedge_sphere_space, ("w", "k", "R", "n", "seed")),
-    "interval": (interval_space, ("n",)),
-    "graph": (graph_space, ("edges",)),
-}
+# space kind -> (factory, its parameters, each a field of the ``space`` experiment)
+_SPACES = {kind: (build, tuple(inspect.signature(build).parameters)) for kind, build in (
+    ("bouquet", bouquet_space), ("wedge", wedge_sphere_space),
+    ("interval", interval_space), ("graph", graph_space))}
 
 
 def _run_space(cfg):
@@ -329,8 +327,9 @@ def _run_nerve(cfg):
 
 def _run_vc_separation(cfg):
     rep = separation_report(cfg["w"], cfg["n_max"])
-    ok = all(r["vc"] == 2 * int(r["instance"].split("=")[1])
-             for r in rep.rows if r["family"] == "intervals")
+    # the interval rows hold n = 1..n_max in order
+    intervals = [r for r in rep.rows if r["family"] == "intervals"]
+    ok = all(r["vc"] == 2 * n for n, r in enumerate(intervals, 1))
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), {
         "vc_separation.json": _json({"rows": rep.rows}),
         "vc_separation.txt": rep.as_text() + "\n"}, rep.as_text()
@@ -500,7 +499,7 @@ def _space_flags(a) -> tuple[str, dict]:
 def _family_doc(a) -> dict:
     """The family document of the problem flags, as ``build_problem`` reads it."""
     family = "interval_union" if a.family == "interval" else a.family
-    params = {key: vars(a)[key] for key in FAMILIES[family].params}
+    params = {key: vars(a)[key] for key in _PARAMS[family]}
     if "intervals" in params:
         params["intervals"] = _decode("--intervals", json.loads, params["intervals"])
     sigma = [int(x) for x in a.sigma.split(",")] if a.sigma else None

@@ -31,9 +31,9 @@ Families:
 * ``union_problem``      -- two problems living on a separated disjoint
   union, classes relabelled consecutively.
 
-``FAMILIES`` registers every family by name: its constructor, the
-constructor's parameter names, its class count K as a function of those
-parameters and, for the bouquet, scaled and wedge families, the
+``FAMILIES`` registers every family by name: its constructor, whose
+signature lists the family's parameters, its class count K as a function
+of those parameters and, for the bouquet, scaled and wedge families, the
 admissible window of the locality scale D0.  ``make_problem`` rebuilds
 any problem from its ``FamilyTag``, ``class_count`` reads K without
 building anything and ``parameter_window`` reads a family's window.
@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 from numbers import Real
 from operator import index
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -539,7 +539,6 @@ class Family:
     """A registered family; a ``FamilyTag`` rebuilds as ``build(**params)``."""
 
     build: Callable[..., MarginProblem]
-    params: tuple[str, ...]  # exactly the keyword arguments of ``build``
     # the class count K of ``build(**params)``, read from the params alone
     classes: Callable[..., int]
     # upper end of the D0 window, a function of the params it names, and the
@@ -549,28 +548,26 @@ class Family:
 
 
 FAMILIES = {
-    "bouquet": Family(bouquet_problem, ("w", "L", "gamma", "h"), lambda w, **_: index(w),
+    "bouquet": Family(bouquet_problem, lambda w, **_: index(w),
                       lambda L, gamma: L / 2 - 0.75 * gamma,
                       "requires L > 9*gamma/2"),
-    "scaled": Family(scaled_problem, ("w", "m", "L", "gamma", "h"),
-                     lambda w, m, **_: index(w) * index(m),
+    "scaled": Family(scaled_problem, lambda w, m, **_: index(w) * index(m),
                      lambda L, m, gamma: min(L / (2 * m) - 1.5 * gamma, L / 4 - 0.75 * gamma),
                      "loop spacing too tight"),
-    "wedge": Family(wedge_problem, ("w", "k", "R", "gamma", "n", "seed"),
-                    lambda w, **_: index(w),
+    "wedge": Family(wedge_problem, lambda w, **_: index(w),
                     lambda R, gamma: math.pi * R - 0.75 * gamma,
                     "requires pi*R > 9*gamma/4"),
-    "interval_union": Family(interval_union_problem, ("intervals", "gamma", "n_pts"),
-                             lambda **_: 2),
-    "union": Family(_union_from_tags, ("s", "left", "right"), _union_classes),
+    "interval_union": Family(interval_union_problem, lambda **_: 2),
+    "union": Family(_union_from_tags, _union_classes),
 }
 
 
-# each family's float parameters: the ones its constructor annotates as float
-_FLOAT_PARAMS = {
-    name: {key for key, typ in get_type_hints(fam.build).items() if typ is float}
-    for name, fam in FAMILIES.items()
-}
+# each family's parameters, read once from its constructor's signature: the
+# keyword arguments of ``build`` in order, and the ones it annotates as float
+_PARAMS = {name: inspect.signature(fam.build, eval_str=True).parameters
+           for name, fam in FAMILIES.items()}
+_FLOAT_PARAMS = {name: {key for key, p in params.items() if p.annotation is float}
+                 for name, params in _PARAMS.items()}
 
 
 def _float_params(name, params):
@@ -643,7 +640,7 @@ def _family(name: str, params: dict) -> Family:
     """The registered family ``name``, once ``params`` holds exactly its parameters."""
     if name not in FAMILIES:
         raise ValueError(f"unknown problem family {name!r}")
-    names = FAMILIES[name].params
+    names = _PARAMS[name]
     if not isinstance(params, dict) or set(params) != set(names):
         got = sorted(params) if isinstance(params, dict) else type(params).__name__
         raise ValueError(f"family {name!r} takes parameters {sorted(names)}, got {got}")

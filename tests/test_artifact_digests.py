@@ -47,6 +47,8 @@ _CASES = {
     "vc": (["vc", "--w", "3", "--n-intervals", "1"], None),
     **{f"run_{kind}": (["run"], text) for kind, text in _RUNS.items()},
     "space_wedge": (["space", "--kind", "wedge", "--w", "2", "--n", "16", "--seed", "1"], None),
+    "space_interval": (["space", "--kind", "interval", "--n", "11"], None),
+    "space_graph": (["space", "--kind", "graph", "--edges", "[[0,1],[1,2,2.5],[2,0]]"], None),
     "problem_wedge": (["problem", "--family", "wedge", "--w", "2", "--n", "16", "--seed", "1"],
                       None),
     "width_wedge": (["width", "--family", "wedge", "--w", "2", "--n", "16", "--h", "0.5",
@@ -134,6 +136,14 @@ _GOLDEN = {
     "space_bouquet": {
         "samples.csv": "c319620922b5cc5e59659eeeca5e0816dc411f9f42a2069c0f7540ba4bd1ccaf",
         "space.txt": "aa1884fee4ec9db857610c94c6471ba41087ec85453d58b77e946b582a08c722",
+    },
+    "space_graph": {
+        "samples.csv": "7ac06889219dd4a336f373e55f38e0295c9578abde411ea36e4780630142af68",
+        "space.txt": "3c8ac33922faa5fbdb473f7b56002f85f7514463f0f55767c9f6accfec6e2093",
+    },
+    "space_interval": {
+        "samples.csv": "b6a19048d1062f7d156ae053e26bd5548b15a0e11c5a6ac3c30b5ac76e355cb3",
+        "space.txt": "48185c870fc1e44eeaff55b65ae21ec7a086eb3e3af7a83183f941f2657b5490",
     },
     "space_wedge": {
         "samples.csv": "866490693b1d60ef9c6dc8906e410c745b6255366aa80ddfa35b376eb6209c7b",

@@ -63,19 +63,23 @@ def test_point_codec_roundtrip():
 
 def test_build_problem_roundtrip():
     import inspect
+    import re
 
     from urwidth.problems import (
         FAMILIES,
         bouquet_problem,
         interval_union_problem,
+        make_problem,
         permuted_problem,
         scaled_problem,
         union_problem,
         wedge_problem,
     )
 
-    for family in FAMILIES.values():
-        assert tuple(inspect.signature(family.build).parameters) == family.params
+    for name, family in FAMILIES.items():  # a family's parameters are its constructor's
+        names = sorted(inspect.signature(family.build).parameters)
+        with pytest.raises(ValueError, match=re.escape(f"takes parameters {names}, got []")):
+            make_problem(name, {})
     a = permuted_problem(bouquet_problem(3, 10.0, 1.0, 0.5), (2, 3, 1))
     b = scaled_problem(2, 2, 40.0, 1.0, 0.5)
     problems = [
@@ -833,9 +837,14 @@ def test_machine_stream_rejects_a_nan_sphere_direction(tmp_path, capsys):
     # the sweep succeeds before the coupon problems refuse gamma
     ({"experiment": "sample_complexity", **_VALID_CONFIGS["sample_complexity"], "gamma": 5.0},
      "gamma"),
+    (["space", "--kind", "wedge", "--seed", "-1"], "need a non-negative seed, got seed=-1"),
+    (["problem", "--family", "wedge", "--seed", "-1"], "need a non-negative seed, got seed=-1"),
+    (["width", "--family", "wedge", "--d0", "1", "--seed", "-1"],
+     "need a non-negative seed, got seed=-1"),
 ], ids=["space_edges", "problem_gamma", "width_d0_nan", "sweep_w1", "nerve_arcs",
         "vc_n_intervals", "vc_n_intervals_0", "run_vc_n_max_0", "run_hierarchy_d0", "run_machine_steps_0", "run_hierarchy_ws",
-        "run_sample_complexity_gamma"])
+        "run_sample_complexity_gamma", "space_wedge_seed", "problem_wedge_seed",
+        "width_wedge_seed"])
 def test_refused_command_writes_nothing(tmp_path, capsys, argv, needle):
     if isinstance(argv, dict):
         cfg = tmp_path / "bad.cfg"
@@ -1029,6 +1038,55 @@ def test_a_resized_family_is_refused_before_it_is_built(case):
     assert not ok
     assert messages == [f"lb.components: K = {listed} classes, but the family "
                         f"parameters name {named}"]
+
+
+# an oversized sample set is refused by the parameter that makes it so, before
+# anything is built: (argv, the refusal's opening words)
+_OVERSIZED = {
+    "space_wedge_n": (["space", "--kind", "wedge", "--w", "1", "--n", "100000000000"],
+                      "n=100000000000 too large for w=1"),
+    "space_bouquet_subnormal_h": (["space", "--kind", "bouquet", "--w", "1", "-L", "10",
+                                   "--h", "1e-320"], "h=1e-320 too fine for w=1, L=10.0"),
+    "width_bouquet_h": (["width", "--family", "bouquet", "--w", "2", "-L", "10",
+                         "--h", "1e-13", "--d0", "4"], "h=1e-13 too fine for w=2, L=10.0"),
+    "problem_interval_n_pts": (["problem", "--family", "interval", "--n-pts", "10000000000000"],
+                               "n=10000000000000 grid points exceed MAX_SAMPLES"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_an_oversized_space_is_refused_by_name(tmp_path, capsys, case):
+    argv, needle = _OVERSIZED[case]
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err.startswith(f"config error: {needle}")
+    assert not out.exists()
+
+
+def test_verify_reports_an_oversized_space_by_name():
+    doc = _honest("bouquet")
+    doc["problem"]["params"]["h"] = 1e-13
+    start = time.perf_counter()
+    ok, messages = verify_bracket(doc)
+    assert time.perf_counter() - start < 0.1
+    assert not ok
+    assert messages == ["cannot rebuild problem: h=1e-13 too fine for w=3, L=10.0: the sample "
+                        "set would hold w*(ceil(L/h) - 1) + 1 > MAX_SAMPLES = 1000000 points"]
+
+
+@pytest.mark.parametrize("kind", sorted(cli._SPACES))
+def test_describe_lists_kind_then_the_factory_parameters(kind):
+    build, params = cli._SPACES[kind]
+    args = {"bouquet": (2, 10.0, 0.5), "wedge": (1, 1, 1.0, 16, 0), "interval": (5,),
+            "graph": ([[0, 1]],)}[kind]
+    desc = build(*args).describe()
+    assert list(desc) == ["kind", *params]
+    if kind == "graph":  # the canonical edge list, not the argument
+        assert params == ("edges",)
+    else:
+        assert list(desc.values())[1:] == list(args)
 
 
 def test_deeply_nested_union_sides_are_refused_not_raised():

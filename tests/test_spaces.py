@@ -3,6 +3,8 @@
 import hashlib
 import math
 import random
+import re
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from urwidth.problems import wedge_problem
 from urwidth.spaces import (
     BLOCK,
+    MAX_SAMPLES,
     BouquetPoint,
     bouquet_space,
     disjoint_union,
@@ -315,6 +318,34 @@ def test_disjoint_union_rejects_separation_outside_positive_reals(s):
     a = bouquet_space(1, 10.0, 1.0)
     with pytest.raises(ValueError, match="separation must be positive and finite"):
         disjoint_union(a, a, s)
+
+
+# one point above MAX_SAMPLES: (factory, arguments, the refusal's opening words)
+_ONE_TOO_MANY = {
+    # L/h alone is above the cap: 1 * (1,000,001 - 1) + 1
+    "bouquet_one_loop": (bouquet_space, (1, 1_000_001.0, 1.0), "h=1.0 too fine for w=1"),
+    # 2 * (500,001 - 1) + 1, with L/h below the cap
+    "bouquet_two_loops": (bouquet_space, (2, 500_001.0, 1.0), "h=1.0 too fine for w=2"),
+    # 1 * (999,999 + 1) + 1
+    "wedge": (wedge_sphere_space, (1, 1, 1.0, MAX_SAMPLES - 1), "n=999999 too large for w=1"),
+    "interval": (interval_space, (MAX_SAMPLES + 1,), "n=1000001 grid points exceed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_TOO_MANY))
+def test_a_sample_set_one_above_the_cap_is_refused(case):
+    build, args, needle = _ONE_TOO_MANY[case]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        build(*args)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_cap_itself_is_allowed_and_a_union_above_it_refused():
+    half = interval_space(MAX_SAMPLES // 2)
+    assert len(interval_space(MAX_SAMPLES).sample_set) == MAX_SAMPLES
+    with pytest.raises(ValueError, match=re.escape("left, right hold 500000 + 500001 sample points")):
+        disjoint_union(half, interval_space(MAX_SAMPLES // 2 + 1), 1.0)
 
 
 def test_disjoint_union_minimum_achieved_at_anchors():
