@@ -25,7 +25,10 @@ Certificates come in two independent halves:
   branch-and-bound search over bitmasks up to 24 safe points, pruned by a
   packing bound; greedy with the classical ln-factor beyond).  The
   candidates come from one pass over the pool's distance matrix, shared
-  by the step graph and every centre's balls.
+  by the step graph and every centre's balls.  Each block of centres
+  takes one sort for its balls and one chain certificate for their
+  connectivity; a union-find runs only for a centre the certificate
+  leaves out.
 
 The bracket is exact when the two halves meet; ``certify`` joins them for
 one covering, and both ``width_bracket`` and ``serialize.verify_bracket``
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import or_
 
 import networkx as nx
@@ -233,18 +236,25 @@ def _candidate_balls(problem, d0):
     points and radii run up the half-resolution ladder to D0/2, or only to
     the largest pool distance when that is smaller, since every ball past
     it is the whole pool; a candidate must be chain-connected at the
-    default step and of diameter <= D0.  A block of centre rows first drops
-    each row with no safe point inside the largest ball's ``<=`` cut, as
-    all its masks would be empty.  A centre's balls are the prefixes of
-    ``near``, its pool indices sorted by distance: masks are prefix ORs of
-    the safe bits, and each radius adds only its new points to a union-find
-    over the step graph, which comes with the largest pool distance from
-    ``_step_graph``.  The pool x pool distance blocks are made once and
-    serve both: the step graph reads them all, and each block of centre
+    default step and of diameter <= D0.  The pool x pool distance blocks
+    are made once: the step graph reads them all, and each block of centre
     rows is the head of the pool block it lies in, since the pool starts
-    with the sample set.  A candidate keeps only its mask, ``near`` and
-    ``size``; ``_ball_support`` builds its points, here only for an
-    exact-diameter check.
+    with the sample set.
+
+    A block of centre rows is handled by a fixed number of numpy calls.  It
+    first drops each row with no safe point inside the largest ball's
+    ``<=`` cut, as all its masks would be empty.  One ``lexsort`` puts the
+    rest's ball entries in (row, distance, index) order, so a centre's
+    balls are the prefixes of ``near``, its pool indices in that order, and
+    masks are prefix ORs of the safe bits; a bincount of (row, first bound
+    that holds the entry) gives every ball's size.  The chain certificate
+    asks, for each entry, whether some step neighbour comes earlier in
+    (distance, index) order: when only the row's first point has none,
+    every point chains down to it, so every prefix is chain-connected.  A
+    row without the certificate falls back to ``_prefix_components``, a
+    union-find that adds each ball's new points.  A candidate keeps only
+    its mask, ``near`` and ``size``; ``_ball_support`` builds its points,
+    here only for an exact-diameter check.
     """
     space = problem.space
     h = default_step(space)
@@ -257,53 +267,91 @@ def _candidate_balls(problem, d0):
     safe = np.array([k for k, x in enumerate(pool) if x in bit], dtype=np.intp)
     blocks = list(_dist_blocks(space, pool))
     nbrs, far = _step_graph(blocks, h)  # every ball past ``far`` is the whole pool
+    # the step graph as CSR arrays: point k's neighbours are adj[ptr[k]:ptr[k + 1]],
+    # k itself among them, since d(k, k) = 0
+    degree = np.fromiter(map(len, nbrs), dtype=np.intp, count=len(nbrs))
+    ptr = np.concatenate(([0], degree.cumsum()))
+    adj = np.fromiter(chain.from_iterable(nbrs), dtype=np.intp, count=ptr[-1])
     step = space.resolution / 2
     top = min(d0 / 2, far)
     radii = [step * i for i in range(1, int(math.floor(top / step + TOL)) + 1)]
     if not radii or radii[-1] < d0 / 2 - TOL:
         radii.append(d0 / 2)
     bounds = np.array([r + TOL for r in radii])
+    n_radii = len(bounds)
     candidates = []
     seen_masks = set()
     n_centres = len(space.sample_set)
     for start in range(0, n_centres, BLOCK):
         rows = blocks[start // BLOCK][: n_centres - start]
-        for row in rows[(rows[:, safe] <= bounds[-1]).any(axis=1)]:
-            near = np.flatnonzero(row <= bounds[-1])
-            near = near[np.argsort(row[near], kind="stable")]
-            d_sorted = row[near]
-            ends = np.searchsorted(d_sorted, bounds, side="right").tolist()
-            near = near.tolist()
+        sel = rows[(rows[:, safe] <= bounds[-1]).any(axis=1)]
+        n_rows = len(sel)
+        if not n_rows:
+            continue
+        row, col = np.nonzero(sel <= bounds[-1])
+        d = sel[row, col]
+        order = np.lexsort((d, row))  # stable: equal distances keep index order
+        row, col, d = row[order], col[order], d[order]
+        # ball sizes: entries per (row, first bound that holds them), summed up the ladder
+        sizes = np.bincount(row * n_radii + np.searchsorted(bounds, d, "left"),
+                            minlength=n_rows * n_radii).reshape(n_rows, n_radii).cumsum(axis=1)
+        # chain certificate: each entry's step edges, against its own distance and index
+        deg = degree[col]
+        first = deg.cumsum() - deg
+        edge = np.arange(first[-1] + deg[-1]) - np.repeat(first - ptr[col], deg)
+        j = adj[edge]
+        dj = sel[np.repeat(row, deg), j]
+        dk = np.repeat(d, deg)
+        earlier = (dj < dk) | ((dj == dk) & (j < np.repeat(col, deg)))
+        lonely = np.bincount(row[~np.logical_or.reduceat(earlier, first)], minlength=n_rows)
+        stops = np.bincount(row, minlength=n_rows).cumsum().tolist()
+        col, d = col.tolist(), d.tolist()
+        for lo, hi, ends, certified in zip([0] + stops, stops, sizes.tolist(),
+                                           (lonely == 1).tolist()):
+            near = col[lo:hi]
             masks = list(accumulate(map(pool_bits.__getitem__, near), or_, initial=0))
-            parent = {}  # union-find over the first ``joined`` points of the ball
-            components = joined = 0
+            components = None if certified else _prefix_components(near, nbrs)
             for size in ends:
                 mask = masks[size]
                 if mask == 0 or mask in seen_masks:
                     continue
-                for k in near[joined:size]:
-                    parent[k] = k  # k stays the root of every set it joins
-                    components += 1
-                    for j in nbrs[k]:
-                        if j in parent:
-                            while parent[j] != j:
-                                parent[j] = j = parent[parent[j]]  # path halving
-                            if j != k:
-                                parent[j] = k
-                                components -= 1
-                joined = size
-                if components != 1:
+                if components is not None and components(size) != 1:
                     continue
                 # the triangle inequality bounds the diameter by twice the
                 # farthest point's distance; only a ball reaching past D0/2,
                 # inside the TOL slack, needs its exact diameter
-                if 2 * d_sorted[size - 1] > d0:
+                if 2 * d[lo + size - 1] > d0:
                     support = _ball_support(pool, near, size)
                     if space.dists(support, support).max() > d0 + TOL:
                         continue
                 seen_masks.add(mask)
                 candidates.append((mask, near, size))
     return universe, pool, candidates
+
+
+def _prefix_components(near, nbrs):
+    """The union-find fallback of the chain certificate: a function from a
+    prefix size of ``near``, asked in ascending order, to the number of
+    step components of that prefix; each call joins only the new points."""
+    parent = {}  # union-find over the first ``joined`` points of the ball
+    components = joined = 0
+
+    def count(size):
+        nonlocal components, joined
+        for k in near[joined:size]:
+            parent[k] = k  # k stays the root of every set it joins
+            components += 1
+            for j in nbrs[k]:
+                if j in parent:
+                    while parent[j] != j:
+                        parent[j] = j = parent[parent[j]]  # path halving
+                    if j != k:
+                        parent[j] = k
+                        components -= 1
+        joined = size
+        return components
+
+    return count
 
 
 def _ball_support(pool, near, size):

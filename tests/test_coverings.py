@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urwidth import problems
+from urwidth import coverings, problems
 from urwidth.coverings import (
     TOL,
     _ball_support,
@@ -462,6 +462,35 @@ def _slack_reach_instance():
     return MarginProblem(space, 1.0, regions, FamilyTag("graph", {})), d0
 
 
+def _bridged_interval_union():
+    """Two 21-point intervals bridged at 0.3, three times the step 0.1: a
+    ball that crosses the bridge is not chain-connected, so the rows whose
+    largest ball crosses it lack the chain certificate and fall back to the
+    union-find."""
+    left = interval_union_problem([(0.5, 0.7)], 0.05, 21)
+    right = interval_union_problem([(0.4, 0.6)], 0.05, 21)
+    return union_problem(left, right, 0.3), 1.0
+
+
+def _tie_break_instance():
+    """A union whose right point ``b`` ties with the right anchor ``a`` in
+    distance from every left centre l2..l8: d(c, b) = d(c, a) + 2**-52
+    rounds to d(c, a) >= 2, while d(l0, b) = 1 + 2**-52 exceeds the step h
+    = 1 = s.  So b's one step neighbour before it in (distance, index)
+    order is a, and only by the index tie-break."""
+    tiny = 2.0 ** -52
+    path = graph_space([(f"l{i}", f"l{i + 1}", 0.5) for i in range(8)])
+    pair = graph_space([("a", "b", tiny)])
+    left = MarginProblem(path, 0.5, [ClassRegion(1, (BallPiece("l8", 0.0),), ["l8"])],
+                         FamilyTag("graph", {}))
+    right = MarginProblem(pair, 0.5, [ClassRegion(1, (BallPiece("b", 0.0),), ["b"])],
+                          FamilyTag("graph", {}))
+    p = union_problem(left, right, 1.0)
+    assert default_step(p.space) == 1.0 < p.space.dist((0, "l0"), (1, "b"))
+    assert p.space.dist((0, "l2"), (1, "b")) == p.space.dist((0, "l2"), (1, "a")) == 2.0
+    return p, 10.0
+
+
 def _golden_instances():
     rng = random.Random(8)
     out = []
@@ -496,6 +525,8 @@ def _golden_instances():
     win = parameter_window("bouquet", L=16.0, gamma=1.0)
     out.append((bouquet_problem(8, 16.0, 1.0, 0.4), win.lo + 2 * 0.4))
     out.append(_slack_reach_instance())
+    out.append(_bridged_interval_union())
+    out.append(_tie_break_instance())
     return [pytest.param(p, d0, id=f"{p.family.name}-{i}") for i, (p, d0) in enumerate(out)]
 
 
@@ -578,6 +609,103 @@ def test_huge_d0_stops_the_radius_ladder_at_the_pool_diameter(problem):
     huge = _materialised(problem, 1e308)
     assert huge == _materialised(problem, 4 * far)
     assert huge == _scalar_candidate_balls(problem, 4 * far)
+
+
+def _chain_fallback_centres(problem, d0):
+    """Reference chain certificate, one scalar distance at a time: the pool
+    index of each centre whose largest ball holds a safe point and more than
+    one point with no step neighbour before it in (distance, index) order."""
+    space = problem.space
+    h = default_step(space)
+    universe = problem.all_safe_points()
+    pool = list(space.sample_set)
+    safe = {x for _, x in universe}
+    known = set(pool)
+    pool += [x for x in dict.fromkeys(x for _, x in universe) if x not in known]
+    step = space.resolution / 2
+    radii = [step * i for i in range(1, int(math.floor(d0 / 2 / step + TOL)) + 1)]
+    top = max(radii + [d0 / 2]) + TOL
+    out = []
+    for c, centre in enumerate(space.sample_set):
+        ball = sorted((space.dist(centre, x), k) for k, x in enumerate(pool)
+                      if space.dist(centre, x) <= top)
+        if not any(pool[k] in safe for _, k in ball):
+            continue
+        lonely = [k for i, (_, k) in enumerate(ball)
+                  if not any(space.dist(pool[k], pool[j]) <= h for _, j in ball[:i])]
+        if len(lonely) != 1:
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("make, fallbacks", [
+    (_bridged_interval_union, 10),
+    (_tie_break_instance, 0),
+    (_slack_reach_instance, 0),
+], ids=["bridged", "tie-break", "slack-reach"])
+def test_union_find_runs_only_on_rows_without_the_chain_certificate(monkeypatch, make, fallbacks):
+    p, d0 = make()
+    fell_back = []
+    union_find = coverings._prefix_components
+    monkeypatch.setattr(coverings, "_prefix_components",
+                        lambda near, nbrs: fell_back.append(near[0]) or union_find(near, nbrs))
+    _candidate_balls(p, d0)
+    assert len(fell_back) == fallbacks
+    assert fell_back == _chain_fallback_centres(p, d0)
+
+
+def test_bridged_union_rejects_a_new_mask_ball_only_for_chain_connectivity(monkeypatch):
+    # the reference checks only balls with a new nonempty mask: one inside
+    # the diameter bound but not chain-connected keeps this golden instance
+    # on the union-find fallback
+    p, d0 = _bridged_interval_union()
+    disconnected, real = [], support_check
+
+    def check(space, support, h):
+        connected, diameter = real(space, support, h)
+        if not connected and diameter <= d0 + TOL:
+            disconnected.append(support)
+        return connected, diameter
+
+    monkeypatch.setitem(globals(), "support_check", check)
+    _scalar_candidate_balls(p, d0)
+    assert disconnected
+
+
+def _short_bridge_union(data):
+    """Two interval problems of 11-31 points bridged closer than D0/2."""
+    sides = []
+    gamma = data.draw(st.floats(0.02, 0.08))
+    for _ in range(2):
+        a = data.draw(st.floats(0.05, 0.75))
+        sides.append(interval_union_problem([(a, a + data.draw(st.floats(0.0, 0.2)))], gamma,
+                                            data.draw(st.integers(11, 31))))
+    d0 = data.draw(st.floats(0.1, 1.2))
+    return union_problem(*sides, data.draw(st.floats(0.01, 0.99)) * d0 / 2), d0
+
+
+def _weighted_graph(data):
+    """A small weighted graph with two one-point classes, as in
+    ``_slack_reach_instance``."""
+    n = data.draw(st.integers(2, 9))
+    weight = st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0])
+    edges = [(i, data.draw(st.integers(0, i - 1)), data.draw(weight)) for i in range(1, n)]
+    edges += [(i, j, data.draw(weight))
+              for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                       st.integers(0, n - 1)), max_size=4))
+              if i != j]
+    x, y = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    regions = [ClassRegion(1, (BallPiece(x, 0.0),), [x]), ClassRegion(2, (BallPiece(y, 0.0),), [y])]
+    p = MarginProblem(graph_space(edges), data.draw(st.floats(0.1, 2.0)), regions,
+                      FamilyTag("graph", {}))
+    return p, data.draw(st.floats(0.0, 12.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_candidate_balls_match_scalar_reference_on_unions_and_graphs(data):
+    p, d0 = data.draw(st.sampled_from([_short_bridge_union, _weighted_graph]))(data)
+    assert _materialised(p, d0) == _scalar_candidate_balls(p, d0)
 
 
 def _exact_cover_scan_oracle(full, masks):
