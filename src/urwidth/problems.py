@@ -619,7 +619,8 @@ def make_problem(name: str, params: dict, sigma: Sequence[int] | None = None) ->
     ``params`` must hold exactly the registered parameters of ``name``;
     ``union`` takes ``s`` plus ``left`` and ``right`` tags (name, params,
     sigma) and rebuilds both sides first.  A nonempty ``sigma`` relabels
-    the result.  An int given for a float parameter is read as that float.
+    the result.  An int given for a float parameter is read as that float;
+    a bool given for any parameter, a union side's included, is refused.
     Raises ValueError on anything it cannot rebuild exactly.
     """
     fam = _family(name, params)
@@ -637,11 +638,16 @@ def class_count(name: str, params: dict) -> int:
 
 
 def _family(name: str, params: dict) -> Family:
-    """The registered family ``name``, once ``params`` holds exactly its parameters."""
+    """The registered family ``name``, once ``params`` holds exactly its
+    parameters and none of them is a bool."""
     if name not in FAMILIES:
         raise ValueError(f"unknown problem family {name!r}")
     names = _PARAMS[name]
     if not isinstance(params, dict) or set(params) != set(names):
         got = sorted(params) if isinstance(params, dict) else type(params).__name__
         raise ValueError(f"family {name!r} takes parameters {sorted(names)}, got {got}")
+    for key, value in params.items():  # as in a run config: a bool is not a number
+        if isinstance(value, bool):
+            raise ValueError(f"family {name!r} parameter {key!r} must not be a boolean, "
+                             f"got {value!r}")
     return FAMILIES[name]

@@ -143,8 +143,10 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
     parameters name K classes, so the rebuild costs no more than the
     document holds.  Then rebuilds the problem (its margin must be
     strict), re-checks the stored triples at the stored D0 and the
-    space's own connectivity step, requires lb <= ub, then re-emits the
-    certificate with ``bracket_doc``.  The document supplies only D0, the
+    space's own connectivity step, requires each triple to carry the
+    problem's label tuple and to assign every support point one of its
+    labels, requires lb <= ub, then re-emits the certificate with
+    ``bracket_doc``.  The document supplies only D0, the
     triples and ``ub.method``; every stored field that differs from its
     re-emitted value is reported by name (one level down in ``lb`` and
     ``ub``).
@@ -185,6 +187,7 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
               f"{len(report.uncovered)} safe points uncovered": report.coverage_ok,
               f"{len(report.violations)} label violations": report.correctness_ok}
     messages = [f"covering re-check failed: {why}" for why, ok in checks.items() if not ok]
+    messages += _triple_messages(triples, tuple(problem.labels))
     # the TOL slack on diameters keeps this from following from the re-check
     if bracket.lb > bracket.ub:
         messages.append(f"lower bound {bracket.lb} exceeds the covering size {bracket.ub}")
@@ -194,6 +197,26 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
             messages.append(f"{'.'.join(key)}: stored {stored.get(key, 'nothing')[:60]}, "
                             f"re-derived {fresh.get(key, 'nothing')[:60]}")
     return not messages, messages
+
+
+def _triple_messages(triples: list[UrysohnTriple], labels: tuple) -> list[str]:
+    """What the covering re-check leaves open in each triple: its label set
+    must be the problem's, and its assignment must give every support point,
+    unsafe ones too, one of those labels."""
+    messages = []
+    for i, t in enumerate(triples):
+        name = f"ub.covering.triples[{i}]"
+        if t.labels != labels:
+            messages.append(f"{name}.labels: {list(t.labels)[:10]} is not the problem's "
+                            f"label tuple {list(labels)[:10]}")
+        missing = sum(x not in t.assignment for x in t.support)
+        if missing:
+            messages.append(f"{name}.assignment: {missing} support points unassigned")
+        foreign = sorted(set(t.assignment.values()).difference(labels))
+        if foreign:
+            messages.append(f"{name}.assignment: labels {foreign[:10]} are not in the "
+                            f"problem's label tuple")
+    return messages
 
 
 def _size_messages(doc: dict) -> list[str]:

@@ -215,6 +215,11 @@ class BouquetSpace(MetricSpace):
         return out
 
 
+def _angle_columns(rows: Iterable[tuple[float, float, float]], count: int) -> np.ndarray:
+    """``count`` wedge angle rows as three columns: pole angles, antipode angles, tags."""
+    return np.fromiter(chain.from_iterable(rows), float, 3 * count).reshape(-1, 3).T
+
+
 class WedgeSphereSpace(MetricSpace):
     """Wedge of round k-spheres glued at a common pole.
 
@@ -269,8 +274,9 @@ class WedgeSphereSpace(MetricSpace):
             for i in np.flatnonzero((dirs == self.pole_dir).all(axis=1)).tolist():
                 pts[start + i] = self.pole
         self._angles: dict = {}  # each sample point's ``_row``, read-only after construction
-        self._angles.update((p, self._row(p)) for p in pts)
-        self._sample_coords = self._coords(pts)  # before sample_set: built, not read
+        rows = list(map(self._row, pts))
+        self._angles.update(zip(pts, rows))
+        self._sample_coords = _angle_columns(rows, len(rows))  # before sample_set: built, not read
         self.sample_set = pts
         self.resolution = self._fill_resolution()
 
@@ -348,8 +354,7 @@ class WedgeSphereSpace(MetricSpace):
         sphere tags; the sample set's are built once."""
         if pts is self.sample_set and len(pts) == len(self._sample_coords[0]):
             return self._sample_coords
-        flat = np.fromiter(chain.from_iterable(map(self._row, pts)), float, 3 * len(pts))
-        return flat.reshape(-1, 3).T
+        return _angle_columns(map(self._row, pts), len(pts))
 
     def dists(self, ps: Sequence[SpherePoint], qs: Sequence[SpherePoint]) -> np.ndarray:
         (ap, bp, tp), (aq, bq, tq) = self._coords(ps), self._coords(qs)

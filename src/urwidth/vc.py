@@ -1,9 +1,11 @@
 """Brute-force VC dimension and the width/VC separation report.
 
 VC dimension is computed exactly by a depth-first shattering search.
-A table's deduplicated hypotheses become one numpy row matrix
-(hypotheses x points), built once; the binary check and the per-point
-columns read from it.  Each point is a bitmask over hypotheses (its
+A table stores its deduplicated hypotheses as one numpy row matrix
+(hypotheses x points); an integer array is deduplicated there without a
+tuple per row.  The binary check and the per-point columns read from it,
+and the tuples of ``hypotheses`` are built only when read; the search
+never reads them.  Each point is a bitmask over hypotheses (its
 column packed into a Python int); a shattered set S carries one
 nonempty hypothesis mask (cell) per +/- pattern on it, and adding a
 point splits every cell by that point's column.  S + j stays shattered
@@ -44,7 +46,8 @@ verbatim) next to the VC numbers to exhibit both separation directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -65,57 +68,74 @@ __all__ = [
 GROUND_CAP = 22
 
 
-@dataclass
 class HypothesisTable:
     """Finite hypothesis class: ordered ground set and label vectors.
 
-    ``rows`` holds the deduplicated vectors as one matrix (hypotheses x points),
-    in first-occurrence order.  An array of rows may be passed as is; the table
-    keeps it as ``rows`` when its rows are distinct.
+    ``rows`` is the store: the deduplicated vectors as one matrix
+    (hypotheses x points), in first-occurrence order.  An integer or bool
+    array is deduplicated in numpy (a binary row by its bits as one integer
+    key) and kept as ``rows`` when its rows are distinct; a list, or an
+    array of any other dtype, by its rows as tuples.  ``hypotheses`` lists
+    the rows as tuples of Python scalars, built from ``rows`` on first read
+    (a list's own tuples, so its labels keep their types).
     """
 
-    ground: list
-    hypotheses: list[tuple]
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.ground) > GROUND_CAP:
+    def __init__(self, ground: list, hypotheses):
+        if len(ground) > GROUND_CAP:
             raise ValueError(
-                f"ground set of size {len(self.ground)} exceeds the cap {GROUND_CAP}"
+                f"ground set of size {len(ground)} exceeds the cap {GROUND_CAP}"
             )
-        n, given = len(self.ground), self.hypotheses
-        matrix = isinstance(given, np.ndarray)
+        n, given = len(ground), hypotheses
+        self.ground = ground
+        if isinstance(given, np.ndarray) and given.ndim == 2 and given.dtype.kind in "biu":
+            if len(given) and given.shape[1] != n:
+                raise ValueError("hypothesis length does not match the ground set")
+            given = given.reshape(len(given), n)  # no rows: any width
+            self.binary = bool(((given == 0) | (given == 1)).all())
+            if self.binary:  # exact: n <= GROUND_CAP bits fit an int64 key
+                keys = given.astype(np.int64, copy=False) @ (1 << np.arange(n, dtype=np.int64))
+                first = np.unique(keys, return_index=True)[1]
+            else:
+                first = np.unique(given, axis=0, return_index=True)[1]
+            # each distinct row's first index; an array of distinct rows is kept, not copied
+            self.rows = given if len(first) == len(given) else given[np.sort(first)]
+            return
         # an array's rows as tuples of Python scalars, built column-wise: faster and
         # smaller at peak than tuples of ``tolist()`` rows (no columns: empty rows)
-        hyps = ((list(zip(*given.T.tolist())) or [()] * len(given)) if matrix
-                else list(map(tuple, given)))
+        hyps = _tuples(given) if isinstance(given, np.ndarray) else list(map(tuple, given))
         if any(len(h) != n for h in hyps):
             raise ValueError("hypothesis length does not match the ground set")
         # each distinct row's first index: earlier indices overwrite later ones
         first = sorted(dict(zip(reversed(hyps), range(len(hyps) - 1, -1, -1))).values())
         self.hypotheses = [hyps[i] for i in first]
-        if not matrix:
+        if not isinstance(given, np.ndarray):
             given = np.array(self.hypotheses)
-        elif len(first) < len(given):  # an array of distinct rows is kept, not copied
+        elif len(first) < len(given):
             given = given[first]
         self.rows = given.reshape(len(first), n)
+        self.binary = bool(((self.rows == 0) | (self.rows == 1)).all())
 
-    @property
-    def binary(self) -> bool:
-        return bool(((self.rows == 0) | (self.rows == 1)).all())
+    @cached_property
+    def hypotheses(self) -> list[tuple]:
+        return _tuples(self.rows)
+
+
+def _tuples(rows: np.ndarray) -> list[tuple]:
+    """The rows of a 2-D array as tuples of Python scalars."""
+    return list(zip(*rows.T.tolist())) or [()] * len(rows)
 
 
 def _columns(table: HypothesisTable) -> tuple[list[int], int]:
     """Per-point bitmask over hypotheses (bit h set iff h labels the point 1)."""
     packed = np.packbits(table.rows.T != 0, axis=1, bitorder="little")
     cols = [int.from_bytes(b.tobytes(), "little") for b in packed]
-    return cols, (1 << len(table.hypotheses)) - 1
+    return cols, (1 << len(table.rows)) - 1
 
 
 def vc_dimension(table: HypothesisTable) -> int:
     """Exact VC dimension of a binary table by a pruned depth-first
     shattering search (see the module docstring)."""
-    if not table.hypotheses:
+    if not len(table.rows):
         raise ValueError("empty hypothesis set")
     if not table.binary:
         raise ValueError(

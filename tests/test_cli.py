@@ -1008,6 +1008,78 @@ def test_tampered_certificate_fails_by_name(tmp_path, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _unsafe_entry(doc):
+    """Index of the first assignment entry of triple 0 whose point is unsafe."""
+    problem = build_problem(doc["problem"])
+    pts = [decode_point(problem.space, d) for d, _ in doc["ub"]["covering"]["triples"][0]["assignment"]]
+    return problem.safe_labels(pts).index(None)
+
+
+def _unassign_unsafe(doc):
+    del doc["ub"]["covering"]["triples"][0]["assignment"][_unsafe_entry(doc)]
+
+
+def _foreign_label_on_unsafe(doc):
+    doc["ub"]["covering"]["triples"][0]["assignment"][_unsafe_entry(doc)][1] = -1
+
+
+# what the covering re-check cannot see, since it reads only safe points' labels:
+# (honest certificate, mutation, the one message)
+_TRIPLE_HOLES = {
+    "labels_replaced": ("bouquet", _set(_TRIPLE0 + ("labels",), [7, 8, 9]),
+                        "ub.covering.triples[0].labels: [7, 8, 9] is not the problem's "
+                        "label tuple [1, 2, 3]"),
+    "labels_entry_dropped": ("bouquet", _drop(_TRIPLE0 + ("labels", 2)),
+                             "ub.covering.triples[0].labels: [1, 2] is not the problem's "
+                             "label tuple [1, 2, 3]"),
+    "unsafe_point_unassigned": ("interval", _unassign_unsafe,
+                                "ub.covering.triples[0].assignment: 1 support points unassigned"),
+    "unsafe_point_foreign_label": ("interval", _foreign_label_on_unsafe,
+                                   "ub.covering.triples[0].assignment: labels [-1] are not in "
+                                   "the problem's label tuple"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRIPLE_HOLES))
+def test_triple_labels_and_assignment_are_checked_by_name(tmp_path, capsys, case):
+    name, mutate, message = _TRIPLE_HOLES[case]
+    doc = _honest(name)
+    mutate(doc)
+    assert verify_bracket(doc) == (False, [message])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+# a bool for a number rebuilt as 1, 1.0 or 0, the same problem, and verified:
+# (honest certificate, path under problem.params, the family the refusal names)
+_BOOL_PARAMS = {
+    "bouquet_gamma": ("bouquet", ("gamma",), "bouquet"),
+    "wedge_seed": ("wedge", ("seed",), "wedge"),
+    "union_s": ("union", ("s",), "union"),
+    "union_left_gamma": ("union", ("left", "params", "gamma"), "bouquet"),
+    "union_right_w": ("union", ("right", "params", "w"), "bouquet"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOOL_PARAMS))
+def test_a_bool_family_parameter_is_refused(tmp_path, capsys, case):
+    name, path, family = _BOOL_PARAMS[case]
+    doc = _honest(name)
+    _set(("problem", "params") + path, True)(doc)
+    message = (f"cannot rebuild problem: family {family!r} parameter {path[-1]!r} "
+               f"must not be a boolean, got True")
+    assert verify_bracket(doc) == (False, [message])
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def _bouquet_w(params):
     params["w"] = 1000
 

@@ -274,25 +274,67 @@ def test_row_matrix_small_tables(ground, hyps):
         assert vc_dimension(t) == _vc_exhaustive_oracle(t)
 
 
-@settings(max_examples=100, deadline=None)
+def _assert_array_table(arr, ground):
+    """The table of an integer or bool array against the tuple oracles, run on
+    the array's rows as tuples of Python scalars."""
+    expect = _dedup_oracle(ground, arr.tolist())
+    t = HypothesisTable(ground, arr)
+    assert "hypotheses" not in t.__dict__  # built on first read
+    assert t.rows.dtype == arr.dtype and t.rows.shape == (len(expect), len(ground))
+    assert t.rows.tolist() == [list(h) for h in expect]
+    assert t.binary == _binary_oracle(expect)
+    assert _columns(t) == _columns_oracle(expect, len(ground))
+    assert t.hypotheses == expect
+    assert [list(map(type, h)) for h in t.hypotheses] == [list(map(type, h)) for h in expect]
+    return t
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_row_array_input_matches_tuple_input(data):
-    # intervals_class hands its rows over as one array; a list of the same
-    # rows must give the same table
-    n = data.draw(st.integers(0, 8))
-    pool = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    # intervals_class hands its rows over as one array, deduplicated in numpy;
+    # a list of the same rows must give the same table
+    n = data.draw(st.integers(0, GROUND_CAP))
+    dtype = data.draw(st.sampled_from([np.bool_, np.uint8, np.intp]))
+    lo = -1 if dtype is np.intp else 0
+    hi = 1 if dtype is np.bool_ or data.draw(st.booleans()) else 2  # binary or not
+    pool = data.draw(st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n),
                               min_size=1, max_size=10))
-    hyps = data.draw(st.lists(st.sampled_from(pool), max_size=30))
-    arr = np.array(hyps, dtype=np.intp).reshape(len(hyps), n)
+    if n == GROUND_CAP:  # the top bit of a binary row's key
+        pool.append([0] * (n - 1) + [1])
+    # draws from a small pool repeat rows, so dedup is exercised
+    hyps = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+    arr = np.array(hyps, dtype=dtype).reshape(len(hyps), n)
     ground = list(range(n))
-    t = HypothesisTable(ground, arr)
-    assert t.hypotheses == _dedup_oracle(ground, hyps)
-    _assert_int_rows(t.hypotheses)
+    t = _assert_array_table(arr, ground)
     ref = HypothesisTable(ground, hyps)
     assert t.rows.tolist() == ref.rows.tolist() and t.binary == ref.binary
     if hyps:  # as with a list, no rows means no row of the wrong length
         with pytest.raises(ValueError, match="hypothesis length does not match the ground set"):
-            HypothesisTable(list(range(n + 1)), arr)
+            HypothesisTable(list(range(n + 1 if n < GROUND_CAP else n - 1)), arr)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.intp])
+@pytest.mark.parametrize("rows", [
+    np.zeros((0, 0)), np.zeros((0, 5)), np.zeros((0, GROUND_CAP)), np.zeros((4, 0)),
+    np.tile(intervals_class(1, 8).rows, (3, 1)),
+    np.eye(GROUND_CAP)[::-1].repeat(3, axis=0),
+    np.tile(np.arange(6).reshape(2, 3) % 3, (5, 1)),
+    np.array([[2, 0, 0], [0, 1, 0], [1, 1, 0], [0, 1, 0]]),  # bit keys 2, 2, 3, 2
+], ids=["no_rows_no_columns", "no_rows", "no_rows_cap", "empty_rows", "intervals_thrice",
+        "unit_rows_cap", "nonbinary_repeated", "nonbinary_same_bit_key"])
+def test_row_array_corner_cases_match_tuple_oracles(rows, dtype):
+    arr = rows.astype(dtype)
+    _assert_array_table(arr, list(range(arr.shape[1])))
+    # no rows fit any ground set, as a list of no rows does
+    assert HypothesisTable([0, 1, 2], np.zeros((0, 5), dtype)).rows.shape == (0, 3)
+
+
+def test_vc_dimension_reads_rows_only():
+    t = intervals_class(3, 16)
+    assert vc_dimension(t) == 6
+    assert "hypotheses" not in t.__dict__
+    assert len(t.hypotheses) == len(t.rows) == sum(math.comb(17, 2 * r) for r in range(4))
 
 
 _SHATTER_INTERVALS = ([(1, g) for g in range(8, 23)] + [(2, g) for g in range(12, 23)]
