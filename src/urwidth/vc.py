@@ -2,8 +2,8 @@
 
 VC dimension is computed exactly by a depth-first shattering search.
 A table stores its deduplicated hypotheses as one numpy row matrix
-(hypotheses x points); an integer array is deduplicated there without a
-tuple per row.  The binary check and the per-point columns read from it,
+(hypotheses x points); an integer array of 0/1 rows is deduplicated
+there without a tuple per row.  The binary check and the per-point columns read from it,
 and the tuples of ``hypotheses`` are built only when read; the search
 never reads them.  Each point is a bitmask over hypotheses (its
 column packed into a Python int); a shattered set S carries one
@@ -73,11 +73,12 @@ class HypothesisTable:
 
     ``rows`` is the store: the deduplicated vectors as one matrix
     (hypotheses x points), in first-occurrence order.  An integer or bool
-    array is deduplicated in numpy (a binary row by its bits as one integer
-    key) and kept as ``rows`` when its rows are distinct; a list, or an
-    array of any other dtype, by its rows as tuples.  ``hypotheses`` lists
-    the rows as tuples of Python scalars, built from ``rows`` on first read
-    (a list's own tuples, so its labels keep their types).
+    array of 0/1 rows is deduplicated in numpy, by each row's bits as one
+    integer key, and kept as ``rows`` when its rows are distinct; a list, or
+    any other array, by its rows as tuples.  ``hypotheses`` lists the rows as
+    tuples of Python scalars, built from ``rows`` on first read (the tuple
+    path keeps the ones it built, so a list's labels keep their types).
+    Tables compare equal when their ground sets and hypotheses are equal.
     """
 
     def __init__(self, ground: list, hypotheses):
@@ -87,41 +88,50 @@ class HypothesisTable:
             )
         n, given = len(ground), hypotheses
         self.ground = ground
-        if isinstance(given, np.ndarray) and given.ndim == 2 and given.dtype.kind in "biu":
-            if len(given) and given.shape[1] != n:
-                raise ValueError("hypothesis length does not match the ground set")
-            given = given.reshape(len(given), n)  # no rows: any width
-            self.binary = bool(((given == 0) | (given == 1)).all())
-            if self.binary:  # exact: n <= GROUND_CAP bits fit an int64 key
-                keys = given.astype(np.int64, copy=False) @ (1 << np.arange(n, dtype=np.int64))
-                first = np.unique(keys, return_index=True)[1]
-            else:
-                first = np.unique(given, axis=0, return_index=True)[1]
-            # each distinct row's first index; an array of distinct rows is kept, not copied
-            self.rows = given if len(first) == len(given) else given[np.sort(first)]
-            return
-        # an array's rows as tuples of Python scalars, built column-wise: faster and
-        # smaller at peak than tuples of ``tolist()`` rows (no columns: empty rows)
-        hyps = _tuples(given) if isinstance(given, np.ndarray) else list(map(tuple, given))
-        if any(len(h) != n for h in hyps):
+        array = isinstance(given, np.ndarray)
+        if not array:
+            given = list(map(tuple, given))
+        # an array's rows share one length, so its first row stands for all
+        if any(len(h) != n for h in (given[:1] if array else given)):
             raise ValueError("hypothesis length does not match the ground set")
-        # each distinct row's first index: earlier indices overwrite later ones
-        first = sorted(dict(zip(reversed(hyps), range(len(hyps) - 1, -1, -1))).values())
-        self.hypotheses = [hyps[i] for i in first]
-        if not isinstance(given, np.ndarray):
-            given = np.array(self.hypotheses)
-        elif len(first) < len(given):
-            given = given[first]
-        self.rows = given.reshape(len(first), n)
-        self.binary = bool(((self.rows == 0) | (self.rows == 1)).all())
+        keyed = array and given.dtype.kind in "biu" and _is_binary(given)
+        if keyed:  # exact: n <= GROUND_CAP bits fit an int64 key
+            given = given.reshape(len(given), n)  # no rows: any width
+            keys = given.astype(np.int64, copy=False) @ (1 << np.arange(n, dtype=np.int64))
+            first = np.sort(np.unique(keys, return_index=True)[1])
+        else:
+            # an array's rows as tuples of Python scalars, built column-wise: faster and
+            # smaller at peak than tuples of ``tolist()`` rows
+            hyps = _tuples(given) if array else given
+            # each distinct row's first index: earlier indices overwrite later ones
+            first = sorted(dict(zip(reversed(hyps), range(len(hyps) - 1, -1, -1))).values())
+            self.hypotheses = [hyps[i] for i in first]
+            if not array:
+                given = np.array(self.hypotheses)
+        # an array of distinct rows is kept, not copied
+        self.rows = (given if len(first) == len(given) else given[first]).reshape(len(first), n)
+        self.binary = keyed or _is_binary(self.rows)
 
     @cached_property
     def hypotheses(self) -> list[tuple]:
         return _tuples(self.rows)
 
+    def __eq__(self, other):
+        if not isinstance(other, HypothesisTable):
+            return NotImplemented
+        return self.ground == other.ground and self.hypotheses == other.hypotheses
+
+    def __repr__(self) -> str:
+        return f"HypothesisTable(ground={self.ground!r}, hypotheses={self.hypotheses!r})"
+
+
+def _is_binary(rows: np.ndarray) -> bool:
+    return bool(((rows == 0) | (rows == 1)).all())
+
 
 def _tuples(rows: np.ndarray) -> list[tuple]:
-    """The rows of a 2-D array as tuples of Python scalars."""
+    """The rows of a 2-D array as tuples of Python scalars (no columns: empty
+    rows)."""
     return list(zip(*rows.T.tolist())) or [()] * len(rows)
 
 

@@ -50,6 +50,18 @@ def test_table_validation():
     assert t.hypotheses == [(None, 1)] and not t.binary
 
 
+def test_tables_compare_by_ground_and_hypotheses():
+    t = HypothesisTable([0, 1], np.array([[0, 1], [0, 1], [1, 1]], dtype=np.uint8))
+    assert t == HypothesisTable([0, 1], [(0, 1), (1, 1)])
+    assert t != HypothesisTable([0, 1], [(1, 1), (0, 1)])  # order counts
+    assert t != HypothesisTable(["a", "b"], [(0, 1), (1, 1)])
+    assert t != t.hypotheses
+    assert repr(t) == "HypothesisTable(ground=[0, 1], hypotheses=[(0, 1), (1, 1)])"
+    assert patchwise_class(2) == patchwise_class(2)
+    with pytest.raises(TypeError):
+        hash(t)
+
+
 def test_multiclass_table_directed_to_bound_path():
     t = HypothesisTable([0, 1], [(1, 2), (2, 1)])
     with pytest.raises(ValueError, match="bound"):
@@ -279,7 +291,8 @@ def _assert_array_table(arr, ground):
     the array's rows as tuples of Python scalars."""
     expect = _dedup_oracle(ground, arr.tolist())
     t = HypothesisTable(ground, arr)
-    assert "hypotheses" not in t.__dict__  # built on first read
+    # 0/1 rows build no tuple before ``hypotheses`` is read; other rows take the tuple path
+    assert ("hypotheses" in t.__dict__) != _binary_oracle(expect)
     assert t.rows.dtype == arr.dtype and t.rows.shape == (len(expect), len(ground))
     assert t.rows.tolist() == [list(h) for h in expect]
     assert t.binary == _binary_oracle(expect)
@@ -309,6 +322,7 @@ def test_row_array_input_matches_tuple_input(data):
     t = _assert_array_table(arr, ground)
     ref = HypothesisTable(ground, hyps)
     assert t.rows.tolist() == ref.rows.tolist() and t.binary == ref.binary
+    assert t == ref  # by ground set and hypotheses (False == 0)
     if hyps:  # as with a list, no rows means no row of the wrong length
         with pytest.raises(ValueError, match="hypothesis length does not match the ground set"):
             HypothesisTable(list(range(n + 1 if n < GROUND_CAP else n - 1)), arr)
