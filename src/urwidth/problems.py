@@ -6,14 +6,18 @@ than gamma, which makes the closed gamma/2 safe neighbourhoods pairwise
 disjoint.  Classes are described analytically (balls around centers, or
 unions of closed segments on the unit interval) plus a finite sample
 list.  Every point-to-class distance comes from one kernel,
-``piece_dists``, over a batch of points: ``class_gaps`` stacks it per
-class, ``safe_points`` filters the sample set with it and
-``safe_labels`` labels any batch of points.  Membership and pairwise
-class distances use the analytic description, so the separation lower
-bound does not depend on the sampling resolution; a covering, and so
-the upper bound, covers only the sampled safe points.  ``pair_table``
-holds the class-pair distances, built once per problem and read by both
-``validate_margin`` and the separation lower bound.
+``piece_gaps``, over a list of pieces and a batch of points.  A pass
+calls it once per run of classes whose pieces-by-points cells fit
+``GAP_CELLS``: a family's constructor takes every class's sampled
+members from one pass over the sample set, ``class_gaps`` is one pass
+over its points, and the first ``safe_points`` call finds every class's
+safe sample points in one pass, although it fills the cache one class
+per call.  ``safe_labels`` labels any batch of points.  Membership and
+pairwise class distances use the analytic description, so the
+separation lower bound does not depend on the sampling resolution; a
+covering, and so the upper bound, covers only the sampled safe points.
+``pair_table`` holds the class-pair distances, built once per problem
+and read by both ``validate_margin`` and the separation lower bound.
 
 Families:
 
@@ -51,6 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .spaces import (
+    BLOCK,
     MetricSpace,
     bouquet_space,
     disjoint_union,
@@ -113,27 +118,93 @@ class LiftedPiece:
     anchor_gap: float
 
 
-def piece_dists(space: MetricSpace, piece, pts: Sequence) -> np.ndarray:
-    """Analytic distance from every point of ``pts`` to a class piece."""
-    if isinstance(piece, LiftedPiece):
-        comp = (space.left, space.right)[piece.side]
-        sides = np.array([side for side, _ in pts], dtype=int)
-        out = np.empty(len(pts))
-        for side, own in enumerate((space.left, space.right)):
-            idx = np.flatnonzero(sides == side)
-            inner = [pts[i][1] for i in idx]
-            if side == piece.side:
-                out[idx] = piece_dists(comp, piece.piece, inner)
-            else:
-                bridge = space.s + own.dists(inner, [space.anchors[side]])[:, 0]
-                out[idx] = bridge + piece.anchor_gap
-        return out
-    if isinstance(piece, BallPiece):
-        return np.maximum(0.0, space.dists([piece.center], pts)[0] - piece.radius)
-    if isinstance(piece, SegmentPiece):
-        x = np.array(pts, dtype=float)
-        return np.maximum(np.maximum(piece.lo - x, x - piece.hi), 0.0)
-    raise TypeError(f"unknown piece type {type(piece).__name__}")
+def piece_gaps(space: MetricSpace, pieces: Sequence, pts: Sequence) -> np.ndarray:
+    """(len(pieces), len(pts)) array: row i holds the analytic distance from
+    every point of ``pts`` to ``pieces[i]``.
+
+    Ball pieces share one ``space.dists`` call and segment pieces one array
+    expression.  Lifted pieces are grouped by side: each side's points take
+    the bridge to their anchor once, for all pieces on the other side.
+    """
+    rows = {kind: [i for i, pc in enumerate(pieces) if isinstance(pc, kind)]
+            for kind in (BallPiece, SegmentPiece, LiftedPiece)}
+    if sum(map(len, rows.values())) < len(pieces):
+        odd = next(pc for pc in pieces if not isinstance(pc, tuple(rows)))
+        raise TypeError(f"unknown piece type {type(odd).__name__}")
+    parts = []
+    for kind, idx in rows.items():
+        group = [pieces[i] for i in idx]
+        if not group:
+            continue
+        if kind is BallPiece:
+            gaps = space.dists([pc.center for pc in group], pts)
+            gaps -= np.array([pc.radius for pc in group], dtype=float)[:, None]
+            gaps = np.maximum(0.0, gaps, out=gaps)
+        elif kind is SegmentPiece:
+            x = np.array(pts, dtype=float)
+            lo = np.array([[pc.lo] for pc in group], dtype=float)
+            hi = np.array([[pc.hi] for pc in group], dtype=float)
+            gaps = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+        else:
+            gaps = _lifted_gaps(space, group, pts)
+        parts.append((idx, gaps))
+    if len(parts) == 1:  # one kind: its rows are all the rows, in order
+        return parts[0][1]
+    out = np.empty((len(pieces), len(pts)))
+    for idx, gaps in parts:
+        out[idx] = gaps
+    return out
+
+
+def _lifted_gaps(space: MetricSpace, pieces: list, pts: Sequence) -> np.ndarray:
+    """``piece_gaps`` of lifted pieces on a disjoint union: a point on a
+    piece's own side takes the component's distance, a point on the other
+    side the bridge to its anchor plus the piece's anchor gap."""
+    out = np.empty((len(pieces), len(pts)))
+    homes = np.array([pc.side for pc in pieces], dtype=int)
+    sides = np.array([side for side, _ in pts], dtype=int)
+    for side, own in enumerate((space.left, space.right)):
+        idx = np.flatnonzero(sides == side)
+        inner = [pts[i][1] for i in idx.tolist()]
+        home, away = np.flatnonzero(homes == side), np.flatnonzero(homes != side)
+        if home.size:
+            out[np.ix_(home, idx)] = piece_gaps(own, [pieces[i].piece for i in home], inner)
+        if away.size:
+            bridge = space.s + own.dists(inner, [space.anchors[side]])[:, 0]
+            gaps = np.array([pieces[i].anchor_gap for i in away], dtype=float)
+            out[np.ix_(away, idx)] = bridge + gaps[:, None]
+    return out
+
+
+# The most (piece, point) cells one ``piece_gaps`` call of ``_class_pass``
+# spans, 2**15 floats: classes are taken a run at a time, at least one per run,
+# so a sample set of 10**6 points is still read one class at a time.
+GAP_CELLS = 512 * BLOCK
+
+
+def _class_pass(space: MetricSpace, classes: Sequence[tuple], pts: Sequence,
+                keep: Callable[[np.ndarray, np.ndarray], object]) -> list:
+    """``keep(rows, gap)`` of each class, a tuple of pieces, in order: its
+    pieces' ``piece_gaps`` rows over ``pts`` and their minimum, the class
+    gap.  One kernel call serves each run of classes whose cells fit
+    ``GAP_CELLS``, and a run's rows are let go before the next run's."""
+    runs, cells = [[]], 0
+    for pieces in classes:
+        if runs[-1] and cells + len(pieces) * len(pts) > GAP_CELLS:
+            runs.append([])
+            cells = 0
+        runs[-1].append(pieces)
+        cells += len(pieces) * len(pts)
+    kept = []
+    for run in runs:
+        rows = piece_gaps(space, [pc for pieces in run for pc in pieces], pts)
+        at = 0
+        for pieces in run:
+            end = at + len(pieces)
+            kept.append(keep(rows[at:end], np.minimum.reduce(rows[at:end])))
+            at = end
+        del rows
+    return kept
 
 
 def piece_pair_dist(space: MetricSpace, a, b) -> float:
@@ -182,6 +253,8 @@ class MarginProblem:
     _safe_cache: dict = field(default_factory=dict, repr=False)
     # sample point -> first slot whose cached safe set holds it
     _safe_slot: dict = field(default_factory=dict, repr=False)
+    # each slot's safe sample indices, from one ``_class_pass`` on first use
+    _safe_rows: list | None = field(default=None, repr=False)
     _pair_cache: dict | None = field(default=None, repr=False)
 
     @property
@@ -203,13 +276,10 @@ class MarginProblem:
             }
         return self._pair_cache
 
-    def _gap(self, j: int, pts: Sequence) -> np.ndarray:
-        return np.minimum.reduce([piece_dists(self.space, pc, pts)
-                                  for pc in self.regions[j].pieces])
-
     def class_gaps(self, pts: Sequence) -> np.ndarray:
         """(K, len(pts)) array: row j holds each point's distance to class slot j."""
-        return np.array([self._gap(j, pts) for j in range(self.k)])
+        pieces = [r.pieces for r in self.regions]
+        return np.array(_class_pass(self.space, pieces, pts, lambda _, gap: gap))
 
     def safe_labels(self, pts: Sequence) -> list:
         """Label of the first safe region containing each point, or None.
@@ -234,8 +304,11 @@ class MarginProblem:
         """Sampled safe set of class slot ``j``; class samples always included."""
         if j not in self._safe_cache:
             sample = self.space.sample_set
-            gap = self._gap(j, sample)
-            pts = [sample[i] for i in np.flatnonzero(gap <= self.gamma / 2 + TOL)]
+            if self._safe_rows is None:
+                self._safe_rows = _class_pass(
+                    self.space, [r.pieces for r in self.regions], sample,
+                    lambda _, gap: np.flatnonzero(gap <= self.gamma / 2 + TOL).tolist())
+            pts = [sample[i] for i in self._safe_rows[j]]
             self._safe_slot.update((x, j) for x in pts if self._safe_slot.get(x, j) >= j)
             have = set(pts)
             for extra in self.regions[j].points:
@@ -260,22 +333,31 @@ class MarginReport:
     notes: list[str]
 
 
-def _sampled_members(space: MetricSpace, pieces, reps) -> list:
-    """Grid points inside the pieces; a piece with no grid member gets its
-    analytic representative appended so every class stays nonempty."""
-    rows = [piece_dists(space, pc, space.sample_set) for pc in pieces]
-    pts = [space.sample_set[i] for i in np.flatnonzero(np.minimum.reduce(rows) <= TOL)]
-    have = set(pts)
-    for row, rep in zip(rows, reps):
-        if not (row <= TOL).any() and rep not in have:
-            pts.append(rep)
-            have.add(rep)
-    return pts
+def _regions(space: MetricSpace, classes: Sequence[tuple]) -> list[ClassRegion]:
+    """Classes 1..K from (pieces, representatives) pairs, their members from
+    one ``_class_pass`` over the sample set: the grid points inside the
+    pieces, then the representative of each piece with no grid member, so
+    every class stays nonempty."""
+    sample = space.sample_set
+    regions = []
+    # each class's members on the grid, and whether each piece holds one
+    found = _class_pass(space, [pieces for pieces, _ in classes], sample,
+                        lambda rows, gap: (np.flatnonzero(gap <= TOL).tolist(),
+                                           (rows <= TOL).any(axis=1).tolist()))
+    for label, ((pieces, reps), (idx, held)) in enumerate(zip(classes, found), 1):
+        pts = [sample[i] for i in idx]
+        have = set(pts)
+        for rep, on_grid in zip(reps, held):
+            if not on_grid and rep not in have:
+                pts.append(rep)
+                have.add(rep)
+        regions.append(ClassRegion(label, pieces, pts))
+    return regions
 
 
-def _ball_region(space: MetricSpace, label: int, center, radius: float) -> ClassRegion:
-    piece = BallPiece(center, radius)
-    return ClassRegion(label, (piece,), _sampled_members(space, (piece,), (center,)))
+def _ball_regions(space: MetricSpace, centers: Sequence, radius: float) -> list[ClassRegion]:
+    """Classes 1..K, class j the closed ball of ``radius`` around ``centers[j - 1]``."""
+    return _regions(space, [((BallPiece(c, radius),), (c,)) for c in centers])
 
 
 def bouquet_problem(w: int, L: float, gamma: float, h: float) -> MarginProblem:
@@ -285,9 +367,7 @@ def bouquet_problem(w: int, L: float, gamma: float, h: float) -> MarginProblem:
     if not 0 < gamma <= L / 10:
         raise ValueError(f"need 0 < gamma <= L/10 = {L / 10}, got gamma={gamma}")
     space = bouquet_space(w, L, h)
-    regions = [
-        _ball_region(space, j, space.antipode(j), gamma / 4) for j in range(1, w + 1)
-    ]
+    regions = _ball_regions(space, [space.antipode(j) for j in range(1, w + 1)], gamma / 4)
     return MarginProblem(
         space, gamma, regions, FamilyTag("bouquet", {"w": w, "L": L, "gamma": gamma, "h": h})
     )
@@ -319,12 +399,8 @@ def scaled_problem(w: int, m: int, L: float, gamma: float, h: float) -> MarginPr
         )
     space = bouquet_space(w, L, h)
     positions = scaled_center_positions(m, L)
-    regions = []
-    label = 1
-    for loop in range(1, w + 1):
-        for s in positions:
-            regions.append(_ball_region(space, label, space.point(loop, s), gamma / 4))
-            label += 1
+    centers = [space.point(loop, s) for loop in range(1, w + 1) for s in positions]
+    regions = _ball_regions(space, centers, gamma / 4)
     return MarginProblem(
         space,
         gamma,
@@ -345,9 +421,7 @@ def wedge_problem(
             f"gamma={gamma} too large for sphere radius R={R}: "
             "the admissible locality window is empty"
         )
-    regions = [
-        _ball_region(space, j, space.antipode(j), gamma / 4) for j in range(1, w + 1)
-    ]
+    regions = _ball_regions(space, [space.antipode(j) for j in range(1, w + 1)], gamma / 4)
     return MarginProblem(
         space,
         gamma,
@@ -406,12 +480,7 @@ def interval_union_problem(
     pos_pieces = tuple(SegmentPiece(a, b) for a, b in ivs)
     pos_reps = [(a + b) / 2 for a, b in ivs]
     neg_reps = [(pc.lo + pc.hi) / 2 for pc in neg_pieces]
-    regions = [
-        ClassRegion(1, pos_pieces, _sampled_members(space, pos_pieces, pos_reps)),
-        ClassRegion(
-            2, tuple(neg_pieces), _sampled_members(space, tuple(neg_pieces), neg_reps)
-        ),
-    ]
+    regions = _regions(space, [(pos_pieces, pos_reps), (tuple(neg_pieces), neg_reps)])
     return MarginProblem(
         space,
         gamma,
@@ -490,12 +559,10 @@ def union_problem(
     space = disjoint_union(left.space, right.space, s)
     regions = []
     for side, src, offset in ((0, left, 0), (1, right, left.k)):
-        anchor = [space.anchors[side]]
+        pieces = [pc for r in src.regions for pc in r.pieces]
+        gaps = iter(piece_gaps(src.space, pieces, [space.anchors[side]])[:, 0].tolist())
         for r in src.regions:
-            pieces = tuple(
-                LiftedPiece(side, pc, float(piece_dists(src.space, pc, anchor)[0]))
-                for pc in r.pieces
-            )
+            pieces = tuple(LiftedPiece(side, pc, next(gaps)) for pc in r.pieces)
             regions.append(ClassRegion(r.label + offset, pieces, [(side, p) for p in r.points]))
     tag = FamilyTag(
         "union",

@@ -241,15 +241,28 @@ def _size_messages(doc: dict) -> list[str]:
     return messages
 
 
+# ``json.dumps(v, sort_keys=True)`` made once; a cycle raises RecursionError
+_FIELD_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _fields(doc: dict) -> dict:
-    """Canonical JSON text of each top-level field, one level down in lb and ub."""
+    """Canonical JSON text of each top-level field, one level down in lb and
+    ub; a value with no JSON text gets a note naming why, which no
+    re-emitted field equals."""
     fields = {}
     for key, value in doc.items():
         if key in ("lb", "ub") and isinstance(value, dict):
             fields.update(((key, k), v) for k, v in value.items())
         else:
             fields[(key,)] = value
-    return {k: json.dumps(v, sort_keys=True) for k, v in fields.items()}
+    return {k: _field_text(v) for k, v in fields.items()}
+
+
+def _field_text(value) -> str:
+    try:
+        return _FIELD_ENCODER.encode(value)
+    except (RecursionError, TypeError, ValueError) as exc:
+        return f"not JSON ({type(exc).__name__})"
 
 
 # -- structured key/value config text ---------------------------------------

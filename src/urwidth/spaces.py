@@ -257,6 +257,8 @@ class WedgeSphereSpace(MetricSpace):
         self._anti_dir = (-1.0,) + (0.0,) * k
         rng = np.random.default_rng(seed)
         pts: list[SpherePoint] = [self.pole]
+        # every point's direction row and sphere tag, for ``_fill_resolution``
+        units, tags = [np.array([self.pole_dir])], [np.zeros(1, dtype=int)]
         for sphere in range(1, w + 1):
             pts.append(self.antipode(sphere))
             raw = rng.normal(size=(n, k + 1))
@@ -271,26 +273,29 @@ class WedgeSphereSpace(MetricSpace):
             # SpherePoint(sphere, u) for each row, skipping its Python-level __new__
             pts += map(tuple.__new__, repeat(SpherePoint),
                        zip(repeat(sphere), map(tuple, dirs.tolist())))
-            for i in np.flatnonzero((dirs == self.pole_dir).all(axis=1)).tolist():
+            poles = (dirs == self.pole_dir).all(axis=1)
+            for i in np.flatnonzero(poles).tolist():
                 pts[start + i] = self.pole
+            dirs[poles] = self.pole_dir  # the pole's own row, a -0.0 made 0.0
+            units += [np.array([self._anti_dir]), dirs]
+            tags += [np.array([sphere]), np.where(poles, 0, sphere)]
         self._angles: dict = {}  # each sample point's ``_row``, read-only after construction
         rows = list(map(self._row, pts))
         self._angles.update(zip(pts, rows))
         self._sample_coords = _angle_columns(rows, len(rows))  # before sample_set: built, not read
         self.sample_set = pts
-        self.resolution = self._fill_resolution()
+        self.resolution = self._fill_resolution(np.concatenate(units), np.concatenate(tags))
 
-    def _fill_resolution(self) -> float:
+    def _fill_resolution(self, dirs: np.ndarray, tags: np.ndarray) -> float:
         # max nearest-neighbour spacing within any one sphere's samples;
         # chain connectivity at 2x this step links every sampled patch.
         # Gram rows (cosines) screen the rows that can hold the maximum and,
         # in each such row, the columns near its largest cosine; the scalar
         # ``dist`` picks the winner among them, so the value equals the
-        # all-pairs loop over ``q != p`` bit for bit.
+        # all-pairs loop over ``q != p`` bit for bit.  ``dirs`` and ``tags``
+        # hold each sample point's direction and sphere, row by row.
         pts = self.sample_set
-        dirs = np.array([p.u for p in pts])
-        tags = np.array([p.sphere for p in pts])
-        copies = len(set(pts)) < len(pts)
+        copies = len(self._angles) < len(pts)  # a point drawn twice, or the pole
         worst = 0.0
         for sphere in range(1, self.w + 1):
             group = np.flatnonzero((tags == 0) | (tags == sphere))

@@ -1008,6 +1008,32 @@ def test_tampered_certificate_fails_by_name(tmp_path, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _cycle(node):
+    node.append(node)
+    return node
+
+
+# a stored value with no JSON text, as only the Python API can pass one:
+# (mutation, the field the message names, why it has no text)
+_NOT_JSON = {
+    "note_cycle": (_set(("note",), _cycle([1])), "note", "RecursionError"),
+    "delta_table_cycle": (lambda doc: _cycle(doc["lb"]["delta_table"][0]),
+                          "lb.delta_table", "RecursionError"),
+    "set": (_set(("note",), {1, 2}), "note", "TypeError"),
+    "object": (_set(("exact",), object()), "exact", "TypeError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_JSON))
+def test_a_field_with_no_json_text_is_named_not_raised(case):
+    mutate, field, why = _NOT_JSON[case]
+    doc = _honest("bouquet")
+    mutate(doc)
+    ok, messages = verify_bracket(doc)
+    assert not ok
+    assert any(m.startswith(f"{field}: stored not JSON ({why})") for m in messages), messages
+
+
 def _unsafe_entry(doc):
     """Index of the first assignment entry of triple 0 whose point is unsafe."""
     problem = build_problem(doc["problem"])

@@ -10,19 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urwidth import problems
 from urwidth.coverings import separation_certificate, width_bracket
 from urwidth.problems import (
     FAMILIES,
     TOL,
     BallPiece,
     LiftedPiece,
+    SegmentPiece,
     bouquet_problem,
     class_count,
     interval_union_problem,
     make_problem,
     parameter_window,
     permuted_problem,
-    piece_dists,
+    piece_gaps,
     scaled_problem,
     union_problem,
     validate_margin,
@@ -278,6 +280,9 @@ _MEMBERSHIP_PROBLEMS = {
     "union_interval": union_problem(
         interval_union_problem([(0.2, 0.5)], 0.1, 31), bouquet_problem(2, 10.0, 0.1, 0.5), 2.5),
 }
+# a union of unions: lifted pieces hold lifted pieces, and one side is itself a union
+_MEMBERSHIP_PROBLEMS["union_nested"] = union_problem(
+    bouquet_problem(1, 10.0, 0.1, 0.5), _MEMBERSHIP_PROBLEMS["union_interval"], 3.0)
 
 
 @pytest.mark.parametrize("name", sorted(_MEMBERSHIP_PROBLEMS))
@@ -324,13 +329,57 @@ def _scalar_piece_dist(space, piece, x):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(_MEMBERSHIP_PROBLEMS)).flatmap(_piece_and_points))
-def test_piece_dists_equal_scalar_piece_point_dist(case):
+def test_piece_gaps_row_equals_scalar_piece_point_dist(case):
     name, piece, pts = case
     space = _MEMBERSHIP_PROBLEMS[name].space
-    got = piece_dists(space, piece, pts)
+    got = piece_gaps(space, [piece], pts)
     want = np.array([_scalar_piece_dist(space, piece, x) for x in pts], dtype=float)
-    assert got.shape == (len(pts),)
-    assert got.tobytes() == want.tobytes()  # bit for bit, not approximately
+    assert got.shape == (1, len(pts))
+    assert got[0].tobytes() == want.tobytes()  # bit for bit, not approximately
+
+
+def _extra_pieces(space, pool):
+    # pieces of other kinds on the same space, so one list mixes kinds: balls
+    # around interval points beside the segments, and lifted balls on a union
+    if space.kind == "interval":
+        return [BallPiece(x, r) for x in pool[:3] for r in (0.0, 0.05)]
+    if space.kind != "disjoint_union":
+        return []
+    extra = []
+    for side, comp in enumerate((space.left, space.right)):
+        inner = [x for s, x in pool if s == side]
+        for pc in _extra_pieces(comp, inner):
+            gap = _scalar_piece_dist(comp, pc, space.anchors[side])
+            extra.append(LiftedPiece(side, pc, gap))
+    return extra
+
+
+def _pieces_and_points(name):
+    p = _MEMBERSHIP_PROBLEMS[name]
+    pool = list(p.space.sample_set)
+    pieces = [pc for r in p.regions for pc in r.pieces]
+    pieces += _extra_pieces(p.space, pool)
+    return st.tuples(st.just(name), st.lists(st.sampled_from(pieces), max_size=7),
+                     st.lists(st.sampled_from(pool), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_MEMBERSHIP_PROBLEMS)).flatmap(_pieces_and_points))
+def test_piece_gaps_rows_equal_scalar_oracle(case):
+    # random piece lists, kinds and union sides mixed, empty lists included
+    name, pieces, pts = case
+    space = _MEMBERSHIP_PROBLEMS[name].space
+    got = piece_gaps(space, pieces, pts)
+    assert got.shape == (len(pieces), len(pts))
+    for row, piece in zip(got, pieces):
+        want = np.array([_scalar_piece_dist(space, piece, x) for x in pts], dtype=float)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_piece_gaps_names_an_unknown_piece_type():
+    space = _MEMBERSHIP_PROBLEMS["interval_union"].space
+    with pytest.raises(TypeError, match="unknown piece type str"):
+        piece_gaps(space, [SegmentPiece(0.0, 0.5), "ball"], [0.25])
 
 
 def test_lifted_pieces_seen_from_both_sides():
@@ -338,9 +387,9 @@ def test_lifted_pieces_seen_from_both_sides():
     for r in p.regions:
         (piece,) = r.pieces
         assert isinstance(piece, LiftedPiece)
-        got = piece_dists(p.space, piece, p.space.sample_set)
+        got = piece_gaps(p.space, [piece], p.space.sample_set)
         want = [_scalar_piece_dist(p.space, piece, x) for x in p.space.sample_set]
-        assert got.tolist() == want
+        assert got.tolist() == [want]
         comp = (p.space.left, p.space.right)[piece.side]
         anchor = p.space.anchors[piece.side]
         assert piece.anchor_gap == _scalar_piece_dist(comp, piece.piece, anchor)
@@ -380,6 +429,39 @@ def test_safe_sets_and_class_points_equal_scalar_filter(name):
         assert p.safe_points(j) == want
     if name == "interval_union":
         assert 0.1015 in p.regions[0].points  # the appended representative
+
+
+@pytest.mark.parametrize("cells", [3, problems.GAP_CELLS])
+@pytest.mark.parametrize("permute", [False, True])
+@pytest.mark.parametrize("name", sorted(_MEMBERSHIP_PROBLEMS))
+def test_class_passes_equal_the_per_class_oracle(monkeypatch, name, permute, cells):
+    # members, safe sets, the safe-slot index and class gaps, each from one
+    # pass over every class, equal a scalar filter run class by class; three
+    # cells leave every sample-set pass one class per kernel call, and cut
+    # the class_gaps passes over a few points into runs of several classes
+    monkeypatch.setattr(problems, "GAP_CELLS", cells)
+    base = _MEMBERSHIP_PROBLEMS[name]
+    p = make_problem(base.family.name, base.family.params,
+                     tuple(range(base.k, 0, -1)) if permute else None)
+    space, sample = p.space, p.space.sample_set
+
+    def gap(r, x):
+        return min(_scalar_piece_dist(space, pc, x) for pc in r.pieces)
+
+    safe = [[x for x in sample if gap(r, x) <= p.gamma / 2 + TOL] for r in p.regions]
+    for r in p.regions:
+        assert r.points == _scalar_members(space, r.pieces)
+    for j in reversed(range(p.k)):  # last slot first: a point still keeps its lowest slot
+        assert p.safe_points(j) == safe[j] + [x for x in p.regions[j].points if x not in safe[j]]
+    slots = {}
+    for j, pts in enumerate(safe):
+        for x in pts:
+            slots.setdefault(x, j)
+    assert p._safe_slot == slots
+    for pts in ([], sample[:1], sample[1:3], sample[::7]):
+        want = np.array([[gap(r, x) for x in pts] for r in p.regions], dtype=float)
+        got = p.class_gaps(pts)
+        assert got.shape == (p.k, len(pts)) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("side", [0, 1])
