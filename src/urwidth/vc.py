@@ -11,20 +11,33 @@ nonempty hypothesis mask (cell) per +/- pattern on it, and adding a
 point splits every cell by that point's column.  S + j stays shattered
 iff no half is empty, and the search only extends shattered sets, in
 increasing point order, since every subset of a shattered set is
-shattered.  Two rules prune it without changing the result:
+shattered.  Three rules prune it without changing the result; write
+need = best - |S| for the points S + j must still gain after j to beat
+best:
 
 * Bound.  ``best``, the largest shattered set found so far, is shared
   by the whole search.  Adding point j to S can lead to at most
   |S| + (n - j) points, so the loop over j stops once that is <= best.
-* Look-ahead.  When |S| + 1 == best, S + j can raise best only through
+* Look-ahead.  When need == 1, S + j can raise best only through
   a shattered S + {j, k}, k > j.  Each such k is tested on S's cells
   directly (all four quadrants of every cell under columns j and k
   nonempty), and S + j is split and searched only if some k passes.
+* Patterns.  When need is 3 or 4, S + j is searched only if every
+  half (cell of S + j) holds, for every pattern p of need bits, a
+  hypothesis whose row on the points after j has p as a subsequence.
+  Proof: if S + j + T is shattered with |T| >= need, every half
+  realises every pattern on the first need points of T.  The masks of
+  the hypotheses holding each pattern after each point are built per
+  pattern length, the first time that length is tested, from the
+  columns: W_bp[j] = W_bp[j + 1] | (col_b[j + 1] & W_p[j + 1]).  With
+  more than 4 points needed the cells are large and the test almost
+  never fails, so it is not made; with 2 it costs more than it saves.
 
-Both tests try first the cell that failed last (it is swapped to the
-front of the list), since the same cell tends to fail again.  This
-keeps grids of a few tens of points and tens of thousands of
-hypotheses tractable.
+The look-ahead, the split and the pattern test try first the cell that
+failed last (it is swapped to the front of the list), since the same
+cell tends to fail again; the pattern test checks each half first
+against the hypotheses that hold every pattern at once.  This keeps grids of a few tens of points and
+hundreds of thousands of hypotheses tractable.
 
 Two hypothesis classes are built here:
 
@@ -47,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -142,6 +155,37 @@ def _columns(table: HypothesisTable) -> tuple[list[int], int]:
     return cols, (1 << len(table.rows)) - 1
 
 
+def _pattern_level(prev: list[list[int]], cols: list[int], full: int) -> list[list[int]]:
+    """The masks of the (r + 1)-bit patterns from those of the r-bit ones.
+
+    ``prev[j]`` lists, per r-bit pattern p, the hypotheses whose row on the
+    points after j has p as a subsequence; the result lists the same for
+    the patterns 0p, then 1p: W_bp[j] = W_bp[j + 1] | (col_b[j + 1] &
+    W_p[j + 1]).  A point from n - 1 - r on has too few later points for
+    r + 1 bits and keeps zeros, so the columns are read from n - 1 - r down
+    to 1.
+    """
+    n, r = len(prev), len(prev[0]).bit_length() - 1
+    zeros = ones = [0] * len(prev[0])
+    level = [zeros + ones] * n
+    for j in range(n - 2 - r, -1, -1):
+        one, after = cols[j + 1], prev[j + 1]
+        zero = full ^ one
+        zeros = [x | (zero & w) for x, w in zip(zeros, after)]
+        ones = [x | (one & w) for x, w in zip(ones, after)]
+        level[j] = zeros + ones
+    return level
+
+
+def _missing_half(halves: list[int], masks: list[int], anyone: int) -> int:
+    """The index of the first half that meets no mask of ``masks``, or -1; a
+    half meeting ``anyone`` (a subset of every mask) meets them all."""
+    for i, h in enumerate(halves):
+        if not (h & anyone or all(map(h.__and__, masks))):
+            return i
+    return -1
+
+
 def vc_dimension(table: HypothesisTable) -> int:
     """Exact VC dimension of a binary table by a pruned depth-first
     shattering search (see the module docstring)."""
@@ -155,17 +199,20 @@ def vc_dimension(table: HypothesisTable) -> int:
     cols, full = _columns(table)
     n = len(table.ground)
     best = 0
+    levels = [[[full]] * n]  # levels[r][j]: per r-bit pattern, its mask after j
+    every = [[full] * n]  # every[r][j]: the hypotheses holding all r-bit patterns after j
 
     def grow(start: int, depth: int, cells: list[int]) -> None:
         """Extend the shattered set S (``depth`` points, all below ``start``)
         by points >= ``start``; ``cells`` holds the hypotheses realizing
         each pattern on S, the cell that failed last first."""
         nonlocal best
+        need = best - depth
         for j in range(start, n):
-            if depth + n - j <= best:
+            if n - j <= need:
                 return  # S, j and every later point cannot beat best
             cj = cols[j]
-            if depth + 1 == best:
+            if need == 1:
                 for k in range(j + 1, n):
                     ck = cols[k]
                     for i, m in enumerate(cells):
@@ -187,10 +234,23 @@ def vc_dimension(table: HypothesisTable) -> int:
                     break  # this pattern cannot take both labels on j
                 split += (ones, m ^ ones)
             else:
+                if need == 3 or need == 4:
+                    while len(levels) <= need:
+                        levels.append(_pattern_level(levels[-1], cols, full))
+                        every.append([reduce(int.__and__, w) for w in levels[-1]])
+                    i = _missing_half(split, levels[need][j], every[need][j])
+                    if i >= 0:
+                        i >>= 1
+                        cells[0], cells[i] = cells[i], cells[0]
+                        continue  # this cell has a half missing a pattern after j
                 best = max(best, depth + 1)
                 grow(j + 1, depth + 1, split)
+                need = best - depth
 
-    grow(0, 0, [full])
+    try:
+        grow(0, 0, [full])
+    finally:
+        del grow  # it refers to itself: break the cycle, freeing the masks now
     return best
 
 
@@ -198,20 +258,24 @@ def intervals_class(n: int, grid: int) -> HypothesisTable:
     """Indicators of unions of at most ``n`` disjoint grid intervals.
 
     Enumerated by boundary positions: exactly r runs of ones correspond
-    to 2r strictly increasing cut indices among grid+1 gaps, so the class
-    has sum_r C(grid+1, 2r) members; point i is labelled 1 iff an odd
-    number of cuts lie at or below it.  Needs grid >= 4n + 4 to witness
-    the full 2n shattering.
+    to 2r strictly increasing cut indices c_1 < ... < c_2r among grid+1
+    gaps, so the class has sum_r C(grid+1, 2r) members; the run
+    [c_2i-1, c_2i) sets bits c_2i-1 .. c_2i - 1, so a row's bit key is
+    sum_i (1 << c_2i) - (1 << c_2i-1), and bit i of the key labels point i.
+    Needs grid >= 4n + 4 to witness the full 2n shattering.
     """
     if grid < 4 * n + 4:
         raise ValueError(f"grid {grid} too small: need at least {4 * n + 4} points")
+    if grid > GROUND_CAP:  # before C(grid + 1, 2n) cut sets are enumerated
+        raise ValueError(f"grid {grid} exceeds the ground-set cap {GROUND_CAP}")
     ground = [i / (grid - 1) for i in range(grid)]
-    blocks = []
+    keys = []
     for r in range(n + 1):
         cuts = np.fromiter(chain.from_iterable(combinations(range(grid + 1), 2 * r)),
-                           dtype=np.intp).reshape(math.comb(grid + 1, 2 * r), 2 * r)
-        blocks.append((cuts[:, :, None] <= np.arange(grid)).sum(axis=1) & 1)
-    return HypothesisTable(ground, np.concatenate(blocks))
+                           dtype=np.int64).reshape(math.comb(grid + 1, 2 * r), 2 * r)
+        keys.append(np.left_shift(1, cuts) @ np.tile(np.array([-1, 1]), r))
+    keys = np.concatenate(keys)
+    return HypothesisTable(ground, (keys[:, None] >> np.arange(grid)) & 1)
 
 
 @dataclass

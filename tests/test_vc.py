@@ -1,7 +1,9 @@
 """Brute-force VC dimension and the separation report."""
 
+import gc
 import math
 import random
+import time
 from itertools import combinations, product
 from unittest import mock
 
@@ -139,6 +141,16 @@ def test_intervals_class_vc(n, grid, expect):
 def test_intervals_class_rejects_small_grid():
     with pytest.raises(ValueError):
         intervals_class(2, 8)
+
+
+def test_intervals_class_refuses_grid_over_cap_before_enumerating():
+    # C(61, 6) cut sets would take several GB before the table refused them
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"cap {GROUND_CAP}"):
+        intervals_class(3, 60)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="cap"):
+        intervals_class(1, GROUND_CAP + 1)
 
 
 def test_intervals_class_cardinality():
@@ -404,28 +416,52 @@ def _vc_dfs_oracle(table):
 def _pruned_search_oracle(table):
     """The pruning rules on pattern sets: the VC dimension, the points
     whose column the search reads, in order, and how often the look-ahead
-    found a partner k and how often it found none."""
+    found a partner k or none and the pattern rule skipped or passed S + j."""
     n = len(table.ground)
-    best, reads, outcomes = 0, [], [0, 0]
+    best, reads, built = 0, [], 0
+    outcomes = dict.fromkeys(["partner", "no partner", "skipped", "passed"], 0)
+    held = {}  # (row after j, r) -> the r-bit patterns among its subsequences
+
+    def holds_every_pattern(s, j, r):
+        """Each pattern on s + j is realised by hypotheses that, together,
+        hold every r-bit pattern as a subsequence of their rows after j."""
+        pats = {}
+        for h in table.hypotheses:
+            after = h[j + 1:]
+            if (after, r) not in held:
+                held[after, r] = {tuple(after[i] for i in c)
+                                  for c in combinations(range(len(after)), r)}
+            pats.setdefault(tuple(h[i] for i in s + (j,)), set()).update(held[after, r])
+        return all(len(p) == 2 ** r for p in pats.values())
 
     def grow(start, s):
-        nonlocal best
+        nonlocal best, built
         for j in range(start, n):
+            need = best - len(s)
             if len(s) + n - j <= best:
                 return
             reads.append(j)
-            if len(s) + 1 == best:
+            if need == 1:
                 for k in range(j + 1, n):
                     reads.append(k)
                     if _shattered_oracle(table, s + (j, k)):
-                        outcomes[0] += 1
+                        outcomes["partner"] += 1
                         break
                 else:
-                    outcomes[1] += 1
+                    outcomes["no partner"] += 1
                     continue
-            if _shattered_oracle(table, s + (j,)):
-                best = max(best, len(s) + 1)
-                grow(j + 1, s + (j,))
+            if not _shattered_oracle(table, s + (j,)):
+                continue
+            if need in (3, 4):
+                for r in range(built + 1, need + 1):  # each pattern length's masks, once
+                    reads.extend(range(n - r, 0, -1))
+                built = max(built, need)
+                if not holds_every_pattern(s, j, need):
+                    outcomes["skipped"] += 1
+                    continue
+                outcomes["passed"] += 1
+            best = max(best, len(s) + 1)
+            grow(j + 1, s + (j,))
 
     grow(0, ())
     return best, reads, outcomes
@@ -486,13 +522,73 @@ def test_pruned_search_matches_oracles(n, m, planted, seed):
         assert value == _vc_exhaustive_oracle(t)
 
 
-def test_look_ahead_takes_both_outcomes():
+def _outcome_tables():
     rnd = random.Random(47)
-    found = [0, 0]
     for _ in range(40):
         n = rnd.randint(6, 12)
-        t = _planted_table(rnd, n, rnd.randint(10, 120), rnd.randint(3, min(6, n)))
+        yield _planted_table(rnd, n, rnd.randint(10, 120), rnd.randint(3, min(6, n)))
+
+
+def test_look_ahead_takes_both_outcomes():
+    found = [0, 0]
+    for t in _outcome_tables():
         value, reads, outcomes = _pruned_search_oracle(t)
         assert _vc_with_reads(t) == (value, reads)
-        found = [a + b for a, b in zip(found, outcomes)]
+        found = [found[0] + outcomes["partner"], found[1] + outcomes["no partner"]]
     assert min(found) > 0
+
+
+def test_pattern_rule_skips_and_passes():
+    # the planted tables above, then interval classes, whose many later points
+    # give the rule both outcomes
+    tables = list(_outcome_tables())
+    tables += [HypothesisTable(list(range(g)), _intervals_oracle(n, g))
+               for n, g in [(2, 7), (2, 9), (3, 8), (3, 9)]]
+    tables.append(intervals_class(2, 12))
+    found = {"skipped": 0, "passed": 0}
+    for i, t in enumerate(tables):
+        value, reads, outcomes = _pruned_search_oracle(t)
+        assert _vc_with_reads(t) == (value, reads)
+        if i >= 40:  # each interval class alone skips some sets
+            assert outcomes["skipped"] > 0
+        found = {k: v + outcomes[k] for k, v in found.items()}
+    assert min(found.values()) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3), grid=st.integers(5, 10), seed=st.integers(0, 2**32 - 1),
+       keep=st.floats(0.05, 1.0))
+def test_interval_row_subsets_match_exhaustive_oracle(n, grid, seed, keep):
+    # interval classes and their subsets: VC 3 and up on few points, where the
+    # pattern rule fires; the tuple builder has no grid floor
+    rows = _intervals_oracle(n, grid)
+    rows = random.Random(seed).sample(rows, max(1, round(keep * len(rows))))
+    t = HypothesisTable(list(range(grid)), rows)
+    assert vc_dimension(t) == _vc_exhaustive_oracle(t)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12])
+def test_vc_edge_tables(n):
+    ground = list(range(n))
+    power_set = [tuple((m >> i) & 1 for i in ground) for m in range(1 << n)]
+    assert vc_dimension(HypothesisTable(ground, power_set)) == n
+    for row in (power_set[0], power_set[-1]):  # a single hypothesis
+        assert vc_dimension(HypothesisTable(ground, [row])) == 0
+    if n:  # the power set without its last row: n points no longer shattered
+        t = HypothesisTable(ground, power_set[:-1])
+        assert vc_dimension(t) == n - 1 == _vc_exhaustive_oracle(t)
+
+
+def test_four_interval_class_vc():
+    assert vc_dimension(intervals_class(4, 20)) == 8
+
+
+def test_search_leaves_no_cycles():
+    t = intervals_class(2, 14)  # builds the 3- and 4-bit pattern masks
+    gc.collect()
+    gc.disable()
+    try:
+        assert vc_dimension(t) == 4
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
