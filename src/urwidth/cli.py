@@ -287,6 +287,8 @@ def _coupon(cfg):
 
 
 def _run_coupon(cfg):
+    if len(set(cfg["ws"])) < 2:  # the slope needs two distinct analytic means
+        raise ValueError(f"the coupon regression needs at least two distinct ws, got {cfg['ws']}")
     rows, files = _coupon(cfg)
     slope, _, r2 = regress([r.analytic_mean for r in rows], [r.mean for r in rows])
     return EXIT_OK, files, f"coupon means vs analytic law: slope {slope:.4f}, R^2 {r2:.5f}"

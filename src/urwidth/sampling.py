@@ -189,9 +189,12 @@ def coupon_stats(
 
 
 def regress(xs, ys) -> tuple[float, float, float]:
-    """Least-squares fit y = a + b x; returns (slope, intercept, r2)."""
+    """Least-squares fit y = a + b x; returns (slope, intercept, r2).  A line
+    needs at least two distinct x values."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
+    if len(np.unique(x)) < 2:
+        raise ValueError(f"a regression needs at least two distinct x values, got {x.tolist()}")
     b, a = np.polyfit(x, y, 1)
     pred = a + b * x
     ss_res = float(((y - pred) ** 2).sum())

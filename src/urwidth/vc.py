@@ -2,8 +2,11 @@
 
 VC dimension is computed exactly by a depth-first shattering search.
 A table stores its deduplicated hypotheses as one numpy row matrix
-(hypotheses x points); an integer array of 0/1 rows is deduplicated
-there without a tuple per row.  The binary check and the per-point columns read from it,
+(hypotheses x points); an integer array of 0/1 rows (an integer array
+is 0/1 iff its minimum and maximum are) is deduplicated there without
+a tuple per row: its rows' bit keys are sorted, and only when two
+neighbours are equal does a stable unique pick each row's first
+occurrence.  The binary check and the per-point columns read from it,
 and the tuples of ``hypotheses`` are built only when read; the search
 never reads them.  Each point is a bitmask over hypotheses (its
 column packed into a Python int); a shattered set S carries one
@@ -43,6 +46,9 @@ Two hypothesis classes are built here:
 
 * ``intervals_class`` -- indicators of unions of at most n grid-aligned
   closed intervals on [0, 1]; VC dimension 2n given a large enough grid.
+  Its rows come from their cut sets, which numpy grows a whole level at
+  a time in lexicographic order, each with its bit key, so no Python
+  work is done per row.
 * ``patchwise_class`` -- classifiers constant on each of w designated
   safe arcs; w^w assignments, hence the log2-cardinality bound
   w*log2(w).  A one-vs-rest indicator family is emitted for binary
@@ -61,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -85,10 +91,12 @@ class HypothesisTable:
     """Finite hypothesis class: ordered ground set and label vectors.
 
     ``rows`` is the store: the deduplicated vectors as one matrix
-    (hypotheses x points), in first-occurrence order.  An integer or bool
-    array of 0/1 rows is deduplicated in numpy, by each row's bits as one
-    integer key, and kept as ``rows`` when its rows are distinct; a list, or
-    any other array, by its rows as tuples.  ``hypotheses`` lists the rows as
+    (hypotheses x points), in first-occurrence order.  An array must be
+    2-D.  An integer or bool array of 0/1 rows is deduplicated in numpy, by
+    each row's bits as one integer key: the keys are sorted, and when no two
+    neighbours are equal the array is kept as ``rows``, uncopied; otherwise
+    each row's first occurrence is kept.  A list, or any other array, is
+    deduplicated by its rows as tuples.  ``hypotheses`` lists the rows as
     tuples of Python scalars, built from ``rows`` on first read (the tuple
     path keeps the ones it built, so a list's labels keep their types).
     Tables compare equal when their ground sets and hypotheses are equal.
@@ -102,16 +110,20 @@ class HypothesisTable:
         n, given = len(ground), hypotheses
         self.ground = ground
         array = isinstance(given, np.ndarray)
-        if not array:
+        if array:  # a matrix; no rows fit any ground set, as a list of no rows does
+            misfit = given.ndim != 2 or len(given) > 0 and given.shape[1] != n
+        else:
             given = list(map(tuple, given))
-        # an array's rows share one length, so its first row stands for all
-        if any(len(h) != n for h in (given[:1] if array else given)):
+            misfit = any(len(h) != n for h in given)
+        if misfit:
             raise ValueError("hypothesis length does not match the ground set")
         keyed = array and given.dtype.kind in "biu" and _is_binary(given)
         if keyed:  # exact: n <= GROUND_CAP bits fit an int64 key
             given = given.reshape(len(given), n)  # no rows: any width
             keys = given.astype(np.int64, copy=False) @ (1 << np.arange(n, dtype=np.int64))
-            first = np.sort(np.unique(keys, return_index=True)[1])
+            ordered = np.sort(keys)
+            if (ordered[1:] == ordered[:-1]).any():  # a repeated row: keep first occurrences
+                given = given[np.sort(np.unique(keys, return_index=True)[1])]
         else:
             # an array's rows as tuples of Python scalars, built column-wise: faster and
             # smaller at peak than tuples of ``tolist()`` rows
@@ -119,10 +131,9 @@ class HypothesisTable:
             # each distinct row's first index: earlier indices overwrite later ones
             first = sorted(dict(zip(reversed(hyps), range(len(hyps) - 1, -1, -1))).values())
             self.hypotheses = [hyps[i] for i in first]
-            if not array:
-                given = np.array(self.hypotheses)
-        # an array of distinct rows is kept, not copied
-        self.rows = (given if len(first) == len(given) else given[first]).reshape(len(first), n)
+            given = (np.array(self.hypotheses) if not array
+                     else given if len(first) == len(given) else given[first])
+        self.rows = given.reshape(len(given), n)  # an array of distinct rows is kept, not copied
         self.binary = keyed or _is_binary(self.rows)
 
     @cached_property
@@ -139,6 +150,8 @@ class HypothesisTable:
 
 
 def _is_binary(rows: np.ndarray) -> bool:
+    if rows.dtype.kind in "biu":  # integers are all 0/1 iff their range is
+        return not rows.size or bool(rows.min() >= 0 and rows.max() <= 1)
     return bool(((rows == 0) | (rows == 1)).all())
 
 
@@ -262,18 +275,29 @@ def intervals_class(n: int, grid: int) -> HypothesisTable:
     gaps, so the class has sum_r C(grid+1, 2r) members; the run
     [c_2i-1, c_2i) sets bits c_2i-1 .. c_2i - 1, so a row's bit key is
     sum_i (1 << c_2i) - (1 << c_2i-1), and bit i of the key labels point i.
-    Needs grid >= 4n + 4 to witness the full 2n shattering.
+    The cut sets of each r are grown in numpy one cut at a time, in
+    lexicographic order, with their keys: a prefix ending at a, with t
+    cuts still to place after this one, extends to each b in
+    a + 1 .. grid - t.  Needs grid >= 4n + 4 to witness the full 2n
+    shattering.
     """
+    if n < 0:
+        raise ValueError(f"interval count n must be at least 0, got n={n}")
     if grid < 4 * n + 4:
         raise ValueError(f"grid {grid} too small: need at least {4 * n + 4} points")
     if grid > GROUND_CAP:  # before C(grid + 1, 2n) cut sets are enumerated
         raise ValueError(f"grid {grid} exceeds the ground-set cap {GROUND_CAP}")
     ground = [i / (grid - 1) for i in range(grid)]
-    keys = []
-    for r in range(n + 1):
-        cuts = np.fromiter(chain.from_iterable(combinations(range(grid + 1), 2 * r)),
-                           dtype=np.int64).reshape(math.comb(grid + 1, 2 * r), 2 * r)
-        keys.append(np.left_shift(1, cuts) @ np.tile(np.array([-1, 1]), r))
+    keys = [np.zeros(1, dtype=np.int64)]  # r = 0: the empty union
+    for r in range(1, n + 1):
+        key, last = keys[0], np.full(1, -1)  # one empty prefix
+        for i in range(2 * r):
+            counts = grid - (2 * r - 1 - i) - last  # the choices of the next cut per prefix
+            ends = np.cumsum(counts)
+            # prefix p's choices are last_p + 1, last_p + 2, ...: a ragged arange
+            last = np.arange(ends[-1]) - np.repeat(ends - counts - last - 1, counts)
+            key = np.repeat(key, counts) + (-1 if i % 2 == 0 else 1) * (1 << last)
+        keys.append(key)
     keys = np.concatenate(keys)
     return HypothesisTable(ground, (keys[:, None] >> np.arange(grid)) & 1)
 

@@ -841,10 +841,15 @@ def test_machine_stream_rejects_a_nan_sphere_direction(tmp_path, capsys):
     (["problem", "--family", "wedge", "--seed", "-1"], "need a non-negative seed, got seed=-1"),
     (["width", "--family", "wedge", "--d0", "1", "--seed", "-1"],
      "need a non-negative seed, got seed=-1"),
+    # one distinct w gives no slope to fit
+    (["sample", "--experiment", "coupon", "--ws", "4"], "at least two distinct ws, got [4]"),
+    (["sample", "--experiment", "coupon", "--ws", "4,4"], "at least two distinct ws, got [4, 4]"),
+    ({"experiment": "coupon", **_VALID_CONFIGS["coupon"], "ws": [4]},
+     "at least two distinct ws, got [4]"),
 ], ids=["space_edges", "problem_gamma", "width_d0_nan", "sweep_w1", "nerve_arcs",
         "vc_n_intervals", "vc_n_intervals_0", "run_vc_n_max_0", "run_hierarchy_d0", "run_machine_steps_0", "run_hierarchy_ws",
         "run_sample_complexity_gamma", "space_wedge_seed", "problem_wedge_seed",
-        "width_wedge_seed"])
+        "width_wedge_seed", "coupon_one_w", "coupon_one_w_twice", "run_coupon_one_w"])
 def test_refused_command_writes_nothing(tmp_path, capsys, argv, needle):
     if isinstance(argv, dict):
         cfg = tmp_path / "bad.cfg"

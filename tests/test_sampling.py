@@ -82,6 +82,12 @@ def test_coupon_regression_slope_against_analytic_law():
     assert r2 >= 0.99
 
 
+@pytest.mark.parametrize("xs", [[], [3.0], [3.0, 3.0, 3.0]])
+def test_regression_needs_two_distinct_x(xs):
+    with pytest.raises(ValueError, match="at least two distinct x values"):
+        regress(xs, [1.0] * len(xs))
+
+
 def test_wilson_interval_sane():
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi

@@ -1,6 +1,7 @@
 """Brute-force VC dimension and the separation report."""
 
 import gc
+import hashlib
 import math
 import random
 import time
@@ -17,6 +18,7 @@ from urwidth.vc import (
     GROUND_CAP,
     HypothesisTable,
     _columns,
+    _is_binary,
     intervals_class,
     patchwise_class,
     separation_report,
@@ -153,9 +155,47 @@ def test_intervals_class_refuses_grid_over_cap_before_enumerating():
         intervals_class(1, GROUND_CAP + 1)
 
 
+def test_intervals_class_refuses_negative_n_before_enumerating():
+    for grid in (8, 60):  # the count is checked before the grid
+        with mock.patch.object(vc_module, "HypothesisTable") as table:
+            with pytest.raises(ValueError, match="got n=-1"):
+                intervals_class(-1, grid)
+        table.assert_not_called()
+
+
+# sha256 of rows.tobytes() (little-endian int64), pinned from the itertools builder
+_INTERVAL_ROW_DIGESTS = {
+    (0, 4): ((1, 4), "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"),
+    (1, 22): ((254, 22), "f407cd7fa292e1c34eaeb3373ae0e09dc7f99ec0d01f43bb5fec44a4cc34b6e6"),
+    (2, 22): ((9109, 22), "154cb44b45ca1429605ae591f46b9c3a493b64afef9ffc4e895cc1f5b78b3539"),
+    (3, 16): ((14893, 16), "07359a87b5e41bea492946829f067c88838bf58bb222b3f149330dbd031794d5"),
+    (3, 20): ((60460, 20), "c3232a66cdb913a97b74bf3e4b889d8cf3ac58666211b4fd55b9cd551178a41b"),
+    (4, 20): ((263950, 20), "e95e9e54d59d5a4c26e1b247aa660a5c9d215434656708e8dbb3c38d20d2ab2d"),
+}
+
+
+@pytest.mark.parametrize("n,grid", sorted(_INTERVAL_ROW_DIGESTS))
+def test_intervals_class_rows_match_pinned_digests(n, grid):
+    rows = intervals_class(n, grid).rows
+    shape, digest = _INTERVAL_ROW_DIGESTS[n, grid]
+    assert rows.dtype.str == "<i8" and rows.shape == shape
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
 def test_intervals_class_cardinality():
     t = intervals_class(1, 12)
     assert len(t.hypotheses) == 1 + math.comb(13, 2)
+
+
+@pytest.mark.parametrize("n,grid", [(0, 4), (1, 8), (2, 22), (3, 16)])
+def test_intervals_class_makes_each_cut_set_once(n, grid):
+    # distinct rows, so the table keeps the array it is handed without copying it
+    handed, table = [], vc_module.HypothesisTable
+    with mock.patch.object(vc_module, "HypothesisTable",
+                           lambda ground, rows: table(ground, handed.append(rows) or rows)):
+        t = intervals_class(n, grid)
+    assert len(handed[0]) == len(t.rows) == sum(math.comb(grid + 1, 2 * r) for r in range(n + 1))
+    assert np.shares_memory(t.rows, handed[0])
 
 
 def test_patchwise_class_enumeration():
@@ -217,6 +257,30 @@ def _dedup_oracle(ground, hyps):
 
 def _binary_oracle(hyps):
     return all(v in (0, 1) for h in hyps for v in h)
+
+
+def _binary_elementwise_oracle(arr):
+    return all(v in (0, 1) for v in arr.ravel().tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_is_binary_matches_elementwise_oracle(data):
+    # integer arrays are judged by their range alone; floats cell by cell
+    dtype = np.dtype(data.draw(st.sampled_from(
+        [np.bool_, np.int8, np.uint8, np.int64, np.uint64, np.float64])))
+    if dtype.kind == "f":
+        values = [0.0, 1.0, -0.0, 0.5, -1.0, 2.0, np.nan, np.inf]
+    elif dtype.kind == "b":
+        values = [False, True]
+    else:  # 0, 1, the nearest values on either side that fit, and the range's ends
+        info = np.iinfo(dtype)
+        values = [v for v in (0, 1, -1, 2, int(info.min), int(info.max)) if v >= info.min]
+    shape = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=2))  # empty ones too
+    cells = data.draw(st.lists(st.sampled_from(values), min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+    arr = np.array(cells, dtype=dtype).reshape(shape)
+    assert _is_binary(arr) == _binary_elementwise_oracle(arr)
 
 
 def _columns_oracle(hyps, n):
@@ -356,6 +420,16 @@ def test_row_array_corner_cases_match_tuple_oracles(rows, dtype):
     assert HypothesisTable([0, 1, 2], np.zeros((0, 5), dtype)).rows.shape == (0, 3)
 
 
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float64])
+@pytest.mark.parametrize("shape, n", [((4,), 4), ((1,), 1), ((0,), 0), ((), 0), ((3, 4, 2), 4),
+                                      ((3, 4, 1), 4), ((1, 1, 1), 1), ((0, 4, 1), 4)],
+                         ids=["1d", "1d_one_point", "1d_empty", "scalar", "3d", "3d_last_axis_1",
+                              "3d_one_cell", "3d_no_rows"])
+def test_table_refuses_an_array_that_is_not_a_matrix(shape, n, dtype):
+    with pytest.raises(ValueError, match="hypothesis length does not match the ground set"):
+        HypothesisTable(list(range(n)), np.zeros(shape, dtype=dtype))
+
+
 def test_vc_dimension_reads_rows_only():
     t = intervals_class(3, 16)
     assert vc_dimension(t) == 6
@@ -367,7 +441,8 @@ _SHATTER_INTERVALS = ([(1, g) for g in range(8, 23)] + [(2, g) for g in range(12
                       + [(3, 16), (3, 20)])  # the benchmark's tables and criterion 6's
 
 
-@pytest.mark.parametrize("n,grid", _SHATTER_INTERVALS)
+# with n = 0 and n = 4 at the smallest grid, 4n + 4 (n = 1..3 are in the list)
+@pytest.mark.parametrize("n,grid", _SHATTER_INTERVALS + [(0, 4), (4, 20)])
 def test_intervals_class_matches_tuple_builder(n, grid):
     t = intervals_class(n, grid)
     expect = _intervals_oracle(n, grid)
