@@ -530,10 +530,16 @@ def permuted_problem(problem: MarginProblem, sigma: Sequence[int]) -> MarginProb
     """Relabel classes by a permutation of [K]; geometry is untouched.
 
     ``sigma[j]`` is the new label of the class currently labelled j+1
-    (1-based), i.e. geometric slot j receives label sigma[j].
+    (1-based), i.e. geometric slot j receives label sigma[j].  Each entry
+    must be an integer, not a bool: ``int`` would take 2.9 and "2" as 2.
     """
     k = problem.k
-    sig = tuple(int(x) for x in sigma)
+    try:
+        if any(isinstance(x, bool) for x in sigma):
+            raise TypeError
+        sig = tuple(map(index, sigma))
+    except TypeError:
+        raise ValueError(f"sigma {sigma!r} must hold integer labels") from None
     if sorted(sig) != list(range(1, k + 1)):
         raise ValueError(f"sigma {sig} is not a bijection on 1..{k}")
     regions = [

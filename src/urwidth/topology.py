@@ -187,10 +187,15 @@ def cyclic_arc_cover(space: BouquetSpace, arcs_per_loop: int) -> UrysohnCovering
     Consecutive arcs (cyclically) overlap by one sampling resolution and
     share sample points; the wedge point itself is assigned to no arc, so
     arcs on different loops never meet and the nerve splits into one
-    cycle per loop.  Not a margin covering, a topological probe.
+    cycle per loop.  Not a margin covering, a topological probe.  An arc
+    may not be shorter than one sampling resolution: the nerve's triangles
+    grow with the cube of the arcs per step.
     """
     if arcs_per_loop < 3:
         raise ValueError("need at least 3 arcs per loop for a cyclic cover")
+    if arcs_per_loop > space.n_per_loop:
+        raise ValueError(f"{arcs_per_loop} arcs per loop exceed the {space.n_per_loop} "
+                         "sample steps per loop")
     L = space.L
     step = L / arcs_per_loop
     overlap = space.resolution

@@ -1,14 +1,13 @@
 """Brute-force VC dimension and the width/VC separation report.
 
 VC dimension is computed exactly by a depth-first shattering search.
-A table stores its deduplicated hypotheses as one numpy row matrix
-(hypotheses x points); an integer array of 0/1 rows (an integer array
-is 0/1 iff its minimum and maximum are) is deduplicated there without
-a tuple per row: its rows' bit keys are sorted, and only when two
+A table is a deduplicated 0/1 integer matrix (hypotheses x points); a
+label other than 0 or 1 is refused.  Its rows are deduplicated without
+a tuple per row: their bit keys are sorted, and only when two
 neighbours are equal does a stable unique pick each row's first
-occurrence.  The binary check and the per-point columns read from it,
-and the tuples of ``hypotheses`` are built only when read; the search
-never reads them.  Each point is a bitmask over hypotheses (its
+occurrence.  The per-point columns are read from the matrix, and the
+tuples of ``hypotheses`` are built only when read; the search never
+reads them.  Each point is a bitmask over hypotheses (its
 column packed into a Python int); a shattered set S carries one
 nonempty hypothesis mask (cell) per +/- pattern on it, and adding a
 point splits every cell by that point's column.  S + j stays shattered
@@ -39,8 +38,9 @@ best:
 The look-ahead, the split and the pattern test try first the cell that
 failed last (it is swapped to the front of the list), since the same
 cell tends to fail again; the pattern test checks each half first
-against the hypotheses that hold every pattern at once.  This keeps grids of a few tens of points and
-hundreds of thousands of hypotheses tractable.
+against the hypotheses that hold every pattern at once.  This keeps
+grids of a few tens of points and hundreds of thousands of hypotheses
+tractable.
 
 Two hypothesis classes are built here:
 
@@ -88,18 +88,19 @@ GROUND_CAP = 22
 
 
 class HypothesisTable:
-    """Finite hypothesis class: ordered ground set and label vectors.
+    """Finite binary hypothesis class: ordered ground set and 0/1 label vectors.
 
-    ``rows`` is the store: the deduplicated vectors as one matrix
-    (hypotheses x points), in first-occurrence order.  An array must be
-    2-D.  An integer or bool array of 0/1 rows is deduplicated in numpy, by
-    each row's bits as one integer key: the keys are sorted, and when no two
-    neighbours are equal the array is kept as ``rows``, uncopied; otherwise
-    each row's first occurrence is kept.  A list, or any other array, is
-    deduplicated by its rows as tuples.  ``hypotheses`` lists the rows as
-    tuples of Python scalars, built from ``rows`` on first read (the tuple
-    path keeps the ones it built, so a list's labels keep their types).
-    Tables compare equal when their ground sets and hypotheses are equal.
+    ``rows`` is the store: the deduplicated vectors as one 0/1 bool or
+    integer matrix (hypotheses x points), in first-occurrence order.  A
+    list is read by numpy after its rows' lengths are checked; an array
+    must be 2-D.  Any label other than 0 or 1 is refused (numpy reads a
+    list of no labels as floats; it holds no other label).  Rows are
+    deduplicated by their bits as one integer key: the keys are sorted,
+    and when no two neighbours are equal the array is kept as ``rows``,
+    uncopied; otherwise each row's first occurrence is kept.
+    ``hypotheses`` lists the rows as tuples of Python scalars, built from
+    ``rows`` on first read.  Tables compare equal when their ground sets
+    and rows are equal.
     """
 
     def __init__(self, ground: list, hypotheses):
@@ -107,58 +108,37 @@ class HypothesisTable:
             raise ValueError(
                 f"ground set of size {len(ground)} exceeds the cap {GROUND_CAP}"
             )
-        n, given = len(ground), hypotheses
+        n, rows = len(ground), hypotheses
         self.ground = ground
-        array = isinstance(given, np.ndarray)
-        if array:  # a matrix; no rows fit any ground set, as a list of no rows does
-            misfit = given.ndim != 2 or len(given) > 0 and given.shape[1] != n
-        else:
-            given = list(map(tuple, given))
-            misfit = any(len(h) != n for h in given)
-        if misfit:
+        # a list's row lengths are checked before numpy reads it, as numpy refuses a
+        # ragged list; a list of no rows fits any ground set, as a matrix of no rows does
+        if not isinstance(rows, np.ndarray) and all(len(h) == n for h in rows):
+            rows = np.array(rows) if len(rows) else np.zeros((0, n))
+        if not isinstance(rows, np.ndarray) or rows.ndim != 2 or len(rows) and rows.shape[1] != n:
             raise ValueError("hypothesis length does not match the ground set")
-        keyed = array and given.dtype.kind in "biu" and _is_binary(given)
-        if keyed:  # exact: n <= GROUND_CAP bits fit an int64 key
-            given = given.reshape(len(given), n)  # no rows: any width
-            keys = given.astype(np.int64, copy=False) @ (1 << np.arange(n, dtype=np.int64))
-            ordered = np.sort(keys)
-            if (ordered[1:] == ordered[:-1]).any():  # a repeated row: keep first occurrences
-                given = given[np.sort(np.unique(keys, return_index=True)[1])]
-        else:
-            # an array's rows as tuples of Python scalars, built column-wise: faster and
-            # smaller at peak than tuples of ``tolist()`` rows
-            hyps = _tuples(given) if array else given
-            # each distinct row's first index: earlier indices overwrite later ones
-            first = sorted(dict(zip(reversed(hyps), range(len(hyps) - 1, -1, -1))).values())
-            self.hypotheses = [hyps[i] for i in first]
-            given = (np.array(self.hypotheses) if not array
-                     else given if len(first) == len(given) else given[first])
-        self.rows = given.reshape(len(given), n)  # an array of distinct rows is kept, not copied
-        self.binary = keyed or _is_binary(self.rows)
+        if rows.size and not (rows.dtype.kind in "biu" and rows.min() >= 0 and rows.max() <= 1):
+            raise ValueError("labels must be 0 or 1: binary VC is undefined for any other "
+                             "label, use the log2-cardinality bound instead")
+        rows = rows.reshape(len(rows), n)  # no rows: any width
+        # exact: n <= GROUND_CAP bits fit an int64 key
+        keys = rows.astype(np.int64, copy=False) @ (1 << np.arange(n, dtype=np.int64))
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():  # a repeated row: keep first occurrences
+            rows = rows[np.sort(np.unique(keys, return_index=True)[1])]
+        self.rows = rows  # an array of distinct rows is kept, not copied
 
     @cached_property
     def hypotheses(self) -> list[tuple]:
-        return _tuples(self.rows)
+        # built column-wise: faster and smaller at peak than tuples of ``tolist()`` rows
+        return list(zip(*self.rows.T.tolist())) or [()] * len(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, HypothesisTable):
             return NotImplemented
-        return self.ground == other.ground and self.hypotheses == other.hypotheses
+        return self.ground == other.ground and np.array_equal(self.rows, other.rows)
 
     def __repr__(self) -> str:
         return f"HypothesisTable(ground={self.ground!r}, hypotheses={self.hypotheses!r})"
-
-
-def _is_binary(rows: np.ndarray) -> bool:
-    if rows.dtype.kind in "biu":  # integers are all 0/1 iff their range is
-        return not rows.size or bool(rows.min() >= 0 and rows.max() <= 1)
-    return bool(((rows == 0) | (rows == 1)).all())
-
-
-def _tuples(rows: np.ndarray) -> list[tuple]:
-    """The rows of a 2-D array as tuples of Python scalars (no columns: empty
-    rows)."""
-    return list(zip(*rows.T.tolist())) or [()] * len(rows)
 
 
 def _columns(table: HypothesisTable) -> tuple[list[int], int]:
@@ -204,11 +184,6 @@ def vc_dimension(table: HypothesisTable) -> int:
     shattering search (see the module docstring)."""
     if not len(table.rows):
         raise ValueError("empty hypothesis set")
-    if not table.binary:
-        raise ValueError(
-            "multiclass table: binary VC undefined here, use the "
-            "log2-cardinality bound instead"
-        )
     cols, full = _columns(table)
     n = len(table.ground)
     best = 0

@@ -271,6 +271,16 @@ def test_nerve_command(tmp_path):
     assert doc["bound_pass"] is True
 
 
+def test_nerve_takes_one_arc_per_sample_step(tmp_path):
+    # the default space has 48 sample steps per loop
+    assert main(["nerve", "--arcs", "48", "--out", str(tmp_path / "n")]) == 0
+    assert json.loads((tmp_path / "n" / "betti.json").read_text())["n_patches"] == 3 * 48
+    cfg = tmp_path / "nb.cfg"
+    cfg.write_text(format_config({"experiment": "nerve_betti", "w": 3, "L": 12, "h": 0.25,
+                                  "arcs": 48}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "r")]) == 0
+
+
 def test_sample_sweep_command(tmp_path):
     out = str(tmp_path)
     assert main(["sample", "--experiment", "sweep", "--ws", "8",
@@ -846,10 +856,23 @@ def test_machine_stream_rejects_a_nan_sphere_direction(tmp_path, capsys):
     (["sample", "--experiment", "coupon", "--ws", "4,4"], "at least two distinct ws, got [4, 4]"),
     ({"experiment": "coupon", **_VALID_CONFIGS["coupon"], "ws": [4]},
      "at least two distinct ws, got [4]"),
+    # an arc shorter than one of the default space's 48 sample steps per loop
+    (["nerve", "--arcs", "49"], "49 arcs per loop exceed the 48 sample steps"),
+    ({"experiment": "nerve_betti", "w": 3, "L": 12, "h": 0.25, "arcs": 49},
+     "49 arcs per loop exceed the 48 sample steps"),
+    # int() would read each as the permutation (2, 1) or (1, 2)
+    ({"experiment": "problem", "problem": {**_BOUQUET2, "sigma": [2.9, 1.2]}},
+     "sigma [2.9, 1.2] must hold integer labels"),
+    ({"experiment": "problem", "problem": {**_BOUQUET2, "sigma": [True, 2]}},
+     "sigma [True, 2] must hold integer labels"),
+    ({"experiment": "problem", "problem": {**_BOUQUET2, "sigma": "21"}},
+     "sigma '21' must hold integer labels"),
 ], ids=["space_edges", "problem_gamma", "width_d0_nan", "sweep_w1", "nerve_arcs",
         "vc_n_intervals", "vc_n_intervals_0", "run_vc_n_max_0", "run_hierarchy_d0", "run_machine_steps_0", "run_hierarchy_ws",
         "run_sample_complexity_gamma", "space_wedge_seed", "problem_wedge_seed",
-        "width_wedge_seed", "coupon_one_w", "coupon_one_w_twice", "run_coupon_one_w"])
+        "width_wedge_seed", "coupon_one_w", "coupon_one_w_twice", "run_coupon_one_w",
+        "nerve_arcs_49", "run_nerve_betti_arcs_49", "run_problem_sigma_floats",
+        "run_problem_sigma_bool", "run_problem_sigma_string"])
 def test_refused_command_writes_nothing(tmp_path, capsys, argv, needle):
     if isinstance(argv, dict):
         cfg = tmp_path / "bad.cfg"
@@ -1011,6 +1034,24 @@ def test_tampered_certificate_fails_by_name(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_certificate_with_a_float_sigma_cannot_be_rebuilt(tmp_path, capsys):
+    # int() would read [2.9, 1.2] as the stored permutation (2, 1)
+    from urwidth.coverings import width_bracket
+    from urwidth.problems import bouquet_problem, permuted_problem
+
+    problem = permuted_problem(bouquet_problem(2, 10.0, 1.0, 0.5), (2, 1))
+    doc = json.loads(json.dumps(bracket_doc(problem, width_bracket(problem, 4.0))))
+    assert verify_bracket(doc) == (True, [])
+    doc["problem"]["sigma"] = [2.9, 1.2]
+    assert verify_bracket(doc) == (
+        False, ["cannot rebuild problem: sigma [2.9, 1.2] must hold integer labels"])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "cannot rebuild problem" in capsys.readouterr().err
 
 
 def _cycle(node):

@@ -229,6 +229,21 @@ def test_permuted_problem_rejects_non_bijection():
         permuted_problem(p, (1, 1, 3))
 
 
+@pytest.mark.parametrize("sigma", [[2.9, 1.2], [2.0, 1.0], [True, 2], [2, False], "21",
+                                   ["2", "1"], (np.True_, 2), 21, None])
+def test_permuted_problem_refuses_labels_that_are_not_integers(sigma):
+    # int() would read each of the first five as a bijection
+    with pytest.raises(ValueError, match="sigma .* must hold integer labels"):
+        permuted_problem(bouquet_problem(2, 10.0, 1.0, 0.5), sigma)
+
+
+def test_permuted_problem_takes_numpy_integers():
+    p = bouquet_problem(2, 10.0, 1.0, 0.5)
+    q = permuted_problem(p, np.array([2, 1]))
+    assert q.labels == [2, 1] and q.family.sigma == (2, 1)
+    assert all(type(x) is int for x in q.family.sigma)
+
+
 def test_wedge_problem_margin():
     p = wedge_problem(2, 2, 2.0, 1.0, n=32, seed=4)
     rep = validate_margin(p)

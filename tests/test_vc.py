@@ -18,7 +18,6 @@ from urwidth.vc import (
     GROUND_CAP,
     HypothesisTable,
     _columns,
-    _is_binary,
     intervals_class,
     patchwise_class,
     separation_report,
@@ -50,8 +49,9 @@ def test_table_validation():
         HypothesisTable([0, 1], [(0, 1), (0, 1, 0), (1, 0)])
     t = HypothesisTable([0, 1], [(0, 1), (0, 1), (1, 1)])
     assert len(t.hypotheses) == 2  # deduplicated
-    t = HypothesisTable([0, 1], [(None, 1), (None, 1)])  # any hashable label
-    assert t.hypotheses == [(None, 1)] and not t.binary
+    for rows in ([(None, 1), (None, 1)], np.array([(None, 1), (None, 1)])):  # object labels
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            HypothesisTable([0, 1], rows)
 
 
 def test_tables_compare_by_ground_and_hypotheses():
@@ -67,9 +67,9 @@ def test_tables_compare_by_ground_and_hypotheses():
 
 
 def test_multiclass_table_directed_to_bound_path():
-    t = HypothesisTable([0, 1], [(1, 2), (2, 1)])
-    with pytest.raises(ValueError, match="bound"):
-        vc_dimension(t)
+    for rows in ([(1, 2), (2, 1)], np.array([(1, 2), (2, 1)])):
+        with pytest.raises(ValueError, match="bound"):
+            HypothesisTable([0, 1], rows)
 
 
 def _shattered_oracle(table, subset):
@@ -259,14 +259,19 @@ def _binary_oracle(hyps):
     return all(v in (0, 1) for h in hyps for v in h)
 
 
-def _binary_elementwise_oracle(arr):
-    return all(v in (0, 1) for v in arr.ravel().tolist())
+def _assert_refused(ground, hyps):
+    """A table of labels other than 0 and 1 is refused, from a list and from
+    the array numpy reads it as."""
+    for rows in (hyps, np.array(hyps)):
+        with pytest.raises(ValueError, match="labels must be 0 or 1.*log2-cardinality bound"):
+            HypothesisTable(ground, rows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_is_binary_matches_elementwise_oracle(data):
-    # integer arrays are judged by their range alone; floats cell by cell
+def test_table_accepts_exactly_0_1_integer_arrays(data):
+    # integer arrays are judged by their range alone; a float array with a label
+    # is refused, 0.0 and 1.0 too; an array of no labels holds no other label
     dtype = np.dtype(data.draw(st.sampled_from(
         [np.bool_, np.int8, np.uint8, np.int64, np.uint64, np.float64])))
     if dtype.kind == "f":
@@ -276,11 +281,16 @@ def test_is_binary_matches_elementwise_oracle(data):
     else:  # 0, 1, the nearest values on either side that fit, and the range's ends
         info = np.iinfo(dtype)
         values = [v for v in (0, 1, -1, 2, int(info.min), int(info.max)) if v >= info.min]
-    shape = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=2))  # empty ones too
+    shape = data.draw(st.tuples(st.integers(0, 5), st.integers(0, 5)))  # empty ones too
     cells = data.draw(st.lists(st.sampled_from(values), min_size=math.prod(shape),
                                max_size=math.prod(shape)))
     arr = np.array(cells, dtype=dtype).reshape(shape)
-    assert _is_binary(arr) == _binary_elementwise_oracle(arr)
+    accepted = not arr.size or dtype.kind != "f" and _binary_oracle(arr.tolist())
+    if accepted:
+        assert HypothesisTable(list(range(shape[1])), arr).rows.dtype == dtype
+    else:
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            HypothesisTable(list(range(shape[1])), arr)
 
 
 def _columns_oracle(hyps, n):
@@ -319,6 +329,12 @@ def _assert_int_rows(hyps):
     assert all(type(h) is tuple and all(type(v) is int for v in h) for h in hyps)
 
 
+def _label_type(hyps):
+    """The type of every label of a table read from ``hyps``: numpy reads a list of
+    bools as a bool matrix and one with any integer as an integer matrix."""
+    return bool if all(type(v) is bool for h in hyps for v in h) else int
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_row_matrix_matches_tuple_oracles(data):
@@ -337,11 +353,13 @@ def test_row_matrix_matches_tuple_oracles(data):
         with pytest.raises(ValueError, match=str(exc)):
             HypothesisTable(ground, hyps)
         return
+    if not _binary_oracle(expect):  # a 2 among the labels
+        _assert_refused(ground, hyps)
+        return
     t = HypothesisTable(ground, hyps)
     assert t.hypotheses == expect
-    assert [list(map(type, h)) for h in t.hypotheses] == [list(map(type, h)) for h in expect]
+    assert all(type(v) is _label_type(hyps) for h in t.hypotheses for v in h)
     assert t.rows.shape == (len(expect), n)
-    assert t.binary == _binary_oracle(expect)
     assert _columns(t) == _columns_oracle(expect, n)
 
 
@@ -353,12 +371,14 @@ def test_row_matrix_matches_tuple_oracles(data):
     ([0, 1], [(-0.0, 1.0), (0.0, 1.0), (1.0, 0.0)]),
 ], ids=["no_hypotheses", "one", "bool_equals_int", "empty_ground", "signed_zero"])
 def test_row_matrix_small_tables(ground, hyps):
-    t = HypothesisTable(ground, hyps)
     expect = _dedup_oracle(ground, hyps)
+    if not _binary_oracle(expect) or any(type(v) is float for h in hyps for v in h):
+        _assert_refused(ground, hyps)  # a 2, or float labels (0.0 and 1.0 too)
+        return
+    t = HypothesisTable(ground, hyps)
     assert t.hypotheses == expect
-    assert t.binary == _binary_oracle(expect)
     assert _columns(t) == _columns_oracle(expect, len(ground))
-    if expect and t.binary:
+    if expect:
         assert vc_dimension(t) == _vc_exhaustive_oracle(t)
 
 
@@ -367,11 +387,9 @@ def _assert_array_table(arr, ground):
     the array's rows as tuples of Python scalars."""
     expect = _dedup_oracle(ground, arr.tolist())
     t = HypothesisTable(ground, arr)
-    # 0/1 rows build no tuple before ``hypotheses`` is read; other rows take the tuple path
-    assert ("hypotheses" in t.__dict__) != _binary_oracle(expect)
+    assert "hypotheses" not in t.__dict__  # no tuple is built before it is read
     assert t.rows.dtype == arr.dtype and t.rows.shape == (len(expect), len(ground))
     assert t.rows.tolist() == [list(h) for h in expect]
-    assert t.binary == _binary_oracle(expect)
     assert _columns(t) == _columns_oracle(expect, len(ground))
     assert t.hypotheses == expect
     assert [list(map(type, h)) for h in t.hypotheses] == [list(map(type, h)) for h in expect]
@@ -395,10 +413,15 @@ def test_row_array_input_matches_tuple_input(data):
     hyps = data.draw(st.lists(st.sampled_from(pool), max_size=40))
     arr = np.array(hyps, dtype=dtype).reshape(len(hyps), n)
     ground = list(range(n))
+    if not _binary_oracle(hyps):  # a -1 or a 2 among the labels
+        _assert_refused(ground, hyps)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            HypothesisTable(ground, arr)
+        return
     t = _assert_array_table(arr, ground)
     ref = HypothesisTable(ground, hyps)
-    assert t.rows.tolist() == ref.rows.tolist() and t.binary == ref.binary
-    assert t == ref  # by ground set and hypotheses (False == 0)
+    assert t.rows.tolist() == ref.rows.tolist()
+    assert t == ref  # by ground set and rows (False == 0)
     if hyps:  # as with a list, no rows means no row of the wrong length
         with pytest.raises(ValueError, match="hypothesis length does not match the ground set"):
             HypothesisTable(list(range(n + 1 if n < GROUND_CAP else n - 1)), arr)
@@ -414,8 +437,11 @@ def test_row_array_input_matches_tuple_input(data):
 ], ids=["no_rows_no_columns", "no_rows", "no_rows_cap", "empty_rows", "intervals_thrice",
         "unit_rows_cap", "nonbinary_repeated", "nonbinary_same_bit_key"])
 def test_row_array_corner_cases_match_tuple_oracles(rows, dtype):
-    arr = rows.astype(dtype)
-    _assert_array_table(arr, list(range(arr.shape[1])))
+    arr = rows.astype(dtype)  # a bool array reads 2 as True
+    if _binary_oracle(arr.tolist()):
+        _assert_array_table(arr, list(range(arr.shape[1])))
+    else:
+        _assert_refused(list(range(arr.shape[1])), arr.tolist())
     # no rows fit any ground set, as a list of no rows does
     assert HypothesisTable([0, 1, 2], np.zeros((0, 5), dtype)).rows.shape == (0, 3)
 
@@ -428,6 +454,26 @@ def test_row_array_corner_cases_match_tuple_oracles(rows, dtype):
 def test_table_refuses_an_array_that_is_not_a_matrix(shape, n, dtype):
     with pytest.raises(ValueError, match="hypothesis length does not match the ground set"):
         HypothesisTable(list(range(n)), np.zeros(shape, dtype=dtype))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_list_and_array_of_the_same_rows_give_equal_tables(data):
+    # with labels: numpy reads a list of no labels as floats, as the table always did
+    n = data.draw(st.integers(1, GROUND_CAP))
+    pool = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                              min_size=1, max_size=10))
+    hyps = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    ground = list(range(n))
+    t = HypothesisTable(ground, hyps)
+    ref = HypothesisTable(ground, np.array(hyps, dtype=np.int64).reshape(len(hyps), n))
+    assert t == ref
+    assert (t.rows.dtype, t.rows.shape) == (ref.rows.dtype, ref.rows.shape)
+    assert t.rows.tobytes() == ref.rows.tobytes()
+    assert t.hypotheses == ref.hypotheses
+    _assert_int_rows(t.hypotheses)
+    _assert_int_rows(ref.hypotheses)
+    assert _columns(t) == _columns(ref)
 
 
 def test_vc_dimension_reads_rows_only():
