@@ -70,11 +70,9 @@ from .topology import (
     betti,
     betti_bound_check,
     cyclic_arc_cover,
-    graph_beta1,
     max_adjacency,
     nerve,
     systole,
-    vertex_star_cover,
 )
 from .vc import (
     HypothesisTable,

@@ -44,7 +44,6 @@ from functools import lru_cache, reduce
 from itertools import accumulate, chain
 from operator import or_
 
-import networkx as nx
 import numpy as np
 
 from .problems import TOL, MarginProblem, validate_margin
@@ -209,13 +208,29 @@ def separation_certificate(problem: MarginProblem, d0: float) -> SeparationCerti
         return SeparationCertificate(
             k, d0, delta_star, table, "pairwise-separation", [[j] for j in range(k)]
         )
-    reach = nx.Graph()
-    reach.add_nodes_from(range(k))
-    reach.add_edges_from(pair for pair, d in table.items() if d <= d0)
-    components = sorted(sorted(c) for c in nx.connected_components(reach))
+    components = _reach_components(k, table, d0)
     return SeparationCertificate(
         len(components), d0, delta_star, table, "reach-components", components
     )
+
+
+def _reach_components(k: int, table: dict, d0: float) -> list[list[int]]:
+    """Connected components of the reach graph on slots 0..k-1 (edge iff
+    ``table[i, j] <= d0``), each sorted, in order of their least slot."""
+    root = list(range(k))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]  # path halving
+        return i
+
+    for (i, j), d in table.items():
+        if d <= d0:
+            root[find(i)] = find(j)
+    groups = {}
+    for j in range(k):  # ascending, so each group is born sorted
+        groups.setdefault(find(j), []).append(j)
+    return sorted(groups.values())
 
 
 @dataclass

@@ -691,15 +691,19 @@ def make_problem(name: str, params: dict, sigma: Sequence[int] | None = None) ->
 
     ``params`` must hold exactly the registered parameters of ``name``;
     ``union`` takes ``s`` plus ``left`` and ``right`` tags (name, params,
-    sigma) and rebuilds both sides first.  A nonempty ``sigma`` relabels
-    the result.  An int given for a float parameter is read as that float;
-    a bool given for any parameter, a union side's included, is refused.
+    sigma) and rebuilds both sides first.  ``sigma`` is None (no
+    relabelling) or a list or tuple that ``permuted_problem`` accepts, so
+    ``false``, ``0``, ``""`` and ``[]`` from a document are refused.  An
+    int given for a float parameter is read as that float; a bool given
+    for any parameter, a union side's included, is refused.
     Raises ValueError on anything it cannot rebuild exactly.
     """
     fam = _family(name, params)
+    if sigma is not None and not isinstance(sigma, (list, tuple)):
+        raise ValueError(f"sigma {sigma!r} must hold integer labels in a list, or be null")
     p = fam.build(**_float_params(name, params))
     assert p.k == fam.classes(**params), f"family {name!r} built {p.k} classes"
-    return permuted_problem(p, sigma) if sigma else p
+    return p if sigma is None else permuted_problem(p, sigma)
 
 
 def class_count(name: str, params: dict) -> int:

@@ -28,7 +28,6 @@ from itertools import chain, repeat
 from numbers import Real
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -409,6 +408,8 @@ class GraphSpace(MetricSpace):
     kind = "graph"
 
     def __init__(self, edges: Iterable[tuple]):
+        import networkx as nx  # only graph spaces need it; kept off ``import urwidth``
+
         super().__init__()
         g = nx.Graph()
         for edge in edges:

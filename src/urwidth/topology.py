@@ -13,8 +13,8 @@ orientation bookkeeping and gives the same Betti ranks for the spaces
 handled here.
 
 Also provided: weighted graph girth as the systole of a graph space, the
-analytic systole of a bouquet, the cycle-rank formula beta1 = |E| - |V|
-+ c, and the bounded-adjacency lower-bound check N >= 2*beta1 / Delta0.
+analytic systole of a bouquet, and the bounded-adjacency lower-bound
+check N >= 2*beta1 / Delta0.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-
-import networkx as nx
 
 from .coverings import UrysohnCovering, UrysohnTriple
 from .spaces import BouquetSpace, GraphSpace, MetricSpace
@@ -36,10 +34,8 @@ __all__ = [
     "betti",
     "max_adjacency",
     "betti_bound_check",
-    "graph_beta1",
     "systole",
     "cyclic_arc_cover",
-    "vertex_star_cover",
 ]
 
 
@@ -147,16 +143,6 @@ def betti_bound_check(n_patches: int, beta1_space: int, delta0: int) -> BettiBou
     return BettiBoundCheck(n_patches >= bound, bound, n_patches - bound)
 
 
-def graph_beta1(g) -> int:
-    """Cycle rank |E| - |V| + c of a graph (GraphSpace or networkx graph)."""
-    graph = g.graph if isinstance(g, GraphSpace) else g
-    return (
-        graph.number_of_edges()
-        - graph.number_of_nodes()
-        + nx.number_connected_components(graph)
-    )
-
-
 def systole(space: MetricSpace) -> float:
     """Length of the shortest non-contractible loop.
 
@@ -169,6 +155,8 @@ def systole(space: MetricSpace) -> float:
         return space.L
     if not isinstance(space, GraphSpace):
         raise ValueError(f"systole defined for graph or bouquet spaces, not {space.kind}")
+    import networkx as nx  # only graph spaces need it; kept off ``import urwidth``
+
     g = space.graph
     best = math.inf
     for u, v, weight in g.edges(data="weight"):
@@ -214,19 +202,3 @@ def cyclic_arc_cover(space: BouquetSpace, arcs_per_loop: int) -> UrysohnCovering
             ]
             triples.append(UrysohnTriple(members, (loop,), {p: loop for p in members}))
     return UrysohnCovering(triples, d0=step + 2 * overlap, h=2 * space.resolution)
-
-
-def vertex_star_cover(space: GraphSpace) -> UrysohnCovering:
-    """Open-star cover of a graph: one support per vertex, holding the
-    vertex token plus a token per incident edge.
-
-    Two stars share a token iff their vertices are adjacent and no three
-    stars share one, so the nerve reproduces the graph as a 1-complex;
-    used to cross-validate the cycle-rank formula against F2 homology.
-    """
-    g = space.graph
-    triples = []
-    for u in space.sample_set:
-        tokens = [("v", u)] + [("e", frozenset((u, w))) for w in g.neighbors(u)]
-        triples.append(UrysohnTriple(tokens, (1,), {t: 1 for t in tokens}))
-    return UrysohnCovering(triples, d0=2.0 * space.resolution, h=space.resolution)

@@ -42,13 +42,13 @@ from urwidth.topology import (
     betti,
     betti_bound_check,
     cyclic_arc_cover,
-    graph_beta1,
     max_adjacency,
     nerve,
     systole,
-    vertex_star_cover,
 )
 from urwidth.vc import separation_report
+
+from graph_oracles import graph_beta1, vertex_star_cover
 
 
 def _criterion(num: int, passed: bool, detail: str, elapsed: float, budget: float):

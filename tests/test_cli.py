@@ -867,12 +867,23 @@ def test_machine_stream_rejects_a_nan_sphere_direction(tmp_path, capsys):
      "sigma [True, 2] must hold integer labels"),
     ({"experiment": "problem", "problem": {**_BOUQUET2, "sigma": "21"}},
      "sigma '21' must hold integer labels"),
+    # a falsy sigma once built the unpermuted problem; only null means none
+    ({"experiment": "problem", "problem": {**_BOUQUET2, "sigma": False}},
+     "sigma False must hold integer labels in a list, or be null"),
+    ({"experiment": "problem", "problem": {**_BOUQUET2, "sigma": 0}},
+     "sigma 0 must hold integer labels in a list, or be null"),
+    ({"experiment": "problem", "problem": {**_BOUQUET2, "sigma": ""}},
+     "sigma '' must hold integer labels in a list, or be null"),
+    ({"experiment": "problem", "problem": {**_BOUQUET2, "sigma": []}},
+     "sigma () is not a bijection on 1..2"),
 ], ids=["space_edges", "problem_gamma", "width_d0_nan", "sweep_w1", "nerve_arcs",
         "vc_n_intervals", "vc_n_intervals_0", "run_vc_n_max_0", "run_hierarchy_d0", "run_machine_steps_0", "run_hierarchy_ws",
         "run_sample_complexity_gamma", "space_wedge_seed", "problem_wedge_seed",
         "width_wedge_seed", "coupon_one_w", "coupon_one_w_twice", "run_coupon_one_w",
         "nerve_arcs_49", "run_nerve_betti_arcs_49", "run_problem_sigma_floats",
-        "run_problem_sigma_bool", "run_problem_sigma_string"])
+        "run_problem_sigma_bool", "run_problem_sigma_string", "run_problem_sigma_false",
+        "run_problem_sigma_zero", "run_problem_sigma_empty_string",
+        "run_problem_sigma_empty_list"])
 def test_refused_command_writes_nothing(tmp_path, capsys, argv, needle):
     if isinstance(argv, dict):
         cfg = tmp_path / "bad.cfg"
@@ -1052,6 +1063,24 @@ def test_certificate_with_a_float_sigma_cannot_be_rebuilt(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert "cannot rebuild problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma, reason", [
+    (False, "sigma False must hold integer labels in a list, or be null"),
+    (0, "sigma 0 must hold integer labels in a list, or be null"),
+    ("", "sigma '' must hold integer labels in a list, or be null"),
+    ([], "sigma () is not a bijection on 1..2"),
+], ids=["false", "zero", "empty_string", "empty_list"])
+def test_certificate_with_a_falsy_sigma_cannot_be_rebuilt(sigma, reason):
+    # each once read as "no relabelling", so the edited certificate verified
+    from urwidth.coverings import width_bracket
+    from urwidth.problems import bouquet_problem
+
+    problem = bouquet_problem(2, 10.0, 1.0, 0.5)
+    doc = json.loads(json.dumps(bracket_doc(problem, width_bracket(problem, 4.0))))
+    assert doc["problem"]["sigma"] is None and verify_bracket(doc) == (True, [])
+    doc["problem"]["sigma"] = sigma
+    assert verify_bracket(doc) == (False, [f"cannot rebuild problem: {reason}"])
 
 
 def _cycle(node):

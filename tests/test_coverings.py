@@ -6,6 +6,7 @@ import random
 from functools import reduce
 from operator import or_
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from urwidth.coverings import (
     _candidate_balls,
     _exact_cover,
     _packing_bound,
+    _reach_components,
     canonical_covering,
     certify,
     default_step,
@@ -147,6 +149,26 @@ def test_separation_certificate_reach_components():
     assert cert.lb == 1
     assert cert.method == "reach-components"
     assert cert.components == [[0, 1, 2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reach_components_match_networkx(data):
+    k = data.draw(st.integers(1, 30))
+    d0 = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+    pairs = list(itertools.combinations(range(k), 2))
+    # at most k reach edges, so the components stay many; an edge may sit at
+    # exactly d0 and a non-edge just above it
+    near = data.draw(st.lists(st.sampled_from(pairs), max_size=k, unique=True)) if pairs else []
+    near_d = st.one_of(st.just(d0), st.floats(0.0, d0))
+    far_d = st.sampled_from([math.nextafter(d0, math.inf), 1.5 * d0, 2.0 * d0])
+    table = dict(zip(pairs, data.draw(st.lists(far_d, min_size=len(pairs), max_size=len(pairs)))))
+    table.update(zip(near, data.draw(st.lists(near_d, min_size=len(near), max_size=len(near)))))
+    reach = nx.Graph()
+    reach.add_nodes_from(range(k))
+    reach.add_edges_from(pair for pair, d in table.items() if d <= d0)
+    expected = sorted(sorted(c) for c in nx.connected_components(reach))
+    assert _reach_components(k, table, d0) == expected
 
 
 def test_min_ball_cover_matches_canonical_size():

@@ -16,12 +16,12 @@ from urwidth.topology import (
     betti,
     betti_bound_check,
     cyclic_arc_cover,
-    graph_beta1,
     max_adjacency,
     nerve,
     systole,
-    vertex_star_cover,
 )
+
+from graph_oracles import graph_beta1, vertex_star_cover
 
 
 def _naive_f2_rank(rows, width):
