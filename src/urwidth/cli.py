@@ -303,27 +303,32 @@ def _run_permutation(cfg):
 
 
 def _nerve_betti(cfg):
+    """The nerve of a cyclic arc cover of the w-loop bouquet, its document,
+    and the verdict: the cover has enough patches for the space's w loops
+    (N >= 2w / Delta0) and the nerve reproduces them (beta1 = w)."""
     space = bouquet_space(cfg["w"], cfg["L"], cfg["h"])
     cov = cyclic_arc_cover(space, cfg["arcs"])
     cx = nerve(cov)
     b0, b1 = betti(cx)
     delta0 = max_adjacency(cx)
-    check = betti_bound_check(len(cov.triples), b1, delta0)
+    check = betti_bound_check(len(cov.triples), cfg["w"], delta0)
     return space, cx, {"n_patches": len(cov.triples), "beta0": b0, "beta1": b1,
                        "delta0": delta0, "bound": check.bound, "bound_pass": check.passed,
-                       "slack": check.slack}
+                       "slack": check.slack}, check.passed and b1 == cfg["w"]
 
 
 def _run_nerve(cfg):
-    space, cx, doc = _nerve_betti(cfg)
+    space, cx, doc, ok = _nerve_betti(cfg)
     lines = ["# nerve face list"]
     lines += [f"v {v}" for v in cx.vertices]
     lines += [f"e {a} {b}" for a, b in cx.edges]
     lines += [f"t {a} {b} {c}" for a, b, c in cx.triangles]
     doc.update(arcs_per_loop=cfg["arcs"], w=cfg["w"], systole=systole(space))
+    verdict = {True: "pass", False: "FAIL"}
     summary = (f"nerve: beta0={doc['beta0']} beta1={doc['beta1']} Delta0={doc['delta0']}; "
-               f"bound N >= {doc['bound']:.3g}: {'pass' if doc['bound_pass'] else 'FAIL'}")
-    return (EXIT_OK if doc["bound_pass"] else EXIT_CHECK_FAILED), {
+               f"bound N >= {doc['bound']:.3g}: {verdict[doc['bound_pass']]}; "
+               f"beta1 = w = {cfg['w']}: {verdict[doc['beta1'] == cfg['w']]}")
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), {
         "nerve_faces.txt": "\n".join(lines) + "\n", "betti.json": _json(doc)}, summary
 
 
@@ -376,9 +381,8 @@ def _run_sample_complexity(cfg):
 
 
 def _run_nerve_betti(cfg):
-    _, _, doc = _nerve_betti(cfg)
-    return (EXIT_OK if doc["bound_pass"] and doc["beta1"] == cfg["w"]
-            else EXIT_CHECK_FAILED), {"betti.json": _json(doc)}, ""
+    _, _, doc, ok = _nerve_betti(cfg)
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), {"betti.json": _json(doc)}, ""
 
 
 def _run_machine_run(cfg):

@@ -3,19 +3,20 @@
 A ``MarginProblem`` is an ordered list of K closed class sets with a
 margin gamma: every pair of classes sits at distance strictly greater
 than gamma, which makes the closed gamma/2 safe neighbourhoods pairwise
-disjoint.  Classes are described analytically (balls around centers, or
-unions of closed segments on the unit interval) plus a finite sample
-list.  Every point-to-class distance comes from one kernel,
+disjoint.  A class is its analytic pieces (balls around centers, or
+closed segments of the unit interval) and one representative point per
+piece.  Every point-to-class distance comes from one kernel,
 ``piece_gaps``, over a list of pieces and a batch of points.  A pass
 calls it once per run of classes whose pieces-by-points cells fit
-``GAP_CELLS``: a family's constructor takes every class's sampled
-members from one pass over the sample set, ``class_gaps`` is one pass
-over its points, and the first ``safe_points`` call finds every class's
-safe sample points in one pass, although it fills the cache one class
-per call.  ``safe_labels`` labels any batch of points.  Membership and
-pairwise class distances use the analytic description, so the
-separation lower bound does not depend on the sampling resolution; a
-covering, and so the upper bound, covers only the sampled safe points.
+``GAP_CELLS``: ``class_gaps`` is one pass over its points, and the
+first ``safe_points`` call is the one pass over the sample set.  It finds
+every class's safe sample points and the pieces that hold no sample
+point, whose representatives join the safe set so no class is empty,
+although it fills the cache one class per call.  ``safe_labels`` labels
+any batch of points.  Membership and pairwise class distances use the
+analytic description, so the separation lower bound does not depend on
+the sampling resolution; a covering, and so the upper bound, covers only
+the sampled safe points.
 ``pair_table`` holds the class-pair distances, built once per problem
 and read by both ``validate_margin`` and the separation lower bound.
 
@@ -187,7 +188,9 @@ def _class_pass(space: MetricSpace, classes: Sequence[tuple], pts: Sequence,
     """``keep(rows, gap)`` of each class, a tuple of pieces, in order: its
     pieces' ``piece_gaps`` rows over ``pts`` and their minimum, the class
     gap.  One kernel call serves each run of classes whose cells fit
-    ``GAP_CELLS``, and a run's rows are let go before the next run's."""
+    ``GAP_CELLS``, and a run's rows are let go before the next run's.
+    ``class_gaps`` keeps the gaps; ``safe_points`` keeps the safe indices
+    and which pieces hold a point."""
     runs, cells = [[]], 0
     for pieces in classes:
         if runs[-1] and cells + len(pieces) * len(pts) > GAP_CELLS:
@@ -230,11 +233,12 @@ def piece_pair_dist(space: MetricSpace, a, b) -> float:
 
 @dataclass
 class ClassRegion:
-    """One labelled class: analytic pieces plus sampled member points."""
+    """One labelled class: analytic pieces and one representative point of
+    each, the point ``safe_points`` adds when its piece holds no sample."""
 
     label: int
     pieces: tuple
-    points: list
+    reps: tuple
 
 
 @dataclass
@@ -253,7 +257,8 @@ class MarginProblem:
     _safe_cache: dict = field(default_factory=dict, repr=False)
     # sample point -> first slot whose cached safe set holds it
     _safe_slot: dict = field(default_factory=dict, repr=False)
-    # each slot's safe sample indices, from one ``_class_pass`` on first use
+    # each slot's safe sample indices and, per piece, whether some sample
+    # point lies in it: one ``_class_pass`` on first use
     _safe_rows: list | None = field(default=None, repr=False)
     _pair_cache: dict | None = field(default=None, repr=False)
 
@@ -301,20 +306,23 @@ class MarginProblem:
         return slots, rest, gaps
 
     def safe_points(self, j: int) -> list:
-        """Sampled safe set of class slot ``j``; class samples always included."""
+        """Sampled safe set of class slot ``j``, then the representative of
+        each of its pieces that holds no sample point, so it is never empty."""
         if j not in self._safe_cache:
             sample = self.space.sample_set
             if self._safe_rows is None:
                 self._safe_rows = _class_pass(
                     self.space, [r.pieces for r in self.regions], sample,
-                    lambda _, gap: np.flatnonzero(gap <= self.gamma / 2 + TOL).tolist())
-            pts = [sample[i] for i in self._safe_rows[j]]
+                    lambda rows, gap: (np.flatnonzero(gap <= self.gamma / 2 + TOL).tolist(),
+                                       (rows <= TOL).any(axis=1).tolist()))
+            idx, held = self._safe_rows[j]
+            pts = [sample[i] for i in idx]
             self._safe_slot.update((x, j) for x in pts if self._safe_slot.get(x, j) >= j)
             have = set(pts)
-            for extra in self.regions[j].points:
-                if extra not in have:
-                    pts.append(extra)
-                    have.add(extra)
+            for rep, holds in zip(self.regions[j].reps, held):
+                if not holds and rep not in have:
+                    pts.append(rep)
+                    have.add(rep)
             self._safe_cache[j] = pts
         return self._safe_cache[j]
 
@@ -333,31 +341,9 @@ class MarginReport:
     notes: list[str]
 
 
-def _regions(space: MetricSpace, classes: Sequence[tuple]) -> list[ClassRegion]:
-    """Classes 1..K from (pieces, representatives) pairs, their members from
-    one ``_class_pass`` over the sample set: the grid points inside the
-    pieces, then the representative of each piece with no grid member, so
-    every class stays nonempty."""
-    sample = space.sample_set
-    regions = []
-    # each class's members on the grid, and whether each piece holds one
-    found = _class_pass(space, [pieces for pieces, _ in classes], sample,
-                        lambda rows, gap: (np.flatnonzero(gap <= TOL).tolist(),
-                                           (rows <= TOL).any(axis=1).tolist()))
-    for label, ((pieces, reps), (idx, held)) in enumerate(zip(classes, found), 1):
-        pts = [sample[i] for i in idx]
-        have = set(pts)
-        for rep, on_grid in zip(reps, held):
-            if not on_grid and rep not in have:
-                pts.append(rep)
-                have.add(rep)
-        regions.append(ClassRegion(label, pieces, pts))
-    return regions
-
-
-def _ball_regions(space: MetricSpace, centers: Sequence, radius: float) -> list[ClassRegion]:
+def _ball_regions(centers: Sequence, radius: float) -> list[ClassRegion]:
     """Classes 1..K, class j the closed ball of ``radius`` around ``centers[j - 1]``."""
-    return _regions(space, [((BallPiece(c, radius),), (c,)) for c in centers])
+    return [ClassRegion(j, (BallPiece(c, radius),), (c,)) for j, c in enumerate(centers, 1)]
 
 
 def bouquet_problem(w: int, L: float, gamma: float, h: float) -> MarginProblem:
@@ -367,7 +353,7 @@ def bouquet_problem(w: int, L: float, gamma: float, h: float) -> MarginProblem:
     if not 0 < gamma <= L / 10:
         raise ValueError(f"need 0 < gamma <= L/10 = {L / 10}, got gamma={gamma}")
     space = bouquet_space(w, L, h)
-    regions = _ball_regions(space, [space.antipode(j) for j in range(1, w + 1)], gamma / 4)
+    regions = _ball_regions([space.antipode(j) for j in range(1, w + 1)], gamma / 4)
     return MarginProblem(
         space, gamma, regions, FamilyTag("bouquet", {"w": w, "L": L, "gamma": gamma, "h": h})
     )
@@ -400,7 +386,7 @@ def scaled_problem(w: int, m: int, L: float, gamma: float, h: float) -> MarginPr
     space = bouquet_space(w, L, h)
     positions = scaled_center_positions(m, L)
     centers = [space.point(loop, s) for loop in range(1, w + 1) for s in positions]
-    regions = _ball_regions(space, centers, gamma / 4)
+    regions = _ball_regions(centers, gamma / 4)
     return MarginProblem(
         space,
         gamma,
@@ -421,7 +407,7 @@ def wedge_problem(
             f"gamma={gamma} too large for sphere radius R={R}: "
             "the admissible locality window is empty"
         )
-    regions = _ball_regions(space, [space.antipode(j) for j in range(1, w + 1)], gamma / 4)
+    regions = _ball_regions([space.antipode(j) for j in range(1, w + 1)], gamma / 4)
     return MarginProblem(
         space,
         gamma,
@@ -478,9 +464,9 @@ def interval_union_problem(
             "negative class is empty: the intervals plus clearance cover [0, 1]"
         )
     pos_pieces = tuple(SegmentPiece(a, b) for a, b in ivs)
-    pos_reps = [(a + b) / 2 for a, b in ivs]
-    neg_reps = [(pc.lo + pc.hi) / 2 for pc in neg_pieces]
-    regions = _regions(space, [(pos_pieces, pos_reps), (tuple(neg_pieces), neg_reps)])
+    pos_reps = tuple((a + b) / 2 for a, b in ivs)
+    neg_reps = tuple((pc.lo + pc.hi) / 2 for pc in neg_pieces)
+    regions = [ClassRegion(1, pos_pieces, pos_reps), ClassRegion(2, tuple(neg_pieces), neg_reps)]
     return MarginProblem(
         space,
         gamma,
@@ -507,8 +493,6 @@ def validate_margin(problem: MarginProblem) -> MarginReport:
         if d < min_pair:
             min_pair, worst = d, pair
     notes = []
-    if not any(r.points for r in problem.regions):
-        notes.append("warning: no sampled class points")
     if problem.family.name == "scaled":
         m = problem.family.params["m"]
         L = problem.family.params["L"]
@@ -542,10 +526,7 @@ def permuted_problem(problem: MarginProblem, sigma: Sequence[int]) -> MarginProb
         raise ValueError(f"sigma {sigma!r} must hold integer labels") from None
     if sorted(sig) != list(range(1, k + 1)):
         raise ValueError(f"sigma {sig} is not a bijection on 1..{k}")
-    regions = [
-        ClassRegion(sig[j], r.pieces, list(r.points))
-        for j, r in enumerate(problem.regions)
-    ]
+    regions = [ClassRegion(sig[j], r.pieces, r.reps) for j, r in enumerate(problem.regions)]
     tag = FamilyTag(problem.family.name, dict(problem.family.params), sigma=sig)
     return MarginProblem(problem.space, problem.gamma, regions, tag)
 
@@ -569,7 +550,7 @@ def union_problem(
         gaps = iter(piece_gaps(src.space, pieces, [space.anchors[side]])[:, 0].tolist())
         for r in src.regions:
             pieces = tuple(LiftedPiece(side, pc, next(gaps)) for pc in r.pieces)
-            regions.append(ClassRegion(r.label + offset, pieces, [(side, p) for p in r.points]))
+            regions.append(ClassRegion(r.label + offset, pieces, tuple((side, x) for x in r.reps)))
     tag = FamilyTag(
         "union",
         {"s": s, "left": left.family.__dict__, "right": right.family.__dict__},

@@ -71,7 +71,7 @@ def decode_point(space: MetricSpace, data):
         return space.point(v)
     if (space.kind, tag) == ("disjoint_union", "side"):
         side, inner = fields
-        if side not in (0, 1):
+        if type(side) is not int or side not in (0, 1):  # True == 1, and 1.0 == 1
             raise ValueError(f"side must be 0 or 1, got {side!r}")
         return space.point(side, decode_point((space.left, space.right)[side], inner))
     raise ValueError(f"not a {space.kind} point: {data!r}")

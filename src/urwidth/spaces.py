@@ -90,6 +90,13 @@ SCREEN_SLACK = 1e-9
 # 2-core Xeon.  No experiment, benchmark or test builds more than about
 # 3,200 points (the certify bouquets at w = 16, h = 0.05).
 MAX_SAMPLES = 10**6
+# The most samples one wedge sphere may hold, refused before anything is
+# drawn.  ``_fill_resolution`` screens every pair of a sphere's samples, so
+# the time is quadratic in n: the wedge_problem(2, 2, 2.0, 0.5, n=16, seed=1)
+# certificate at D0 = 1 with n edited to 16,000 is refused in 0.6-0.75 s,
+# with 20,000 in 0.9 s and 24,000 in 1.3 s, on a 2-core Xeon.  No
+# experiment, benchmark or test draws more than 800 points per sphere.
+MAX_SPHERE_SAMPLES = 16_000
 # Rows per block wherever a distance matrix or screen is built block by
 # block: peak memory is BLOCK x columns floats, not rows x columns.
 BLOCK = 64
@@ -241,6 +248,9 @@ class WedgeSphereSpace(MetricSpace):
             raise ValueError(f"radius must be positive and finite, got R={R}")
         if n < 16:
             raise ValueError(f"need n >= 16 samples per sphere, got n={n}")
+        if n > MAX_SPHERE_SAMPLES:
+            raise ValueError(f"n={n} too large for w={w}: a sphere may hold at most "
+                             f"MAX_SPHERE_SAMPLES = {MAX_SPHERE_SAMPLES} samples")
         if w * (n + 1) + 1 > MAX_SAMPLES:
             raise ValueError(f"n={n} too large for w={w}: the sample set would hold "
                              f"w*(n + 1) + 1 > MAX_SAMPLES = {MAX_SAMPLES} points")
@@ -486,8 +496,8 @@ class DisjointUnionSpace(MetricSpace):
         self.resolution = max(left.resolution, right.resolution)
 
     def point(self, side: int, inner) -> tuple:
-        if side not in (0, 1):
-            raise ValueError(f"side must be 0 or 1, got {side}")
+        if type(side) is not int or side not in (0, 1):  # a bool is not a side
+            raise ValueError(f"side must be 0 or 1, got {side!r}")
         return (side, inner)
 
     def dist(self, p: tuple, q: tuple) -> float:

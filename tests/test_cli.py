@@ -56,6 +56,8 @@ def test_point_codec_roundtrip():
     for space, data in ((bouquet3, ["loop", 99, 1.0]), (bouquet3, ["loop", 1, 10.0]),
                         (bouquet3, ["x", 0.5]), (iv.space, ["x", 1.5]),
                         (grid, ["vertex", [5, 5]]), (u.space, ["side", 2, ["loop", 1, 1.0]]),
+                        (u.space, ["side", True, ["loop", 1, 1.0]]),
+                        (u.space, ["side", 0.0, ["loop", 1, 1.0]]),
                         (b.space, ["sphere", 1, [0.6, 0.0, 0.0]])):
         with pytest.raises(ValueError):
             decode_point(space, data)
@@ -777,6 +779,22 @@ def test_vc_exit_code_follows_the_check(tmp_path, monkeypatch):
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 1
 
 
+@pytest.mark.parametrize("beta1", [2, 4])
+def test_nerve_exit_code_follows_beta1(tmp_path, monkeypatch, capsys, beta1):
+    # a nerve that does not reproduce the space's w = 3 loops fails both runs,
+    # though the patch-count bound, stated with the space's beta1, still holds
+    monkeypatch.setattr(cli, "betti", lambda cx: (1, beta1))
+    assert main(["nerve", "--w", "3", "-L", "12", "--h", "0.25", "--arcs", "6",
+                 "--out", str(tmp_path / "n")]) == 1
+    assert "bound N >= 3: pass; beta1 = w = 3: FAIL" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "n" / "betti.json").read_text())
+    assert (doc["beta1"], doc["bound"], doc["bound_pass"]) == (beta1, 3.0, True)
+    cfg = tmp_path / "nb.cfg"
+    cfg.write_text(format_config({"experiment": "nerve_betti", "w": 3, "L": 12.0, "h": 0.25,
+                                  "arcs": 6}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 1
+
+
 @pytest.mark.parametrize("case, text, needle", [
     ("missing_file", None, "stream.csv"),
     ("short_row", 'step,point,label\n0,"[""loop"", 1, 5.0]",1\n1\n', "row 2"),
@@ -1065,6 +1083,57 @@ def test_certificate_with_a_float_sigma_cannot_be_rebuilt(tmp_path, capsys):
     assert "cannot rebuild problem" in capsys.readouterr().err
 
 
+def _bool_sides(data, side, flag):
+    """``data`` with every union point ["side", side, inner] given the side ``flag``."""
+    if isinstance(data, dict):
+        return {key: _bool_sides(value, side, flag) for key, value in data.items()}
+    if not isinstance(data, list):
+        return data
+    if len(data) == 3 and data[0] == "side" and data[1] is side:
+        return ["side", flag, _bool_sides(data[2], side, flag)]
+    return [_bool_sides(x, side, flag) for x in data]
+
+
+@pytest.mark.parametrize("side, flag", [(0, False), (1, True)])
+def test_certificate_with_a_bool_union_side_is_refused(tmp_path, capsys, side, flag):
+    # True == 1 and False == 0, so a bool side once picked a component and was
+    # written back as the same bool: the edited certificate verified
+    from urwidth.coverings import width_bracket
+    from urwidth.problems import bouquet_problem, union_problem
+
+    problem = union_problem(bouquet_problem(2, 10.0, 1.0, 0.5),
+                            bouquet_problem(1, 10.0, 1.0, 0.5), 20.0)
+    honest = json.loads(json.dumps(bracket_doc(problem, width_bracket(problem, 4.0))))
+    doc = _bool_sides(honest, side, flag)
+    assert f'["side", {json.dumps(flag)}, ' in json.dumps(doc)  # doc == honest, as True == 1
+    ok, messages = verify_bracket(doc)
+    assert not ok
+    assert any(m.startswith("malformed certificate") and f"got {flag}" in m
+               for m in messages), messages
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_machine_stream_refuses_a_bool_union_side(tmp_path, capsys):
+    bouquet = {"name": "bouquet", "params": {"w": 1, "L": 10.0, "gamma": 1.0, "h": 0.5},
+               "sigma": None}
+    stream = tmp_path / "stream.csv"
+    stream.write_text('step,point,label\n0,"[""side"", true, [""loop"", 1, 5.0]]",2\n')
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(format_config({
+        "experiment": "machine", "tau": 0.0, "d0": 4.0, "r_construct": 2.0, "seed": 0,
+        "problem": {"family": "union", "params": {"s": 20.0, "left": bouquet, "right": bouquet},
+                    "sigma": None},
+        "stream": str(stream)}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"stream file {stream}, row 1" in err and "side must be 0 or 1, got True" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("sigma, reason", [
     (False, "sigma False must hold integer labels in a list, or be null"),
     (0, "sigma 0 must hold integer labels in a list, or be null"),
@@ -1211,6 +1280,22 @@ def test_a_resized_family_is_refused_before_it_is_built(case):
     assert not ok
     assert messages == [f"lb.components: K = {listed} classes, but the family "
                         f"parameters name {named}"]
+
+
+def test_a_wedge_certificate_with_n_above_the_sphere_cap_is_refused_at_once():
+    # a sphere's nearest-neighbour step costs time quadratic in n, so n is
+    # capped per sphere, not only by MAX_SAMPLES
+    from urwidth.spaces import MAX_SPHERE_SAMPLES
+
+    doc = _honest("wedge")
+    doc["problem"]["params"]["n"] = MAX_SPHERE_SAMPLES + 1
+    start = time.perf_counter()
+    ok, messages = verify_bracket(doc)
+    assert time.perf_counter() - start < 0.1
+    assert not ok
+    assert messages == [f"cannot rebuild problem: n={MAX_SPHERE_SAMPLES + 1} too large for "
+                        f"w=2: a sphere may hold at most MAX_SPHERE_SAMPLES = "
+                        f"{MAX_SPHERE_SAMPLES} samples"]
 
 
 # an oversized sample set is refused by the parameter that makes it so, before

@@ -249,8 +249,8 @@ def test_width_bracket_additivity_on_separated_union():
 @pytest.mark.parametrize("order", [1, -1])
 def test_unsafe_filler_at_a_tie_takes_the_lower_slot(order):
     # dyadic ends on the 5-point grid: 0.5 is exactly 0.25 from both classes
-    regions = [ClassRegion(2, (SegmentPiece(0.0, 0.25),), [0.0, 0.25]),
-               ClassRegion(1, (SegmentPiece(0.75, 1.0),), [0.75, 1.0])][::order]
+    regions = [ClassRegion(2, (SegmentPiece(0.0, 0.25),), (0.125,)),
+               ClassRegion(1, (SegmentPiece(0.75, 1.0),), (0.875,))][::order]
     p = MarginProblem(interval_space(5), 0.25, regions, FamilyTag("interval_union", {}))
     assert p.class_gaps([0.5]).tolist() == [[0.25], [0.25]]
     assert p.safe_labels([0.5]) == [None]
@@ -266,8 +266,8 @@ def test_unsafe_filler_at_a_tie_takes_the_lower_slot(order):
 def test_min_ball_cover_takes_one_class_gaps_pass(monkeypatch, order):
     # the class gaps that find the filler points unsafe also pick their
     # labels: 0.375 lies nearer the left class, 0.5 nearer the right one
-    regions = [ClassRegion(2, (SegmentPiece(0.0, 0.25),), [0.0, 0.125, 0.25]),
-               ClassRegion(1, (SegmentPiece(0.625, 1.0),), [0.625, 0.75, 0.875, 1.0])][::order]
+    regions = [ClassRegion(2, (SegmentPiece(0.0, 0.25),), (0.125,)),
+               ClassRegion(1, (SegmentPiece(0.625, 1.0),), (0.8125,))][::order]
     p = MarginProblem(interval_space(9), 0.125, regions, FamilyTag("interval_union", {}))
     calls, class_gaps = [], MarginProblem.class_gaps
     monkeypatch.setattr(MarginProblem, "class_gaps",
@@ -364,12 +364,12 @@ def test_refinement_monotonicity():
     merged = ClassRegion(
         1,
         fine.regions[0].pieces + fine.regions[1].pieces,
-        fine.regions[0].points + fine.regions[1].points,
+        fine.regions[0].reps + fine.regions[1].reps,
     )
     coarse = MarginProblem(
         fine.space,
         fine.gamma,
-        [merged, ClassRegion(2, fine.regions[2].pieces, list(fine.regions[2].points))],
+        [merged, ClassRegion(2, fine.regions[2].pieces, fine.regions[2].reps)],
         FamilyTag("custom", {}),
     )
     br_fine = width_bracket(fine, 4.0)

@@ -84,7 +84,8 @@ def test_scaled_m1_reduces_to_bouquet():
     a = scaled_problem(3, 1, 10.0, 1.0, 0.5)
     b = bouquet_problem(3, 10.0, 1.0, 0.5)
     assert [r.pieces for r in a.regions] == [r.pieces for r in b.regions]
-    assert [r.points for r in a.regions] == [r.points for r in b.regions]
+    assert [r.reps for r in a.regions] == [r.reps for r in b.regions]
+    assert [a.safe_points(j) for j in range(3)] == [b.safe_points(j) for j in range(3)]
 
 
 def test_scaled_margin_report():
@@ -115,7 +116,8 @@ def test_interval_problem_full_interval_rejected():
 
 def test_interval_problem_negative_class_count():
     p = interval_union_problem([(0.0, 0.4)], 0.1, 101)
-    neg = p.regions[1].points
+    (piece,) = p.regions[1].pieces
+    neg = [x for x in p.space.sample_set if piece.lo - TOL <= x <= piece.hi + TOL]
     # grid points beyond the gamma-neighbourhood with one step of clearance:
     # [0.51, 1.0] on the 0.01 grid
     assert len(neg) == 50
@@ -135,8 +137,8 @@ def test_validate_margin_fail_names_pair():
 
     space = interval_space(101)
     regions = [
-        ClassRegion(1, (SegmentPiece(0.0, 0.25),), [0.0, 0.25]),
-        ClassRegion(2, (SegmentPiece(0.5, 0.75),), [0.5, 0.75]),
+        ClassRegion(1, (SegmentPiece(0.0, 0.25),), (0.125,)),
+        ClassRegion(2, (SegmentPiece(0.5, 0.75),), (0.625,)),
     ]
     p = MarginProblem(space, 0.25, regions, FamilyTag("custom", {}))
     rep = validate_margin(p)
@@ -169,14 +171,14 @@ def test_one_class_certificate_is_standard_json():
 
 def test_safe_region_shrinks_to_classes_as_gamma_vanishes():
     tiny = bouquet_problem(2, 10.0, 1e-6, 0.25)
-    for j in range(2):
-        assert sorted(tiny.safe_points(j)) == sorted(tiny.regions[j].points)
+    for j, r in enumerate(tiny.regions):
+        assert sorted(tiny.safe_points(j)) == sorted(_scalar_safe(tiny.space, r.pieces, 0.0))
 
 
 def test_interval_safe_region_adds_grid_points():
     p = interval_union_problem([(0.2, 0.4)], 0.1, 101)
     pos_safe = p.safe_points(0)
-    pos = p.regions[0].points
+    pos = _scalar_safe(p.space, p.regions[0].pieces, 0.0)
     # gamma/2 = 0.05 adds 5 grid points on each side
     assert len(pos_safe) == len(pos) + 10
 
@@ -320,7 +322,7 @@ def test_class_count_builds_nothing_and_refuses_what_make_problem_does():
 def _piece_and_points(name):
     p = _MEMBERSHIP_PROBLEMS[name]
     pieces = [pc for r in p.regions for pc in r.pieces]
-    pool = list(p.space.sample_set) + [x for r in p.regions for x in r.points]
+    pool = list(p.space.sample_set) + [x for r in p.regions for x in r.reps]
     pool += [pc.center for pc in pieces if isinstance(pc, BallPiece)]
     return st.tuples(st.just(name), st.sampled_from(pieces),
                      st.lists(st.sampled_from(pool), max_size=12))
@@ -420,14 +422,16 @@ def _scalar_rep(piece):
     return (piece.lo + piece.hi) / 2
 
 
-def _scalar_members(space, pieces):
-    # the scalar filter: grid members of the pieces, then the representative
-    # of each piece that has no grid member
+def _scalar_safe(space, pieces, gamma):
+    # the scalar filter: sample points within gamma/2 of the pieces, then the
+    # representative of each piece that holds no sample point; gamma = 0
+    # gives the class's members
     pts = [x for x in space.sample_set
-           if min(_scalar_piece_dist(space, pc, x) for pc in pieces) <= TOL]
+           if min(_scalar_piece_dist(space, pc, x) for pc in pieces) <= gamma / 2 + TOL]
     for pc in pieces:
         rep = _scalar_rep(pc)
-        if all(_scalar_piece_dist(space, pc, x) > TOL for x in pts) and rep not in pts:
+        holds = any(_scalar_piece_dist(space, pc, x) <= TOL for x in space.sample_set)
+        if not holds and rep not in pts:
             pts.append(rep)
     return pts
 
@@ -436,22 +440,18 @@ def _scalar_members(space, pieces):
 def test_safe_sets_and_class_points_equal_scalar_filter(name):
     p = _MEMBERSHIP_PROBLEMS[name]
     for j, r in enumerate(p.regions):
-        assert r.points == _scalar_members(p.space, r.pieces)
-        want = [x for x in p.space.sample_set
-                if min(_scalar_piece_dist(p.space, pc, x) for pc in r.pieces)
-                <= p.gamma / 2 + TOL]
-        want += [x for x in r.points if x not in want]
-        assert p.safe_points(j) == want
-    if name == "interval_union":
-        assert 0.1015 in p.regions[0].points  # the appended representative
+        assert list(r.reps) == [_scalar_rep(pc) for pc in r.pieces]
+        assert p.safe_points(j) == _scalar_safe(p.space, r.pieces, p.gamma)
+    if name == "interval_union":  # the appended representative
+        assert 0.1015 in p.safe_points(0) and 0.1015 not in p.space.sample_set
 
 
 @pytest.mark.parametrize("cells", [3, problems.GAP_CELLS])
 @pytest.mark.parametrize("permute", [False, True])
 @pytest.mark.parametrize("name", sorted(_MEMBERSHIP_PROBLEMS))
 def test_class_passes_equal_the_per_class_oracle(monkeypatch, name, permute, cells):
-    # members, safe sets, the safe-slot index and class gaps, each from one
-    # pass over every class, equal a scalar filter run class by class; three
+    # safe sets, the safe-slot index and class gaps, each from one pass
+    # over every class, equal a scalar filter run class by class; three
     # cells leave every sample-set pass one class per kernel call, and cut
     # the class_gaps passes over a few points into runs of several classes
     monkeypatch.setattr(problems, "GAP_CELLS", cells)
@@ -464,10 +464,8 @@ def test_class_passes_equal_the_per_class_oracle(monkeypatch, name, permute, cel
         return min(_scalar_piece_dist(space, pc, x) for pc in r.pieces)
 
     safe = [[x for x in sample if gap(r, x) <= p.gamma / 2 + TOL] for r in p.regions]
-    for r in p.regions:
-        assert r.points == _scalar_members(space, r.pieces)
     for j in reversed(range(p.k)):  # last slot first: a point still keeps its lowest slot
-        assert p.safe_points(j) == safe[j] + [x for x in p.regions[j].points if x not in safe[j]]
+        assert p.safe_points(j) == _scalar_safe(space, p.regions[j].pieces, p.gamma)
     slots = {}
     for j, pts in enumerate(safe):
         for x in pts:
@@ -477,6 +475,33 @@ def test_class_passes_equal_the_per_class_oracle(monkeypatch, name, permute, cel
         want = np.array([[gap(r, x) for x in pts] for r in p.regions], dtype=float)
         got = p.class_gaps(pts)
         assert got.shape == (p.k, len(pts)) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("permute", [False, True])
+@pytest.mark.parametrize("name", sorted(_MEMBERSHIP_PROBLEMS))
+def test_a_problem_reads_its_sample_set_once(monkeypatch, name, permute):
+    # building a problem and reading every safe set takes one piece_gaps call
+    # over the whole sample set, the safe pass; a lifted piece's call on its
+    # side's points inside that call is part of the same pass
+    calls, depth, kernel = [], [0], problems.piece_gaps
+
+    def counted(space, pieces, pts):
+        if depth[0] == 0 and list(pts) == list(space.sample_set):
+            calls.append(len(pieces))
+        depth[0] += 1
+        try:
+            return kernel(space, pieces, pts)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(problems, "piece_gaps", counted)
+    base = _MEMBERSHIP_PROBLEMS[name]
+    p = make_problem(base.family.name, base.family.params,
+                     tuple(range(base.k, 0, -1)) if permute else None)
+    assert calls == []
+    for j in range(p.k):
+        assert p.safe_points(j)
+    assert calls == [sum(len(r.pieces) for r in p.regions)]
 
 
 @pytest.mark.parametrize("side", [0, 1])

@@ -15,6 +15,7 @@ from urwidth.problems import wedge_problem
 from urwidth.spaces import (
     BLOCK,
     MAX_SAMPLES,
+    MAX_SPHERE_SAMPLES,
     BouquetPoint,
     bouquet_space,
     disjoint_union,
@@ -317,6 +318,10 @@ def test_disjoint_union_separation_and_identity():
     # within-component distances preserved bit-exactly
     p, q = a.sample_set[3], a.sample_set[11]
     assert u.dist((0, p), (0, q)) == a.dist(p, q)
+    assert u.point(1, q) == (1, q)
+    for side in (True, False, 1.0, 2, -1):  # True == 1 and 1.0 == 1, yet neither is a side
+        with pytest.raises(ValueError, match="side must be 0 or 1"):
+            u.point(side, q)
 
 
 @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
@@ -332,8 +337,11 @@ _ONE_TOO_MANY = {
     "bouquet_one_loop": (bouquet_space, (1, 1_000_001.0, 1.0), "h=1.0 too fine for w=1"),
     # 2 * (500,001 - 1) + 1, with L/h below the cap
     "bouquet_two_loops": (bouquet_space, (2, 500_001.0, 1.0), "h=1.0 too fine for w=2"),
-    # 1 * (999,999 + 1) + 1
-    "wedge": (wedge_sphere_space, (1, 1, 1.0, MAX_SAMPLES - 1), "n=999999 too large for w=1"),
+    # 50,000 * (19 + 1) + 1, with n below the per-sphere cap
+    "wedge": (wedge_sphere_space, (50_000, 1, 1.0, 19), "n=19 too large for w=50000"),
+    # one sample above the per-sphere cap, far below MAX_SAMPLES
+    "wedge_sphere": (wedge_sphere_space, (1, 1, 1.0, MAX_SPHERE_SAMPLES + 1),
+                     "n=16001 too large for w=1: a sphere may hold at most"),
     "interval": (interval_space, (MAX_SAMPLES + 1,), "n=1000001 grid points exceed"),
 }
 

@@ -175,6 +175,7 @@ def test_betti_bound_check_cases():
     assert ok3.passed and ok3.bound == 3.0
     bad = betti_bound_check(2, 3, 2)
     assert not bad.passed
+    assert not betti_bound_check(1, 3, 2).passed  # one patch for three loops
     vac = betti_bound_check(4, 0, 0)
     assert vac.passed
     degen = betti_bound_check(4, 2, 0)

@@ -126,10 +126,11 @@ def _off_sample(space):
 
 
 def _points(problem):
-    """Sample points (safe or unsafe filler), class points and off-sample points."""
+    """Sample points (safe or unsafe filler), safe points (appended
+    representatives included) and off-sample points."""
     space = problem.space
-    members = [x for r in problem.regions for x in r.points]
-    return st.one_of(st.sampled_from(space.sample_set), st.sampled_from(members),
+    safe = [x for j in range(problem.k) for x in problem.safe_points(j)]
+    return st.one_of(st.sampled_from(space.sample_set), st.sampled_from(safe),
                      _off_sample(space))
 
 
@@ -175,7 +176,8 @@ def test_safe_label_matches_analytic_loop(case):
 def test_safe_label_on_every_sample_point_from_a_fresh_problem(name):
     problem = _PROBLEMS[name]
     fresh = MarginProblem(problem.space, problem.gamma, problem.regions, problem.family)
-    pts = list(problem.space.sample_set) + [x for r in problem.regions for x in r.points]
+    pts = list(problem.space.sample_set) + [x for j in range(problem.k)
+                                             for x in problem.safe_points(j)]
     assert fresh.safe_labels(pts) == [_safe_label_oracle(problem, x) for x in pts]
 
 
