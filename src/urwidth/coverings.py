@@ -23,12 +23,14 @@ Certificates come in two independent halves:
   constant-label triple per safe set) or the result of an exact
   minimum-cover search over geodesic-ball candidates (a memoized
   branch-and-bound search over bitmasks up to 24 safe points, pruned by a
-  packing bound; greedy with the classical ln-factor beyond).  The
-  candidates come from one pass over the pool's distance matrix, shared
-  by the step graph and every centre's balls.  Each block of centres
-  takes one sort for its balls and one chain certificate for their
-  connectivity; a union-find runs only for a centre the certificate
-  leaves out.
+  packing bound; greedy with the classical ln-factor beyond).  The pool
+  holds only the sample points within D0 + gamma/2 (and a few TOL) of a
+  class, the only ones a ball holding a safe point can reach, and the
+  off-grid safe points.  The candidates come from one chunked pass over
+  the pool's distances, each pair once, shared by the step graph and
+  every centre's balls.  Each chunk of centres takes one sort for its balls and one
+  chain certificate for their connectivity; a union-find runs only for a
+  centre the certificate leaves out.
 
 The bracket is exact when the two halves meet; ``certify`` joins them for
 one covering, and both ``width_bracket`` and ``serialize.verify_bracket``
@@ -41,13 +43,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate, chain
+from itertools import accumulate, compress, pairwise
 from operator import or_
 
 import numpy as np
 
-from .problems import TOL, MarginProblem, validate_margin
-from .spaces import BLOCK, MetricSpace, _dist_blocks, _step_graph, support_check
+from .problems import GAP_CELLS, TOL, MarginProblem, validate_margin
+from .spaces import BLOCK, MetricSpace, support_check
 
 __all__ = [
     "UrysohnTriple",
@@ -245,49 +247,82 @@ class CoverSearch:
 def _candidate_balls(problem, d0):
     """Geodesic-ball candidates: (mask, near, size) triples, deduplicated.
 
-    The pool is ``space.sample_set`` itself, whose cached coordinates
-    ``dists`` reads; safe points off it (off-grid class representatives)
-    follow it in a new list, in ``universe`` order.  Centres are the sample
-    points and radii run up the half-resolution ladder to D0/2, or only to
-    the largest pool distance when that is smaller, since every ball past
-    it is the whole pool; a candidate must be chain-connected at the
-    default step and of diameter <= D0.  The pool x pool distance blocks
-    are made once: the step graph reads them all, and each block of centre
-    rows is the head of the pool block it lies in, since the pool starts
-    with the sample set.
+    Centres are the sample points and radii run up the half-resolution
+    ladder to D0/2; a candidate must be chain-connected at the default step
+    and of diameter <= D0.  Only points near a safe point can matter, so
+    the pool is screened: it holds the sample points whose least class gap
+    (kept by the safe pass) is at most D0 + gamma/2 plus a few TOL, in
+    sample order, then the safe points off the sample set (off-grid class
+    representatives), in ``universe`` order.  The screen is exact.  A
+    class gap is a distance to a set, so it is 1-Lipschitz.  A ball (a
+    radius of at most D0/2 plus step * TOL, and TOL on its cut) that holds
+    a safe point s, whose gap is at most gamma/2 + TOL, lies within D0 +
+    2 (step + 1) TOL of s, so every point of it passes.  A centre whose
+    ball holds a safe point passes too, and the others give only empty
+    masks.  The screen keeps the pool's order, so (distance, index) ties
+    break as they would over the whole sample set.  The ladder stops at the largest pool distance when that is below D0/2:
+    a ball past it is the whole pool.
 
-    A block of centre rows is handled by a fixed number of numpy calls.  It
-    first drops each row with no safe point inside the largest ball's
-    ``<=`` cut, as all its masks would be empty.  One ``lexsort`` puts the
-    rest's ball entries in (row, distance, index) order, so a centre's
-    balls are the prefixes of ``near``, its pool indices in that order, and
-    masks are prefix ORs of the safe bits; a bincount of (row, first bound
-    that holds the entry) gives every ball's size.  The chain certificate
-    asks, for each entry, whether some step neighbour comes earlier in
-    (distance, index) order: when only the row's first point has none,
-    every point chains down to it, so every prefix is chain-connected.  A
-    row without the certificate falls back to ``_prefix_components``, a
-    union-find that adds each ball's new points.  A candidate keeps only
-    its mask, ``near`` and ``size``; ``_ball_support`` builds its points,
-    here only for an exact-diameter check.
+    The pool distances are made ``max(BLOCK, GAP_CELLS // len(pool))``
+    rows at a time, one pass whose chunks give both the step graph, as CSR
+    arrays, and the centre rows.  The pass takes each pair once: a chunk's
+    rows meet the pool from their own first row on, and the columns before
+    it are the earlier chunks' rows, transposed, as every metric is
+    symmetric bit for bit.  A chunk of centre rows is handled by a fixed
+    number of numpy calls.  It first drops each row with no safe
+    point inside the largest ball's ``<=`` cut, as all its masks would be
+    empty.  One ``lexsort`` puts the rest's ball entries in (row, distance,
+    index) order, so a centre's balls are the prefixes of ``near``, its
+    pool indices in that order, and masks are prefix ORs of the safe bits;
+    a bincount of (row, first bound that holds the entry) gives every
+    ball's size, and a size that repeats down the ladder is the same ball,
+    so it is taken once.  The chain certificate asks, for each entry,
+    whether some step neighbour comes earlier in (distance, index) order:
+    when only the row's first point has none, every point chains down to
+    it, so every prefix is chain-connected.  Such a neighbour lies inside
+    the ball, so the screen keeps it.  A row without the certificate falls
+    back to ``_prefix_components``, a union-find that adds each ball's new
+    points.  A candidate keeps only its mask, ``near`` and ``size``;
+    ``_ball_support`` builds its points, here only for an exact-diameter
+    check.
     """
     space = problem.space
     h = default_step(space)
-    universe = problem.all_safe_points()
-    known = set(space.sample_set)
+    universe = problem.all_safe_points()  # the safe pass keeps ``_least_gap``
+    step = space.resolution / 2
+    # a radius is at most D0/2 + step * TOL, and a ball takes TOL more, so a
+    # ball that holds a safe point lies within D0 + 2 (step + 1) TOL of it
+    reach = problem.gamma / 2 + d0 + (2 * step + 4) * TOL
+    near_safe = problem._least_gap <= reach
+    sample = space.sample_set
+    pool = sample if near_safe.all() else list(compress(sample, near_safe.tolist()))
+    n_centres = len(pool)
+    known = set(pool)
     extra = list(dict.fromkeys(x for _, x in universe if x not in known))
-    pool = space.sample_set + extra if extra else space.sample_set
+    pool = pool + extra if extra else pool
     bit = {x: i for i, (_, x) in enumerate(universe)}
     pool_bits = [1 << bit[x] if x in bit else 0 for x in pool]
     safe = np.array([k for k, x in enumerate(pool) if x in bit], dtype=np.intp)
-    blocks = list(_dist_blocks(space, pool))
-    nbrs, far = _step_graph(blocks, h)  # every ball past ``far`` is the whole pool
+    span = max(BLOCK, GAP_CELLS // len(pool))
+    starts = range(0, len(pool), span)
+    # each pair once, as every metric is symmetric bit for bit; the first
+    # chunk reads the pool itself, whose coordinates a space may have cached
+    chunks = []
+    for lo in starts:
+        chunk = space.dists(pool[lo : lo + span], pool[lo:] if lo else pool)
+        if lo:
+            chunk = np.concatenate([prior[:, lo : lo + span].T for prior in chunks] + [chunk],
+                                   axis=1)
+        chunks.append(chunk)
     # the step graph as CSR arrays: point k's neighbours are adj[ptr[k]:ptr[k + 1]],
     # k itself among them, since d(k, k) = 0
-    degree = np.fromiter(map(len, nbrs), dtype=np.intp, count=len(nbrs))
+    edges = [np.nonzero(chunk <= h) for chunk in chunks]
+    degree = np.concatenate([np.bincount(rows, minlength=len(chunk))
+                             for (rows, _), chunk in zip(edges, chunks)])
     ptr = np.concatenate(([0], degree.cumsum()))
-    adj = np.fromiter(chain.from_iterable(nbrs), dtype=np.intp, count=ptr[-1])
-    step = space.resolution / 2
+    adj = np.concatenate([cols for _, cols in edges])
+    nbrs = None  # per-point neighbour lists, made for the first row without the certificate
+    far = max(float(chunk.max()) for chunk in chunks)  # every ball past it is the whole pool
     top = min(d0 / 2, far)
     radii = [step * i for i in range(1, int(math.floor(top / step + TOL)) + 1)]
     if not radii or radii[-1] < d0 / 2 - TOL:
@@ -296,9 +331,10 @@ def _candidate_balls(problem, d0):
     n_radii = len(bounds)
     candidates = []
     seen_masks = set()
-    n_centres = len(space.sample_set)
-    for start in range(0, n_centres, BLOCK):
-        rows = blocks[start // BLOCK][: n_centres - start]
+    for start, chunk in zip(starts, chunks):
+        if start >= n_centres:  # only off-grid points are left, and they are no centres
+            break
+        rows = chunk[: n_centres - start]
         sel = rows[(rows[:, safe] <= bounds[-1]).any(axis=1)]
         n_rows = len(sel)
         if not n_rows:
@@ -325,8 +361,14 @@ def _candidate_balls(problem, d0):
                                            (lonely == 1).tolist()):
             near = col[lo:hi]
             masks = list(accumulate(map(pool_bits.__getitem__, near), or_, initial=0))
-            components = None if certified else _prefix_components(near, nbrs)
-            for size in ends:
+            if certified:
+                components = None
+            else:
+                if nbrs is None:
+                    flat = adj.tolist()
+                    nbrs = [flat[a:b] for a, b in pairwise(ptr.tolist())]
+                components = _prefix_components(near, nbrs)
+            for size in dict.fromkeys(ends):  # a repeated size is the same ball
                 mask = masks[size]
                 if mask == 0 or mask in seen_masks:
                     continue
@@ -377,12 +419,15 @@ def _ball_support(pool, near, size):
 def min_ball_cover(problem: MarginProblem, d0: float) -> tuple[UrysohnCovering, CoverSearch]:
     """Minimum covering of the sampled safe points by geodesic balls.
 
-    D0 must be finite and >= 0.  The search reads only candidate masks:
-    exact branch and bound over bitmasks up to ``EXACT_LIMIT`` safe samples,
-    deterministic greedy beyond, with the method on the certificate; only
-    the chosen balls' supports are built.  Labels come per point from safe
-    membership, consistent since safe sets are pairwise disjoint; an
-    unsafe filler point takes its nearest class, ties to the lowest slot.
+    D0 must be finite and >= 0.  The candidates are the balls of
+    ``_candidate_balls``, over the sample points near a safe point, so a
+    small D0 reads only a small neighbourhood of the safe sets.  The
+    search reads only candidate masks: exact branch and bound over
+    bitmasks up to ``EXACT_LIMIT`` safe samples, deterministic greedy
+    beyond, with the method on the certificate; only the chosen balls'
+    supports are built.  Labels come per point from safe membership,
+    consistent since safe sets are pairwise disjoint; an unsafe filler
+    point takes its nearest class, ties to the lowest slot.
     """
     if not math.isfinite(d0):
         raise ValueError(f"D0 must be finite, got d0={d0}")

@@ -11,7 +11,8 @@ calls it once per run of classes whose pieces-by-points cells fit
 ``GAP_CELLS``: ``class_gaps`` is one pass over its points, and the
 first ``safe_points`` call is the one pass over the sample set.  It finds
 every class's safe sample points and the pieces that hold no sample
-point, whose representatives join the safe set so no class is empty,
+point, whose representatives join the safe set so no class is empty, and
+each sample point's least class gap, which screens the ball-cover pool,
 although it fills the cache one class per call.  ``safe_labels`` labels
 any batch of points.  Membership and pairwise class distances use the
 analytic description, so the separation lower bound does not depend on
@@ -190,7 +191,8 @@ def _class_pass(space: MetricSpace, classes: Sequence[tuple], pts: Sequence,
     gap.  One kernel call serves each run of classes whose cells fit
     ``GAP_CELLS``, and a run's rows are let go before the next run's.
     ``class_gaps`` keeps the gaps; ``safe_points`` keeps the safe indices
-    and which pieces hold a point."""
+    and which pieces hold a point, and takes the least gap of each point
+    over the classes as the pass goes."""
     runs, cells = [[]], 0
     for pieces in classes:
         if runs[-1] and cells + len(pieces) * len(pts) > GAP_CELLS:
@@ -260,6 +262,8 @@ class MarginProblem:
     # each slot's safe sample indices and, per piece, whether some sample
     # point lies in it: one ``_class_pass`` on first use
     _safe_rows: list | None = field(default=None, repr=False)
+    # each sample point's least class gap, the running minimum of that pass
+    _least_gap: np.ndarray | None = field(default=None, repr=False)
     _pair_cache: dict | None = field(default=None, repr=False)
 
     @property
@@ -307,14 +311,26 @@ class MarginProblem:
 
     def safe_points(self, j: int) -> list:
         """Sampled safe set of class slot ``j``, then the representative of
-        each of its pieces that holds no sample point, so it is never empty."""
+        each of its pieces that holds no sample point, so it is never empty.
+
+        The first call makes the one pass over the sample set for every
+        class.  It also keeps, in ``_least_gap``, each sample point's least
+        class gap, its distance to the union of the classes, as a running
+        minimum over the classes; the ball-cover search screens its pool
+        with it."""
         if j not in self._safe_cache:
             sample = self.space.sample_set
             if self._safe_rows is None:
+                least = np.full(len(sample), np.inf)
+
+                def keep(rows, gap):
+                    np.minimum(least, gap, out=least)
+                    return (np.flatnonzero(gap <= self.gamma / 2 + TOL).tolist(),
+                            (rows <= TOL).any(axis=1).tolist())
+
                 self._safe_rows = _class_pass(
-                    self.space, [r.pieces for r in self.regions], sample,
-                    lambda rows, gap: (np.flatnonzero(gap <= self.gamma / 2 + TOL).tolist(),
-                                       (rows <= TOL).any(axis=1).tolist()))
+                    self.space, [r.pieces for r in self.regions], sample, keep)
+                self._least_gap = least
             idx, held = self._safe_rows[j]
             pts = [sample[i] for i in idx]
             self._safe_slot.update((x, j) for x in pts if self._safe_slot.get(x, j) >= j)

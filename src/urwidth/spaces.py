@@ -97,6 +97,18 @@ MAX_SAMPLES = 10**6
 # with 20,000 in 0.9 s and 24,000 in 1.3 s, on a 2-core Xeon.  No
 # experiment, benchmark or test draws more than 800 points per sphere.
 MAX_SPHERE_SAMPLES = 16_000
+# A sphere of n samples screens about as long as (n + SCREEN_SETUP)**2 pairs:
+# its fixed numpy calls, per sphere and per BLOCK rows, take as long as 200
+# more samples would (about 43 us a sphere, and 1.07 ns a pair, on that Xeon).
+SCREEN_SETUP = 200
+# The most pairs that the screens of all spheres may take together, refused
+# before anything is drawn: the w = 2 cap's total, so that no admitted
+# (w, n) screens much longer than it.  At the bound the screen took 0.55 s
+# at (w, n) = (2, 16,000), 0.54 at (8, 7,900), 0.54 at (32, 3,850), 0.35 at
+# (128, 1,825), 0.37 at (512, 812) and 0.49 at (11,250, 16).  The 2,347-byte
+# wedge_problem(8, 2, 2.0, 0.5, n=16, seed=1) certificate at D0 = 1 with n
+# edited to 7,900 is refused in 0.8-0.9 s, and with 16,000 at once.
+MAX_SCREEN_PAIRS = 2 * (MAX_SPHERE_SAMPLES + SCREEN_SETUP) ** 2
 # Rows per block wherever a distance matrix or screen is built block by
 # block: peak memory is BLOCK x columns floats, not rows x columns.
 BLOCK = 64
@@ -254,6 +266,10 @@ class WedgeSphereSpace(MetricSpace):
         if w * (n + 1) + 1 > MAX_SAMPLES:
             raise ValueError(f"n={n} too large for w={w}: the sample set would hold "
                              f"w*(n + 1) + 1 > MAX_SAMPLES = {MAX_SAMPLES} points")
+        if w * (n + SCREEN_SETUP) ** 2 > MAX_SCREEN_PAIRS:
+            raise ValueError(f"n={n} too large for w={w}: the spheres would screen "
+                             f"w*(n + SCREEN_SETUP)**2 > MAX_SCREEN_PAIRS = "
+                             f"{MAX_SCREEN_PAIRS} sample pairs")
         if seed < 0:
             raise ValueError(f"need a non-negative seed, got seed={seed}")
         self.w = w
@@ -306,8 +322,13 @@ class WedgeSphereSpace(MetricSpace):
         pts = self.sample_set
         copies = len(self._angles) < len(pts)  # a point drawn twice, or the pole
         worst = 0.0
+        # each tag's rows, ascending, from one stable sort, so a sphere's group,
+        # its own rows and the pole's, costs its own size, not the sample set's
+        by_tag = np.argsort(tags, kind="stable")
+        ends = np.searchsorted(tags[by_tag], np.arange(self.w + 2)).tolist()
         for sphere in range(1, self.w + 1):
-            group = np.flatnonzero((tags == 0) | (tags == sphere))
+            own = by_tag[ends[sphere] : ends[sphere + 1]]
+            group = np.sort(np.concatenate((by_tag[: ends[1]], own)))
             sub, sub_tags = dirs[group], tags[group]
 
             def gram(rows):

@@ -1298,6 +1298,25 @@ def test_a_wedge_certificate_with_n_above_the_sphere_cap_is_refused_at_once():
                         f"{MAX_SPHERE_SAMPLES} samples"]
 
 
+def test_a_wedge_certificate_whose_spheres_screen_too_many_pairs_is_refused_at_once():
+    # each sphere is below its cap, but eight of them would screen four
+    # times the pairs of two spheres at the cap
+    from urwidth.coverings import width_bracket
+    from urwidth.problems import wedge_problem
+    from urwidth.spaces import MAX_SCREEN_PAIRS, MAX_SPHERE_SAMPLES
+
+    p = wedge_problem(8, 2, 2.0, 0.5, n=16, seed=1)
+    doc = json.loads(json.dumps(bracket_doc(p, width_bracket(p, 1.0))))
+    doc["problem"]["params"]["n"] = MAX_SPHERE_SAMPLES
+    start = time.perf_counter()
+    ok, messages = verify_bracket(doc)
+    assert time.perf_counter() - start < 0.1
+    assert not ok
+    assert messages == [f"cannot rebuild problem: n={MAX_SPHERE_SAMPLES} too large for w=8: "
+                        f"the spheres would screen w*(n + SCREEN_SETUP)**2 > "
+                        f"MAX_SCREEN_PAIRS = {MAX_SCREEN_PAIRS} sample pairs"]
+
+
 # an oversized sample set is refused by the parameter that makes it so, before
 # anything is built: (argv, the refusal's opening words)
 _OVERSIZED = {

@@ -28,6 +28,7 @@ from urwidth.coverings import (
     width_bracket,
 )
 from urwidth.problems import (
+    GAP_CELLS,
     BallPiece,
     ClassRegion,
     FamilyTag,
@@ -42,7 +43,7 @@ from urwidth.problems import (
     wedge_problem,
 )
 from urwidth.serialize import bracket_doc
-from urwidth.spaces import graph_space, interval_space, support_check
+from urwidth.spaces import BLOCK, graph_space, interval_space, support_check
 
 
 def test_canonical_bouquet_covering_passes_all_conditions():
@@ -549,7 +550,34 @@ def _golden_instances():
     out.append(_slack_reach_instance())
     out.append(_bridged_interval_union())
     out.append(_tie_break_instance())
+    out += _screened_instances()
+    # pools of 229 and 190 points, two chunks each: the second chunk takes
+    # its first columns from the first chunk's rows, on the scalar union
+    # loop and on a wedge
+    left = bouquet_problem(2, 10.0, 1.0, 0.1)
+    out.append((union_problem(left, bouquet_problem(1, 10.0, 1.0, 0.25), 2.0), 4.0))
+    out.append((wedge_problem(2, 1, 1.0, 1.3, n=100, seed=7), 2.0))
     return [pytest.param(p, d0, id=f"{p.family.name}-{i}") for i, (p, d0) in enumerate(out)]
+
+
+def _screened_instances():
+    """Instances whose pool screen drops sample points: a wedge below its
+    window [0.75, 5.91), a bouquet and a scaled problem at D0 < gamma, and
+    a union whose bridge s is shorter than D0/2."""
+    return [
+        (wedge_problem(3, 2, 2.0, 0.5, n=40, seed=5), 0.4),
+        (bouquet_problem(3, 10.0, 1.0, 0.25), 0.5),
+        (scaled_problem(2, 3, 30.0, 1.0, 0.25), 0.75),
+        (union_problem(bouquet_problem(2, 10.0, 1.0, 0.5), bouquet_problem(1, 10.0, 1.0, 0.5),
+                       1.0), 3.0),
+    ]
+
+
+@pytest.mark.parametrize("problem, d0", _screened_instances(),
+                         ids=["wedge", "bouquet", "scaled", "union"])
+def test_the_screen_drops_sample_points_on_the_screened_golden_instances(problem, d0):
+    _, pool, _ = _candidate_balls(problem, d0)
+    assert len(pool) < len(problem.space.sample_set)
 
 
 def _materialised(problem, d0):
@@ -574,21 +602,44 @@ def test_min_ball_cover_builds_the_chosen_reference_supports(problem, d0):
     assert [t.support for t in cov.triples] == [reference[ci][0] for ci in info.chosen]
 
 
-def test_candidate_pool_is_the_sample_set_unless_a_safe_point_lies_off_it():
-    # on the grid the search scans the sample set itself, whose coordinates
-    # the space caches, not a copy
-    p = bouquet_problem(3, 10.0, 1.0, 0.5)
-    assert _candidate_balls(p, 4.0)[1] is p.space.sample_set
-    # neither interval holds a point of the 0.1 grid: each representative
-    # joins the pool after the sample set, in safe-point order
-    q = interval_union_problem([(0.61, 0.64), (0.11, 0.14)], 0.05, 11)
-    universe, pool, _ = _candidate_balls(q, 0.3)
-    expected = list(q.space.sample_set)
-    for _, x in universe:
-        if x not in expected:
-            expected.append(x)
-    assert pool == expected
-    assert pool[len(q.space.sample_set):] == [(0.11 + 0.14) / 2, (0.61 + 0.64) / 2]
+def _scalar_least_gap(problem, x):
+    """The distance from ``x`` to the nearest class, one scalar distance at
+    a time: the ball pieces of the bouquet, and the interval's segments."""
+    gaps = []
+    for region in problem.regions:
+        for pc in region.pieces:
+            if isinstance(pc, BallPiece):
+                gaps.append(max(0.0, problem.space.dist(pc.center, x) - pc.radius))
+            else:
+                gaps.append(max(0.0, pc.lo - x, x - pc.hi))
+    return min(gaps)
+
+
+@pytest.mark.parametrize("make, d0, dropped", [
+    # the wedge point lies 4.75 from every class, beyond D0 + gamma/2 = 4.5
+    (lambda: bouquet_problem(3, 10.0, 1.0, 0.5), 4.0, 1),
+    # at D0 + gamma/2 = 4.75 nothing is screened out
+    (lambda: bouquet_problem(3, 10.0, 1.0, 0.5), 4.25, 0),
+    # neither interval holds a point of the 0.1 grid, and only 0.0 lies
+    # beyond D0 + gamma/2 = 0.075 of both classes
+    (lambda: interval_union_problem([(0.61, 0.64), (0.11, 0.14)], 0.05, 11), 0.05, 1),
+    (lambda: interval_union_problem([(0.61, 0.64), (0.11, 0.14)], 0.05, 11), 0.3, 0),
+], ids=["bouquet-screened", "bouquet-whole", "interval-screened", "interval-whole"])
+def test_candidate_pool_is_the_screened_sample_set_then_the_off_grid_safe_points(make, d0,
+                                                                                 dropped):
+    p = make()
+    universe, pool, _ = _candidate_balls(p, d0)
+    sample = p.space.sample_set
+    near = [x for x in sample if _scalar_least_gap(p, x) <= d0 + p.gamma / 2]
+    assert len(sample) - len(near) == dropped
+    extra = [x for _, x in universe if x not in sample]
+    assert pool == near + extra
+    if p.family.name == "interval_union":
+        assert extra == [(0.11 + 0.14) / 2, (0.61 + 0.64) / 2]
+    if not dropped and not extra:
+        # the search scans the sample set itself, whose coordinates the
+        # space caches, not a copy
+        assert pool is sample
 
 
 @pytest.mark.parametrize("make, d0", [
@@ -596,20 +647,30 @@ def test_candidate_pool_is_the_sample_set_unless_a_safe_point_lies_off_it():
     # also take exact-diameter checks
     (lambda: bouquet_problem(8, 16.0, 1.0, 0.4),
      parameter_window("bouquet", L=16.0, gamma=1.0).lo + 2 * 0.4),
-    # the off-grid case above: the pool is longer than the sample set
+    # the off-grid case above: the pool is longer than the sample set, and
+    # at D0 = 0.05 longer than the screened sample set
     (lambda: interval_union_problem([(0.61, 0.64), (0.11, 0.14)], 0.05, 11), 0.3),
-], ids=["bouquet", "interval-off-grid"])
+    (lambda: interval_union_problem([(0.61, 0.64), (0.11, 0.14)], 0.05, 11), 0.05),
+    # a pool of 1,140 points, made BLOCK rows at a time
+    (lambda: bouquet_problem(12, 10.0, 1.0, 0.1), 4.0),
+], ids=["bouquet", "interval-off-grid", "interval-screened", "bouquet-blocks"])
 def test_candidate_balls_take_one_pool_distance_pass(monkeypatch, make, d0):
     # the step graph and the centre rows share one pass over the pool x
-    # pool distances; every other request is a support against itself
+    # pool distances, max(BLOCK, GAP_CELLS // len(pool)) rows at a time,
+    # each pair once: a chunk's rows meet the pool from their own first row
+    # on; every other request is a support against itself
     p = make()
     p.all_safe_points()  # the safe sets are cached, each built from its own rows
     calls, dists = [], type(p.space).dists
     monkeypatch.setattr(type(p.space), "dists",
                         lambda self, ps, qs: calls.append((ps, qs)) or dists(self, ps, qs))
     _, pool, _ = _candidate_balls(p, d0)
-    assert sum(len(ps) for ps, qs in calls if qs is pool) == len(pool)
-    assert all(ps is qs for ps, qs in calls if qs is not pool)
+    span = max(BLOCK, GAP_CELLS // len(pool))
+    starts = range(0, len(pool), span)
+    assert calls[0][1] is pool
+    assert [(list(ps), list(qs)) for ps, qs in calls[: len(starts)]] == \
+        [(pool[lo : lo + span], pool[lo:]) for lo in starts]
+    assert all(ps is qs for ps, qs in calls[len(starts) :])
 
 
 def test_bouquet_w12_cover_size():
@@ -727,6 +788,35 @@ def _weighted_graph(data):
 @given(data=st.data())
 def test_candidate_balls_match_scalar_reference_on_unions_and_graphs(data):
     p, d0 = data.draw(st.sampled_from([_short_bridge_union, _weighted_graph]))(data)
+    assert _materialised(p, d0) == _scalar_candidate_balls(p, d0)
+
+
+def _small_windowed_problem(data):
+    """A small bouquet, interval union or wedge, with D0 drawn from below
+    its window (or below gamma) to above it."""
+    kind = data.draw(st.sampled_from(["bouquet", "interval", "wedge"]))
+    if kind == "bouquet":
+        L = data.draw(st.floats(8.0, 12.0))
+        gamma = data.draw(st.floats(L / 20, L / 10))
+        p = bouquet_problem(data.draw(st.integers(1, 3)), L, gamma,
+                            L / data.draw(st.integers(8, 20)))
+        hi = parameter_window("bouquet", L=L, gamma=gamma).hi
+    elif kind == "interval":
+        a = data.draw(st.floats(0.05, 0.6))
+        p = interval_union_problem([(a, a + data.draw(st.floats(0.0, 0.3)))],
+                                   data.draw(st.floats(0.02, 0.1)), data.draw(st.integers(11, 31)))
+        hi = 1.0
+    else:
+        p = wedge_problem(data.draw(st.integers(1, 2)), 1, 1.0, data.draw(st.floats(0.3, 1.0)),
+                          n=data.draw(st.integers(16, 24)), seed=data.draw(st.integers(0, 99)))
+        hi = parameter_window("wedge", R=1.0, gamma=p.gamma).hi
+    return p, data.draw(st.floats(0.0, 1.2 * hi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_candidate_balls_match_scalar_reference_across_the_window(data):
+    p, d0 = _small_windowed_problem(data)
     assert _materialised(p, d0) == _scalar_candidate_balls(p, d0)
 
 

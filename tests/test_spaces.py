@@ -342,6 +342,9 @@ _ONE_TOO_MANY = {
     # one sample above the per-sphere cap, far below MAX_SAMPLES
     "wedge_sphere": (wedge_sphere_space, (1, 1, 1.0, MAX_SPHERE_SAMPLES + 1),
                      "n=16001 too large for w=1: a sphere may hold at most"),
+    # the most samples eight spheres may hold under MAX_SCREEN_PAIRS, plus one
+    "wedge_screen": (wedge_sphere_space, (8, 1, 1.0, 7_901),
+                     "n=7901 too large for w=8: the spheres would screen"),
     "interval": (interval_space, (MAX_SAMPLES + 1,), "n=1000001 grid points exceed"),
 }
 
