@@ -130,7 +130,8 @@ def _decode(source, parse, text: str):
 
 
 def _read_stream(path: Path, space):
-    """(point, label) samples in step order; a ValueError names the file and row."""
+    """(point, label) samples in step order; a ValueError names the file and
+    row, or, for a step given twice, the step and both rows."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -145,6 +146,10 @@ def _read_stream(path: Path, space):
             raise ValueError(f"stream file {path}, row {n}: {exc!r}") from exc
     if not out:
         raise ValueError(f"stream file {path} holds no samples")
+    rows_of = {}
+    for n, (s, _, _) in enumerate(out, 1):
+        if (other := rows_of.setdefault(s, n)) != n:
+            raise ValueError(f"stream file {path}: step {s} appears in row {other} and row {n}")
     return [(point, label) for _, point, label in sorted(out, key=lambda row: row[0])]
 
 

@@ -10,10 +10,15 @@ evaluates with the best-matching entry.  Every step logs one immutable
 none is modified after insertion, and replaying the event log reproduces
 the library bit-exactly.
 
-A stream is folded FOLD_BLOCK samples at a time: one residue matrix
+A stream is folded a block of samples at a time: one residue matrix
 against the library per block, one candidate matrix for the entries the
 block constructs, and one append of the block's records, each equal bit
-for bit to the one-sample-at-a-time scan.
+for bit to the one-sample-at-a-time scan.  Blocks start at FOLD_BLOCK
+samples and double after each block that constructs nothing, up to
+FOLD_BLOCK_MAX; a block that constructs sends the next back to
+FOLD_BLOCK.  The candidate matrix, the one cost quadratic in the block,
+only arises in blocks that construct, and at most FOLD_BLOCK_MAX**2
+floats (2 MB).
 """
 
 from __future__ import annotations
@@ -41,11 +46,16 @@ __all__ = [
 ]
 
 _EVAL_TOL = 1e-12
-# Samples per fold block.  Of 64, 128, 192 and 256, 128 folds the stream
-# benchmark's episodes fastest: a block that starts on an empty library
-# makes every row a candidate, and its candidate matrix (at most
-# FOLD_BLOCK**2 floats) grows with the square of the block.
+# Samples in a fold block after a block that constructs.  Of 64, 128, 192
+# and 256, 128 folds the stream benchmark's episodes fastest: a block that
+# starts on an empty library makes every row a candidate, and its candidate
+# matrix (at most block**2 floats) grows with the square of the block.
 FOLD_BLOCK = 128
+# Largest block, reached by doubling after blocks that construct nothing.
+# A saturated 12-entry library folds 1,700 samples in 1.47 ms in blocks of
+# 128, 1.17 ms in blocks of 512 and 1.08 ms in blocks of 1,024; 512 takes
+# most of that gain and bounds the candidate matrix at 512**2 floats (2 MB).
+FOLD_BLOCK_MAX = 4 * FOLD_BLOCK
 
 
 @dataclass(frozen=True)
@@ -139,37 +149,53 @@ def _fold(state: MachineState, samples) -> list[StepRecord]:
     prediction is that entry's label.  Otherwise: construct a new entry,
     a ball of radius r_construct around the alarming point.
 
-    Samples are taken FOLD_BLOCK at a time.  One residue matrix scores the
-    block against the library as it stands at the block's start.  Residues
-    only fall as entries are added, so only the rows above the tolerance
-    there can construct.  From the block's first construct c on, one
-    candidate matrix holds the residues of rows c+1.. against a ball around
-    every such row: a scan down its candidate rows picks the constructs in
-    order, and each later row takes the first minimal residue among the
-    entries made before it (lowest index on ties, the library's own first).
+    Samples are taken a block at a time: FOLD_BLOCK samples at first and
+    after any block that constructs, twice the last block's size after one
+    that constructs nothing, up to FOLD_BLOCK_MAX.  One residue matrix
+    scores the block against the library as it stands at the block's
+    start.  Residues only fall as entries are added, so only the rows above
+    the tolerance there can construct.  From the block's first construct c
+    on, one candidate matrix holds the residues of rows c+1.. against a
+    ball around every such row: a scan down its candidate rows picks the
+    constructs in order, and each later row takes the first minimal
+    residue among the entries made before it (lowest index on ties, the
+    library's own first).
     ``dists`` equals ``dist`` entry by entry, so each residue and entry
     equals a per-sample scan of the library bit for bit.  The block's
     records are built from the residue and entry lists and appended in one
     go.  A sample that is not a (point, label) pair, or whose label lies
     outside ``state.labels``, raises after every sample before it has
-    applied.
+    applied.  A label is looked up in a set of the hashable labels first,
+    and in ``state.labels`` itself when that misses.
     """
     limit = state.tau + _EVAL_TOL
     first = len(state.log)
     entry_labels = [e.label for e in state.entries]
+    labels = state.labels
+    try:
+        known = frozenset(labels or ())
+    except TypeError:  # an unhashable label: every lookup takes the tuple test
+        known = frozenset()
     samples = iter(samples)
-    while block := list(islice(samples, FOLD_BLOCK)):
+    size = FOLD_BLOCK
+    while block := list(islice(samples, size)):
         xs, ys, error = [], [], None
+        add_x, add_y = xs.append, ys.append
         for sample in block:
             try:
                 x, y = sample
-                if state.labels is not None and y not in state.labels:
-                    raise ValueError(f"label {y!r} outside the concept space {state.labels}")
+                if labels is not None:
+                    try:
+                        hit = y in known
+                    except TypeError:  # unhashable
+                        hit = False
+                    if not hit and y not in labels:
+                        raise ValueError(f"label {y!r} outside the concept space {labels}")
             except (TypeError, ValueError) as exc:  # raised once the samples before it apply
                 error = exc
                 break
-            xs.append(x)
-            ys.append(y)
+            add_x(x)
+            add_y(y)
         n, base, made = len(xs), len(state.log), len(state.entries)
         if made and n:
             res = _residues(state, xs)
@@ -214,6 +240,7 @@ def _fold(state: MachineState, samples) -> list[StepRecord]:
         state.log += recs
         if error is not None:
             raise error
+        size = FOLD_BLOCK if cons else min(2 * size, FOLD_BLOCK_MAX)
     return state.log[first:]
 
 

@@ -51,8 +51,10 @@ class SamplingDistribution:
     weights: tuple
     c1: float
     c2: float
-    # cumsum of ``weights`` over its last entry: the CDF ``Generator.choice`` searches
+    # cumsum of ``weights`` over its last entry: the CDF ``Generator.choice``
+    # searches, as a list for ``bisect`` and as an array for ``searchsorted``
     cdf: list[float] = field(init=False, compare=False, repr=False)
+    cdf_array: np.ndarray = field(init=False, compare=False, repr=False)
     # each region's label, and its safe list once a draw has needed it (else None)
     labels: list[int] = field(init=False, compare=False, repr=False)
     safe: list = field(init=False, compare=False, repr=False)
@@ -75,6 +77,7 @@ class SamplingDistribution:
         cdf = w.cumsum()
         cdf /= cdf[-1]
         self.cdf = cdf.tolist()
+        self.cdf_array = cdf
         self.labels = self.problem.labels
         self.safe = [None] * k
 
@@ -103,12 +106,16 @@ def sample_safe(dist: SamplingDistribution, rng: np.random.Generator):
     Lemire, ACM TOMACS 29(1), 2019) for the index, so the draw and the
     state it leaves are theirs bit for bit.  Both native calls run under
     the bit generator's lock, as numpy's own calls do, because they
-    release the GIL.  A safe set of one point consumes no word; an empty
-    one, or one above 2**32 points, takes ``rng.integers`` itself.
+    release the GIL; the lock is taken with acquire and released in a
+    ``finally``, which costs less than a ``with`` block.  A safe set of one
+    point consumes no word; an empty one, or one above 2**32 points, takes
+    ``rng.integers`` itself.
     """
     bitgen = rng.bit_generator
     c = bitgen.ctypes
-    with bitgen.lock:
+    lock = bitgen.lock
+    lock.acquire()
+    try:
         j = bisect_right(dist.cdf, c.next_double(c.state))
         pts = dist.safe[j]
         if pts is None:
@@ -122,6 +129,8 @@ def sample_safe(dist: SamplingDistribution, rng: np.random.Generator):
                 while m & 0xFFFFFFFF < low:
                     m = c.next_uint32(c.state) * k
             i = m >> 32
+    finally:
+        lock.release()
     if not 0 < k <= 0x100000000:  # numpy raises on 0 and takes 64-bit words above 2**32
         i = int(rng.integers(k))  # outside the lock, which it takes itself
     return pts[i], dist.labels[j]
@@ -133,7 +142,7 @@ def coupon_time(dist: SamplingDistribution, rng: np.random.Generator) -> int:
     k = dist.k
     if k == 1:
         return 1
-    cdf = np.asarray(dist.cdf)
+    cdf = dist.cdf_array
     seen = set()
     t = 0
     chunk = max(32, 2 * k)

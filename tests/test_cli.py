@@ -801,6 +801,8 @@ def test_nerve_exit_code_follows_beta1(tmp_path, monkeypatch, capsys, beta1):
     ("no_label_column", 'step,point\n0,"[""loop"", 1, 5.0]"\n', "'label'"),
     ("off_space_point", 'step,point,label\n0,"[""loop"", 9, 5.0]",1\n', "row 1"),
     ("header_only", "step,point,label\n", "holds no samples"),
+    ("repeated_step", 'step,point,label\n0,"[""loop"", 1, 5.0]",1\n1,"[""loop"", 2, 5.0]",2\n'
+                      '0,"[""loop"", 1, 5.0]",1\n', "step 0 appears in row 1 and row 3"),
 ])
 def test_machine_stream_file_errors(tmp_path, capsys, case, text, needle):
     stream = tmp_path / "stream.csv"

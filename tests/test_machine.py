@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from urwidth.machine import (
     _EVAL_TOL,
     FOLD_BLOCK,
+    FOLD_BLOCK_MAX,
     LibraryEntry,
     StepRecord,
     alarm,
@@ -239,6 +240,7 @@ def _assert_same_run(space, tau, r_construct, labels, prefix, stream):
     replayed = replay_log(space, tau, 2 * r_construct, r_construct, ref.log, labels)
     assert replayed.entries == ref.entries
     assert repr(replayed.log) == repr(ref.log)
+    return want
 
 
 @st.composite
@@ -261,9 +263,16 @@ def test_fold_matches_per_sample_reference(case):
     _assert_same_run(*case)
 
 
-def _mid_block(i):
-    """Row ``i`` lies past the first fold block and on neither edge of its own."""
-    return i > FOLD_BLOCK and i % FOLD_BLOCK not in (0, FOLD_BLOCK - 1)
+def _mid_block_constructs(kinds):
+    """Rows that construct past the first fold block and on neither edge of
+    their own, over steps of these kinds."""
+    rows, at = [], 0
+    for size in _block_sizes(kinds):
+        if at:
+            rows += [i for i in range(at + 1, min(at + size, len(kinds)) - 1)
+                     if kinds[i] == "construct"]
+        at += size
+    return rows
 
 
 @pytest.mark.parametrize("kind, r", [("bouquet", 0.5), ("graph", 0.5), ("interval", 0.05),
@@ -276,9 +285,8 @@ def test_fold_constructs_mid_block(kind, r):
     reps = max(7, 2 * FOLD_BLOCK // len(space.sample_set))  # at least two blocks
     stream = [(x, 1 + int(rng.integers(3))) for x in space.sample_set for _ in range(reps)]
     ref = machine_new(space, 0.0, 2 * r, r)
-    constructs = [rec.index for rec in (_ref_step(ref, s) for s in stream)
-                  if rec.kind == "construct"]
-    assert len(stream) > FOLD_BLOCK and any(map(_mid_block, constructs))
+    kinds = [_ref_step(ref, s).kind for s in stream]
+    assert len(stream) > FOLD_BLOCK and _mid_block_constructs(kinds)
     _assert_same_run(space, 0.0, r, None, [], stream)
     _assert_same_run(space, 0.25, r, (1, 2, 3), stream[:5], stream[5:])
 
@@ -361,6 +369,70 @@ def test_bad_sample_applies_exactly_the_prefix(k, bad, match):
     assert got.log == ref.log and got.entries == ref.entries
 
 
+def _block_sizes(kinds):
+    """The fold's block sizes over steps of these kinds: FOLD_BLOCK after a
+    block that constructs, else twice the last, up to FOLD_BLOCK_MAX."""
+    sizes, size, at = [], FOLD_BLOCK, 0
+    while at < len(kinds):
+        sizes.append(size)
+        made = "construct" in kinds[at:at + size]
+        at += size
+        size = FOLD_BLOCK if made else min(2 * size, FOLD_BLOCK_MAX)
+    return sizes
+
+
+# a two-entry library on the interval grid; the known points evaluate on it
+_GRID = _SPACES["interval"]
+_LIBRARY = [(0.0, 1), (0.5, 2)]
+_KNOWN = [0.0, 0.025, 0.475, 0.5, 0.525]
+_NEW = [0.25, 0.75, 0.9, 1.0]
+_GROWN = FOLD_BLOCK + 2 * FOLD_BLOCK  # the first row of a FOLD_BLOCK_MAX block
+
+
+@st.composite
+def _grown_block_cases(draw):
+    n = draw(st.integers(_GROWN + FOLD_BLOCK_MAX + 1, _GROWN + FOLD_BLOCK_MAX + 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stream = [(_KNOWN[i], 1 + y) for i, y in zip(rng.integers(len(_KNOWN), size=n).tolist(),
+                                                 rng.integers(3, size=n).tolist())]
+    # constructs, the first in the first grown block; later rows may land on their balls
+    first = draw(st.integers(_GROWN, _GROWN + FOLD_BLOCK_MAX - 1))
+    more = rng.integers(_GROWN, n, size=draw(st.integers(0, 40))).tolist()
+    for at in [first, *more]:
+        stream[at] = (_NEW[at % len(_NEW)], stream[at][1])
+    bad = draw(st.sampled_from([None, "label", "triple"]))
+    k = draw(st.integers(_GROWN, n - 1))
+    if bad == "label":
+        stream[k] = (stream[k][0], 9)
+    elif bad == "triple":
+        stream[k] = (*stream[k], 1)
+    return stream, bad, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grown_block_cases())
+def test_blocks_grow_to_the_cap_and_match_the_reference(case):
+    stream, bad, k = case
+    if bad is None:
+        kinds = [r.kind for r in _assert_same_run(_GRID, 0.0, 0.05, (1, 2, 3), _LIBRARY, stream)]
+        # the stream reaches the cap, and a grown block constructs
+        assert _block_sizes(kinds)[:3] == [FOLD_BLOCK, 2 * FOLD_BLOCK, FOLD_BLOCK_MAX]
+        assert "construct" in kinds[_GROWN:_GROWN + FOLD_BLOCK_MAX]
+        return
+    ref = machine_new(_GRID, 0.0, 0.1, 0.05, labels=(1, 2, 3))
+    got = machine_new(_GRID, 0.0, 0.1, 0.05, labels=(1, 2, 3))
+    for s in _LIBRARY + stream[:k]:
+        _ref_step(ref, s)
+    for s in _LIBRARY:
+        _ref_step(got, s)
+    match = "label 9 outside" if bad == "label" else "too many values to unpack"
+    with pytest.raises(ValueError, match=match):
+        run_stream(got, stream)
+    assert len(got.log) == len(_LIBRARY) + k  # exactly the prefix applied
+    assert got.log == ref.log and repr(got.log) == repr(ref.log)
+    assert got.entries == ref.entries
+
+
 # -- step records: immutable named tuples, printed as the dataclass was -----
 
 _FIELDS = ("index", "kind", "point", "label", "residue", "entry", "predicted", "correct")
@@ -418,7 +490,7 @@ def test_replayed_log_equals_the_log_after_mid_block_constructs():
     stream = [(x, 1 + int(rng.integers(3))) for x in space.sample_set for _ in range(7)]
     st = machine_new(space, 0.0, 0.1, 0.05)
     run_stream(st, stream)
-    assert any(_mid_block(r.index) for r in st.log if r.kind == "construct")
+    assert _mid_block_constructs([r.kind for r in st.log])
     replayed = replay_log(space, 0.0, 0.1, 0.05, st.log)
     assert replayed.log == st.log
     assert all(type(r) is StepRecord for r in replayed.log)

@@ -328,6 +328,41 @@ def test_sample_safe_waits_for_the_bit_generator_lock():
     assert got.bit_generator.state == ref.bit_generator.state
 
 
+class _Refusing(_Ranges):
+    def safe_points(self, j):
+        raise RuntimeError(f"no safe set for class {j}")
+
+
+def _free_from_another_thread(lock):
+    """Whether a second thread can take ``lock`` at once: its owner could
+    re-enter an ``RLock`` it failed to release."""
+    box = []
+
+    def probe():
+        if lock.acquire(blocking=False):
+            lock.release()
+            box.append(True)
+        else:
+            box.append(False)
+
+    worker = threading.Thread(target=probe, daemon=True)
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive()
+    return box == [True]
+
+
+def test_sample_safe_releases_the_bit_generator_lock():
+    rng = np.random.default_rng(4)
+    lock = rng.bit_generator.lock
+    sample_safe(sampling_distribution(_bouquet(3)), rng)
+    assert _free_from_another_thread(lock)
+    # the region's first safe_points call raises inside the locked block
+    with pytest.raises(RuntimeError, match="no safe set"):
+        sample_safe(sampling_distribution(_Refusing([3, 4])), rng)
+    assert _free_from_another_thread(lock)
+
+
 def _coupon_time_oracle(dist, rng):
     """The per-draw loop: count draws until every region has been seen."""
     k = dist.k
