@@ -4,9 +4,10 @@ Certificates are JSON documents that embed the problem's construction
 parameters rather than trusting stored intermediates; ``verify_bracket``
 rebuilds the problem, re-checks the stored triples and re-emits the whole
 certificate with the same writer, ``bracket_doc``, once the class counts
-it states agree.  Point encodings are tagged lists whose tag follows the
-space kind; floats survive the JSON round trip exactly (shortest-repr
-encoding).
+it states agree.  It compares each stored field with its re-emission by
+exact bytes (``marshal``) and makes JSON text only for a field whose bytes
+differ.  Point encodings are tagged lists whose tag follows the space
+kind; floats survive the JSON round trip exactly (shortest-repr encoding).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import marshal
 import math
 from typing import Any
 
@@ -147,9 +149,11 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
     problem's label tuple and to assign every support point one of its
     labels, requires lb <= ub, then re-emits the certificate with
     ``bracket_doc``.  The document supplies only D0, the
-    triples and ``ub.method``; every stored field that differs from its
-    re-emitted value is reported by name (one level down in ``lb`` and
-    ``ub``).
+    triples and ``ub.method``; every stored field whose ``sort_keys`` JSON
+    text differs from its re-emitted value's is reported by name (one
+    level down in ``lb`` and ``ub``).  Text is made only for a field that
+    ``_same`` cannot match by bytes, and an assignment that repeats its
+    triple's support, in order, reuses the support's decoded points.
     """
     if not isinstance(doc, dict) or doc.get("kind") != "width_bracket":
         return False, ["not a width_bracket certificate"]
@@ -176,7 +180,13 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
         triples = []
         for td in doc["ub"]["covering"]["triples"]:  # labels must be integers
             support = [decode_point(space, d) for d in td["support"]]
-            assignment = {decode_point(space, d): int(lab) for d, lab in td["assignment"]}
+            pairs = td["assignment"]
+            if (type(pairs) is list and len(pairs) == len(support)
+                    and all(type(pair) is list and len(pair) == 2 for pair in pairs)
+                    and _same([d for d, _ in pairs], td["support"])):
+                assignment = {p: int(lab) for p, (_, lab) in zip(support, pairs)}
+            else:
+                assignment = {decode_point(space, d): int(lab) for d, lab in pairs}
             triples.append(UrysohnTriple(support, tuple(int(v) for v in td["labels"]), assignment))
     except _BAD_VALUE as exc:
         return False, [f"malformed certificate: {type(exc).__name__}: {exc}"]
@@ -193,10 +203,24 @@ def verify_bracket(doc: dict) -> tuple[bool, list[str]]:
         messages.append(f"lower bound {bracket.lb} exceeds the covering size {bracket.ub}")
     stored, fresh = _fields(doc), _fields(bracket_doc(problem, bracket))
     for key in dict.fromkeys([*fresh, *stored]):
-        if stored.get(key) != fresh.get(key):
-            messages.append(f"{'.'.join(key)}: stored {stored.get(key, 'nothing')[:60]}, "
-                            f"re-derived {fresh.get(key, 'nothing')[:60]}")
+        if key in stored and key in fresh and _same(stored[key], fresh[key]):
+            continue
+        texts = [_field_text(side[key]) if key in side else "nothing" for side in (stored, fresh)]
+        if texts[0] != texts[1]:
+            messages.append(_mismatch(".".join(map(str, key)), *texts))
     return not messages, messages
+
+
+def _mismatch(name: str, stored: str, fresh: str) -> str:
+    """Both texts cut to 60 characters; when their first 60 agree, both
+    windows start 20 characters before the first that differs."""
+    start, where = 0, ""
+    if stored[:60] == fresh[:60]:
+        at = next((i for i, (a, b) in enumerate(zip(stored, fresh)) if a != b),
+                  min(len(stored), len(fresh)))
+        start, where = max(at - 20, 0), f" (first difference at character {at})"
+    return (f"{name}: stored {stored[start:start + 60]}, "
+            f"re-derived {fresh[start:start + 60]}{where}")
 
 
 def _triple_messages(triples: list[UrysohnTriple], labels: tuple) -> list[str]:
@@ -246,19 +270,47 @@ _FIELD_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def _fields(doc: dict) -> dict:
-    """Canonical JSON text of each top-level field, one level down in lb and
-    ub; a value with no JSON text gets a note naming why, which no
-    re-emitted field equals."""
+    """Each top-level field, one level down in lb and ub."""
     fields = {}
     for key, value in doc.items():
         if key in ("lb", "ub") and isinstance(value, dict):
             fields.update(((key, k), v) for k, v in value.items())
         else:
             fields[(key,)] = value
-    return {k: _field_text(v) for k, v in fields.items()}
+    return fields
+
+
+def _same(stored, fresh) -> bool:
+    """True only when both values must have the same ``sort_keys`` JSON text.
+
+    Dicts match key by key, whatever their key order, when every key is an
+    exact ``str``; equal-length lists of dicts (the triples) match item by
+    item; anything else matches when its ``marshal`` format 2 bytes are
+    equal.  That format writes an exact type code for each value (bool,
+    int, a float's 8 IEEE bytes, UTF-8 str, list, tuple, dict in insertion
+    order) and no back-references, so equal bytes mean equal values of
+    equal exact types.  Bytes-like objects (bytes, numpy scalars) marshal
+    as byte strings, which ``bracket_doc`` never emits, so no stored value
+    with one matches.  A value marshal refuses, or one nested too deep, is
+    not known to be the same.
+    """
+    try:
+        if type(stored) is dict and type(fresh) is dict:
+            return (stored.keys() == fresh.keys()
+                    and all(type(k) is str for k in stored)
+                    and all(type(k) is str for k in fresh)
+                    and all(_same(v, fresh[k]) for k, v in stored.items()))
+        if (type(stored) is list and type(fresh) is list and len(stored) == len(fresh)
+                and fresh and type(fresh[0]) is dict):
+            return all(map(_same, stored, fresh))
+        return marshal.dumps(stored, 2) == marshal.dumps(fresh, 2)
+    except (RecursionError, ValueError):
+        return False
 
 
 def _field_text(value) -> str:
+    """Canonical JSON text of a field; a value with no JSON text gets a note
+    naming why, which no re-emitted field equals."""
     try:
         return _FIELD_ENCODER.encode(value)
     except (RecursionError, TypeError, ValueError) as exc:

@@ -1010,6 +1010,14 @@ def _drop(path):
 _TRIPLE0 = ("ub", "covering", "triples", 0)
 
 
+def _loop_index(value):
+    """Triple 0's first loop index spelled ``value`` in its support and its assignment."""
+    def mutate(doc):
+        _set(_TRIPLE0 + ("support", 0, 1), value)(doc)
+        _set(_TRIPLE0 + ("assignment", 0, 0, 1), value)(doc)
+    return mutate
+
+
 def _infinite_d0(doc):
     """D0 = inf in both places, with the lower bound re-derived at that D0,
     so that every other stored value matches its re-emission."""
@@ -1049,6 +1057,10 @@ _TAMPER = {
     "d0_nan": (_set(("d0",), math.nan), "malformed certificate"),
     "d0_inf": (_infinite_d0, "malformed certificate"),
     "triples_not_a_list": (_set(("ub", "covering", "triples"), 7), "malformed certificate"),
+    # decoded to the same points, but not the text the writer re-emits
+    "support_coordinate_as_int": (_set(_TRIPLE0 + ("support", 1, 2), 5), "ub.covering:"),
+    "loop_index_as_float": (_loop_index(1.0), "ub.covering:"),
+    "loop_index_as_bool": (_loop_index(True), "ub.covering:"),
 }
 
 
@@ -1065,6 +1077,47 @@ def test_tampered_certificate_fails_by_name(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_mismatch_message_shows_where_long_texts_differ():
+    # both texts begin '{"d0": 4.0, "h": 1.0, "triples": [{"assignment": [' for 60 characters
+    doc = _honest("bouquet")
+    assert _parent(doc, _TRIPLE0 + ("support", 1, 2))[2] == 5.0
+    _set(_TRIPLE0 + ("support", 1, 2), 5)(doc)
+    ok, [message] = verify_bracket(doc)
+    stored, fresh = message.removeprefix("ub.covering: stored ").split(", re-derived ")
+    assert not ok and stored != fresh
+    assert '["loop", 1, 5]' in stored and '["loop", 1, 5.0]' in fresh
+    assert fresh.endswith("(first difference at character 184)")
+
+
+def test_a_non_string_key_of_a_python_document_is_reported():
+    # JSON keys are strings, but a document built in Python may hold others
+    doc = _honest("single")
+    doc["lb"][1] = 0
+    assert verify_bracket(doc) == (False, ["lb.1: stored 0, re-derived nothing"])
+
+
+_NEGATIVE_ZERO = {
+    "support": [("support", 0, 2, 1)],
+    "assignment": [("assignment", 0, 0, 2, 1)],
+    "both": [("support", 0, 2, 1), ("assignment", 0, 0, 2, 1)],
+}
+
+
+@pytest.mark.parametrize("where", sorted(_NEGATIVE_ZERO))
+def test_wedge_coordinate_spelled_negative_zero_is_accepted(tmp_path, where):
+    # -0.0 == 0.0, and the support and the assignment are each re-emitted from
+    # the points decoded from their own spelling
+    doc = _honest("wedge")
+    for path in _NEGATIVE_ZERO[where]:
+        assert _parent(doc, _TRIPLE0 + path)[path[-1]] == 0.0
+        _set(_TRIPLE0 + path, -0.0)(doc)
+    assert verify_bracket(doc) == (True, [])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert "-0.0" in path.read_text()
+    assert main(["verify", str(path)]) == 0
 
 
 def test_certificate_with_a_float_sigma_cannot_be_rebuilt(tmp_path, capsys):

@@ -44,7 +44,12 @@ def test_tracer_installs_counts_and_restores():
     # alike, however many of them one pass over the classes fills
     safe = sum(len(p.safe_points(j)) for j in range(p.k))
     assert metrics["problems.safe_points"][0] == 2 * safe == 18
-    assert "urwidth.serialize.verify_bracket" in tracer.wrap_points
+    assert {"urwidth.serialize.bracket_doc", "urwidth.serialize.verify_bracket"} <= set(
+        tracer.wrap_points)
+    # the re-check re-emits through the module's bracket_doc, so its span
+    # sits inside serialize.verify_s
+    [verify] = [i for i, span in enumerate(tracer.spans) if span[0] == "serialize.verify_bracket"]
+    assert any(span[0] == "serialize.bracket_doc" and span[5] == verify for span in tracer.spans)
     assert urwidth.width_bracket is original
 
 
